@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "pim/config.h"
 #include "pim/pipeline.h"
 
 namespace pimhe {
@@ -66,26 +67,12 @@ struct CostCtx
         convDownBytes = s.n * (raw + (raw & 1)) * 4;
     }
 
-    double
-    xferMs(std::uint64_t bytes, double aggregate_gbps) const
-    {
-        if (bytes == 0)
-            return 0;
-        const double gbps = std::min(
-            aggregate_gbps,
-            spec.perDpuGbps * static_cast<double>(spec.numDpus));
-        return static_cast<double>(bytes) / (gbps * 1e6);
-    }
-
     /** One elementwise launch over per-DPU `elems` elements. */
     double
     launchMs(const LinearCycleFit &fit, std::uint64_t per_dpu_elems)
         const
     {
-        const double cycles =
-            fit.base +
-            fit.slope * static_cast<double>(per_dpu_elems);
-        return cycles / (spec.clockMhz * 1e3);
+        return fit.at(per_dpu_elems) / (spec.clockMhz * 1e3);
     }
 
     /** Per-DPU elements of a whole-ciphertext elementwise op. */
@@ -98,22 +85,15 @@ struct CostCtx
     /**
      * One row-sharded negacyclic convolution on the PIM system. Each
      * DPU pays the full per-launch base (startup never shards) plus
-     * its share of the per-row work: row cycles are linear +
-     * quadratic*n (one output row is n MACs), and a DPU owns
-     * rows_per_dpu rows.
+     * the per-row work of the rows_per_dpu rows it owns.
      */
     double
     convMs() const
     {
-        const double nn = static_cast<double>(spec.n);
-        const double row_cycles = spec.convCycles.linear +
-                                  spec.convCycles.quadratic * nn;
         const std::uint64_t rows_per_dpu =
             (spec.n + spec.numDpus - 1) / spec.numDpus;
-        const double shard_cycles =
-            spec.convCycles.base +
-            row_cycles * static_cast<double>(rows_per_dpu);
-        return shard_cycles / (spec.clockMhz * 1e3);
+        return spec.convCycles.shard(spec.n, rows_per_dpu) /
+               (spec.clockMhz * 1e3);
     }
 
     double
@@ -225,9 +205,11 @@ chargeUpload(BackendCost &b, std::uint64_t bytes, const CostCtx &c,
              PipelineReplay *pipe = nullptr)
 {
     b.uploadedBytes += bytes;
-    b.transferMs += c.xferMs(bytes, c.spec.hostToDpuGbps);
+    const double ms =
+        pim::busMs(bytes, c.spec.numDpus, c.spec.hostToDpuGbps);
+    b.transferMs += ms;
     if (pipe != nullptr)
-        pipe->upload(c.xferMs(bytes, c.spec.hostToDpuGbps));
+        pipe->upload(ms);
 }
 
 void
@@ -235,9 +217,11 @@ chargeDownload(BackendCost &b, std::uint64_t bytes, const CostCtx &c,
                PipelineReplay *pipe = nullptr)
 {
     b.downloadedBytes += bytes;
-    b.transferMs += c.xferMs(bytes, c.spec.dpuToHostGbps);
+    const double ms =
+        pim::busMs(bytes, c.spec.numDpus, c.spec.dpuToHostGbps);
+    b.transferMs += ms;
     if (pipe != nullptr)
-        pipe->download(c.xferMs(bytes, c.spec.dpuToHostGbps));
+        pipe->download(ms);
 }
 
 /** Convolutions one node expands into (0 = not conv-backed). */
@@ -268,7 +252,7 @@ ciphertextBytes(const CostSpec &spec)
 double
 modeledDownloadMs(const CostSpec &spec, std::uint64_t bytes)
 {
-    return CostCtx(spec).xferMs(bytes, spec.dpuToHostGbps);
+    return pim::busMs(bytes, spec.numDpus, spec.dpuToHostGbps);
 }
 
 std::string

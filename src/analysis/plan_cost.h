@@ -56,6 +56,13 @@ struct LinearCycleFit
 {
     double base = 0;
     double slope = 0;
+
+    /** Cycles of one launch over `elems` elements per DPU. */
+    double
+    at(std::uint64_t elems) const
+    {
+        return base + slope * static_cast<double>(elems);
+    }
 };
 
 /**
@@ -71,6 +78,16 @@ struct QuadCycleFit
     double base = 0;
     double linear = 0;
     double quadratic = 0;
+
+    /** Cycles of one DPU computing `rows` output rows of a degree-n
+     *  convolution: the full base plus linear + quadratic*n per row
+     *  (one output row is n MACs). rows == n is one whole pair. */
+    double
+    shard(std::uint64_t n, std::uint64_t rows) const
+    {
+        return base + (linear + quadratic * static_cast<double>(n)) *
+                          static_cast<double>(rows);
+    }
 };
 
 /**
@@ -91,11 +108,11 @@ struct CostSpec
     double clockMhz = 425.0;
     double hostToDpuGbps = 6.0;
     double dpuToHostGbps = 4.4;
-    double perDpuGbps = 0.33; //!< per-DPU bus ceiling (pim/system.h)
     double launchOverheadUs = 20.0;
     std::uint64_t residentArenaBytes = 64ULL << 20;
 
-    // Probed kernel fits (simulator-derived, see pimhe/plan.h).
+    // Probed kernel fits (PimCostModel's memoised probes, see
+    // pimhe/plan.h).
     LinearCycleFit addCycles;
     LinearCycleFit mulCycles;
     QuadCycleFit convCycles;
@@ -211,12 +228,13 @@ CostReport estimateCost(const HeDag &dag, const CostSpec &spec);
 std::uint64_t ciphertextBytes(const CostSpec &spec);
 
 /**
- * Modelled bus time for one download of `bytes` — the same rate
- * arithmetic estimateCost charges. Exposed so callers that execute
- * with different materialisation timing than the plan walks assume
- * (e.g. runPlan downloads a reduction eagerly where the resident
- * backend defers it to the consumer) can adjust a prediction with
- * the model's own numbers instead of a duplicate formula.
+ * Modelled bus time for one download of `bytes`: pim::busMs over the
+ * spec's DPUs, the charge estimateCost makes. Exposed so callers that
+ * execute with different materialisation timing than the plan walks
+ * assume (e.g. runPlan downloads a reduction eagerly where the
+ * resident backend defers it to the consumer) can adjust a
+ * prediction with the model's own numbers instead of a duplicate
+ * formula.
  */
 double modeledDownloadMs(const CostSpec &spec, std::uint64_t bytes);
 

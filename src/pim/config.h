@@ -13,6 +13,7 @@
 #ifndef PIMHE_PIM_CONFIG_H
 #define PIMHE_PIM_CONFIG_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -50,22 +51,6 @@ enum class ExecMode
     Fast,
     Shadow,
 };
-
-inline const char *
-execModeName(ExecMode m)
-{
-    switch (m) {
-    case ExecMode::Auto:
-        return "auto";
-    case ExecMode::Interpret:
-        return "interpret";
-    case ExecMode::Fast:
-        return "fast";
-    case ExecMode::Shadow:
-        return "shadow";
-    }
-    return "?";
-}
 
 /**
  * Resolve ExecMode::Auto: PIMHE_EXEC_MODE when set (the tooling uses
@@ -203,6 +188,25 @@ inline SystemConfig
 paperSystem()
 {
     return SystemConfig{};
+}
+
+/**
+ * Modelled bus time (ms) of one host<->DPU transfer of `bytes` that
+ * touches `dpus` DPUs: every DPU link sustains kPerDpuGbps, and the
+ * bus saturates at `aggregate_gbps` (SystemConfig::hostToDpuGbps or
+ * dpuToHostGbps). The only copy of the formula: the simulator, the
+ * figure model (PimCostModel) and the plan cost model all call it.
+ */
+inline double
+busMs(std::uint64_t bytes, std::size_t dpus, double aggregate_gbps)
+{
+    if (bytes == 0)
+        return 0;
+    constexpr double kPerDpuGbps = 0.33;
+    const double gbps =
+        std::min(aggregate_gbps,
+                 kPerDpuGbps * static_cast<double>(dpus));
+    return static_cast<double>(bytes) / (gbps * 1e6);
 }
 
 } // namespace pim

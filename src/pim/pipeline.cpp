@@ -41,27 +41,6 @@ PipelineEngine::waitFor(std::size_t seq)
 }
 
 void
-PipelineEngine::waitAll()
-{
-    std::unique_lock<std::mutex> lock(m_);
-    doneCv_.wait(lock, [&] { return completed_ == submitted_; });
-}
-
-std::size_t
-PipelineEngine::submittedCount() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return submitted_;
-}
-
-std::size_t
-PipelineEngine::completedCount() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return completed_;
-}
-
-void
 PipelineEngine::workerLoop()
 {
     for (;;) {

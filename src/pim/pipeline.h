@@ -133,17 +133,6 @@ struct TwoTrackClock
         serialMs += kernelPlusOverheadMs;
     }
 
-    /** Both halves back to back (a fully synchronous launch). */
-    PipelineSpan
-    chargeLaunch(double uploadMs, double kernelPlusOverheadMs,
-                 bool synchronous, std::size_t launch_index)
-    {
-        PipelineSpan span =
-            chargeUpload(uploadMs, synchronous, launch_index);
-        chargeKernel(span, kernelPlusOverheadMs);
-        return span;
-    }
-
     /** Charge a download that depends on a kernel ending at
      *  `readyMs` (0 for pre-launch downloads). Returns begin time. */
     double
@@ -210,12 +199,6 @@ class PipelineEngine
 
     /** Block until job `seq` has completed. */
     void waitFor(std::size_t seq);
-
-    /** Block until every submitted job has completed. */
-    void waitAll();
-
-    std::size_t submittedCount() const;
-    std::size_t completedCount() const;
 
   private:
     void workerLoop();

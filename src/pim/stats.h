@@ -52,15 +52,6 @@ struct DpuRunStats
             sum += t.instructions;
         return sum;
     }
-
-    std::uint64_t
-    totalDmaBytes() const
-    {
-        std::uint64_t sum = 0;
-        for (const auto &t : tasklets)
-            sum += t.dmaBytes;
-        return sum;
-    }
 };
 
 /**

@@ -78,19 +78,22 @@ class LaunchTicket
  * to the explicit preLaunchDownloadMs() bucket (all three feed
  * totalModeledMs()).
  *
- * Execution engine: launch() runs the per-DPU simulations concurrently
- * on cfg.hostThreads host threads (see SystemConfig::hostThreads for
- * the auto/PIMHE_HOST_THREADS resolution). DPUs share no mutable
- * state, results land in per-DPU slots, and all aggregation —
- * maxCycles, fail-fast checker panics, launch bookkeeping — happens
- * after the join in DPU index order, so every modelled field of
- * LaunchStats is bit-identical at any thread count; only the
- * wall-clock observability fields (hostWallMs, hostThreads) differ.
+ * Execution engine: every launch runs the per-DPU simulations
+ * concurrently on cfg.hostThreads host threads (see
+ * SystemConfig::hostThreads for the auto/PIMHE_HOST_THREADS
+ * resolution). DPUs share no mutable state, results land in per-DPU
+ * slots, and all aggregation — maxCycles, fail-fast checker panics,
+ * launch bookkeeping — happens after the join in DPU index order, so
+ * every modelled field of LaunchStats is bit-identical at any thread
+ * count; only the wall-clock observability fields (hostWallMs,
+ * hostThreads) differ.
  *
- * Pipelined engine: launchAsync() hands the compute phase to a
- * single-worker FIFO pipeline (pim/pipeline.h) and returns a
- * LaunchTicket immediately, so the caller can stage launch N+1's
- * operands (copyToMramAsync into a disjoint double-buffered region)
+ * One submission path serves both engines. launch() drains, submits
+ * with the synchronous-barrier flag, runs the compute phase inline on
+ * the caller thread and merges at once; launchAsync() hands the
+ * compute phase to a single-worker FIFO pipeline (pim/pipeline.h) and
+ * returns a LaunchTicket immediately, so the caller can stage launch
+ * N+1's operands (copyToMramAsync into a disjoint double-buffered region)
  * while launch N simulates. Determinism is preserved by construction:
  * every modelled charge — upload consumption, verification, post-join
  * conflict/shadow scan in DPU index order, observability, the
@@ -259,11 +262,7 @@ class DpuSet
     const LaunchStats &
     launch(unsigned num_tasklets, const Kernel &kernel)
     {
-        CompiledKernel ck;
-        ck.name = "<interpreter-only>";
-        ck.interpret = kernel;
-        ck.waiver = "plain Kernel launch carries no fast body";
-        return launch(num_tasklets, ck);
+        return launch(num_tasklets, interpreterOnly(kernel));
     }
 
     /**
@@ -278,27 +277,7 @@ class DpuSet
     launch(unsigned num_tasklets, const CompiledKernel &kernel)
     {
         drainAsync();
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan host_span(tracer, 0, "DpuSet::launch");
-
-        LaunchStats stats = beginLaunchStats(kernel, /*async=*/false);
-        Timer wall;
-        pool_->parallelFor(dpus_.size(), [&](std::size_t i) {
-            obs::ScopedSpan dpu_span(tracer, i + 1, "dpu.run");
-            stats.dpus[i] =
-                dpus_[i]->run(num_tasklets, kernel, execMode_,
-                              /*defer_fail_fast=*/true);
-            dpu_span.arg("dpu", static_cast<double>(i));
-            dpu_span.arg("cycles", stats.dpus[i].cycles);
-        });
-        stats.hostWallMs = wall.elapsedMs();
-
-        const LaunchStats &merged = finalizeLaunch(
-            std::move(stats), num_tasklets, /*async=*/false);
-        host_span.arg("tasklets", static_cast<double>(num_tasklets));
-        host_span.arg("dpus", static_cast<double>(dpus_.size()));
-        host_span.arg("kernel_ms", merged.kernelMs);
-        return merged;
+        return launchSync(num_tasklets, kernel, std::string());
     }
 
     /**
@@ -317,7 +296,8 @@ class DpuSet
     LaunchTicket
     launchAsync(unsigned num_tasklets, const CompiledKernel &kernel)
     {
-        return submitAsync(num_tasklets, kernel, std::string());
+        return submitAsync(num_tasklets, kernel, std::string(),
+                           /*async=*/true);
     }
 
     /**
@@ -335,7 +315,8 @@ class DpuSet
     {
         return submitAsync(num_tasklets, kernel,
                            preLaunchVerifyCaptured(num_tasklets,
-                                                   footprint));
+                                                   footprint),
+                           /*async=*/true);
     }
 
     /**
@@ -412,9 +393,7 @@ class DpuSet
     launch(unsigned num_tasklets, const Kernel &kernel,
            const analysis::KernelFootprint &footprint)
     {
-        drainAsync();
-        preLaunchVerify(num_tasklets, footprint);
-        return launch(num_tasklets, kernel);
+        return launch(num_tasklets, interpreterOnly(kernel), footprint);
     }
 
     /**
@@ -423,28 +402,49 @@ class DpuSet
      * launch, then execution honours this set's ExecMode. All three
      * analyses run against the interpreter-side model regardless of
      * mode, so fast-path launches keep their static guarantees and
-     * shadow launches additionally keep the dynamic checker.
+     * shadow launches additionally keep the dynamic checker. A
+     * rejection panics at the immediate merge, before any simulated
+     * cycle.
      */
     const LaunchStats &
     launch(unsigned num_tasklets, const CompiledKernel &kernel,
            const analysis::KernelFootprint &footprint)
     {
         drainAsync();
-        preLaunchVerify(num_tasklets, footprint);
-        return launch(num_tasklets, kernel);
+        return launchSync(num_tasklets, kernel,
+                          preLaunchVerifyCaptured(num_tasklets,
+                                                  footprint));
     }
 
   private:
-    /** Synchronous wrapper: run the static stack, panic on rejection
-     *  immediately (before any simulated cycle). */
-    void
-    preLaunchVerify(unsigned num_tasklets,
-                    const analysis::KernelFootprint &footprint)
+    /** A plain Kernel as a CompiledKernel with no fast body. */
+    static CompiledKernel
+    interpreterOnly(const Kernel &kernel)
     {
-        const std::string failure =
-            preLaunchVerifyCaptured(num_tasklets, footprint);
-        if (!failure.empty())
-            panic(failure);
+        CompiledKernel ck;
+        ck.name = "<interpreter-only>";
+        ck.interpret = kernel;
+        ck.waiver = "plain Kernel launch carries no fast body";
+        return ck;
+    }
+
+    /** Submit with the synchronous barrier on a drained pipeline and
+     *  merge at once; a captured verifier rejection panics in the
+     *  merge with its diagnostic. */
+    const LaunchStats &
+    launchSync(unsigned num_tasklets, const CompiledKernel &kernel,
+               std::string verify_failure)
+    {
+        obs::ScopedSpan host_span(obs::Tracer::global(), 0,
+                                  "DpuSet::launch");
+        const LaunchStats &merged = waitLaunch(
+            submitAsync(num_tasklets, kernel, std::move(verify_failure),
+                        /*async=*/false)
+                .launchIndex());
+        host_span.arg("tasklets", static_cast<double>(num_tasklets));
+        host_span.arg("dpus", static_cast<double>(dpus_.size()));
+        host_span.arg("kernel_ms", merged.kernelMs);
+        return merged;
     }
 
     /**
@@ -597,28 +597,26 @@ class DpuSet
     }
 
     /** Modelled time of downloads issued before the first launch. */
-    double preLaunchDownloadMs() const { return preLaunchDownloadMs_; }
+    double preLaunchDownloadMs() const { return xfer_.preLaunchDownloadMs; }
 
     /** Sum of totalMs() over all launches plus pre-launch downloads. */
     double
     totalModeledMs() const
     {
         requireDrained("totalModeledMs()");
-        double sum = preLaunchDownloadMs_;
+        double sum = xfer_.preLaunchDownloadMs;
         for (const auto &l : launches_)
             sum += l.totalMs();
         return sum;
     }
 
-    /** Sum of hostWallMs over all launches (wall-clock diagnostic). */
+    /** Sum of maxCycles over all launches, kept as a running total so
+     *  per-op attribution never rescans the history. */
     double
-    totalHostWallMs() const
+    totalKernelCycles() const
     {
-        requireDrained("totalHostWallMs()");
-        double sum = 0;
-        for (const auto &l : launches_)
-            sum += l.hostWallMs;
-        return sum;
+        requireDrained("totalKernelCycles()");
+        return kernelCycles_;
     }
 
     Dpu &
@@ -741,34 +739,17 @@ class DpuSet
         tracer.recordCounter(std::move(c));
     }
 
-    /**
-     * Time for a host transfer touching `dpus_involved` DPUs: each
-     * DPU link sustains ~0.33 GB/s, the bus saturates at the
-     * aggregate bandwidth.
-     */
-    double
-    transferMs(std::uint64_t bytes, std::size_t dpus_involved,
-               double aggregate_gbps) const
-    {
-        if (bytes == 0)
-            return 0;
-        constexpr double per_dpu_gbps = 0.33;
-        const double gbps = std::min(
-            aggregate_gbps,
-            per_dpu_gbps * static_cast<double>(dpus_involved));
-        return static_cast<double>(bytes) / (gbps * 1e6);
-    }
-
-    /** One submitted-but-unmerged async launch. `stats.dpus` is the
-     *  only field the pipeline worker writes; everything else is
-     *  caller-thread state frozen at submission. */
+    /** One submitted-but-unmerged launch. `stats.dpus` and
+     *  `stats.hostWallMs` are the only fields the pipeline worker
+     *  writes; everything else is caller-thread state frozen at
+     *  submission. */
     struct PendingAsync
     {
         LaunchStats stats;
         unsigned tasklets = 0;
         std::size_t launchIndex = 0;
         std::size_t engineSeq = 0;
-        bool hasJob = false;          //!< false for rejected launches
+        bool async = true; //!< compute on the worker, no barrier
         std::string verifyFailure;    //!< deferred rejection diagnostic
     };
 
@@ -785,7 +766,7 @@ class DpuSet
     {
         LaunchStats stats;
         stats.launchOverheadMs = cfg_.launchOverheadUs / 1e3;
-        stats.hostToDpuMs = transferMs(
+        stats.hostToDpuMs = busMs(
             pendingUploadBytes_,
             uploadDpusTouched_ == 0 ? 1 : uploadDpusTouched_,
             cfg_.hostToDpuGbps);
@@ -828,6 +809,7 @@ class DpuSet
                 std::max(stats.maxCycles, stats.dpus[i].cycles);
         }
         stats.kernelMs = stats.maxCycles / (cfg_.dpu.clockMhz * 1e3);
+        kernelCycles_ += stats.maxCycles;
 
         recordLaunchObservability(stats, num_tasklets);
         recordPipelineLaunch(stats, async);
@@ -835,49 +817,64 @@ class DpuSet
         return launches_.back();
     }
 
-    /** Enqueue one async launch (see launchAsync). */
+    /**
+     * Submit one launch, the body both engines share: charge the
+     * staged uploads (beginLaunchStats), then run the compute phase —
+     * on the pipeline worker when `async`, inline on the caller thread
+     * otherwise (the caller drained first and merges at once, which is
+     * the synchronous barrier). A rejected launch runs nothing; its
+     * diagnostic panics at the merge.
+     */
     LaunchTicket
     submitAsync(unsigned num_tasklets, const CompiledKernel &kernel,
-                std::string verify_failure)
+                std::string verify_failure, bool async)
     {
         PendingAsync pending;
         pending.tasklets = num_tasklets;
         pending.launchIndex = launches_.size() + pendingAsync_.size();
+        pending.async = async;
         pending.verifyFailure = std::move(verify_failure);
-        pending.stats = beginLaunchStats(kernel, /*async=*/true);
+        pending.stats = beginLaunchStats(kernel, async);
         pendingAsync_.push_back(std::move(pending));
         // std::deque never invalidates references on push/pop at the
         // other end, so the worker's pointer into this record stays
         // valid until mergeNextAsync() pops it — after waitFor().
         PendingAsync &rec = pendingAsync_.back();
 
-        if (rec.verifyFailure.empty()) {
-            rec.hasJob = true;
-            rec.engineSeq = pipeline().submit(
-                [this, kernel, num_tasklets, stats = &rec.stats] {
-                    obs::Tracer &tracer = obs::Tracer::global();
-                    obs::ScopedSpan span(tracer, kAsyncWorkerTid,
-                                         "async.compute");
-                    Timer wall;
-                    pool_->parallelFor(
-                        dpus_.size(), [&](std::size_t i) {
-                            obs::ScopedSpan dpu_span(tracer, i + 1,
-                                                     "dpu.run");
-                            stats->dpus[i] = dpus_[i]->run(
-                                num_tasklets, kernel, execMode_,
-                                /*defer_fail_fast=*/true);
-                            dpu_span.arg("dpu",
-                                         static_cast<double>(i));
-                            dpu_span.arg("cycles",
-                                         stats->dpus[i].cycles);
-                        });
-                    stats->hostWallMs = wall.elapsedMs();
-                });
+        if (!rec.verifyFailure.empty())
+            return LaunchTicket(this, rec.launchIndex);
+        if (!async) {
+            runDpus(num_tasklets, kernel, rec.stats);
+            return LaunchTicket(this, rec.launchIndex);
         }
+        rec.engineSeq = pipeline().submit(
+            [this, kernel, num_tasklets, stats = &rec.stats] {
+                obs::ScopedSpan span(obs::Tracer::global(),
+                                     kAsyncWorkerTid, "async.compute");
+                runDpus(num_tasklets, kernel, *stats);
+            });
         return LaunchTicket(this, rec.launchIndex);
     }
 
-    /** Merge the oldest pending async launch (submission order). */
+    /** The per-DPU execution body: simulate every DPU across the host
+     *  pool into the launch's private per-DPU slots. */
+    void
+    runDpus(unsigned num_tasklets, const CompiledKernel &kernel,
+            LaunchStats &stats)
+    {
+        obs::Tracer &tracer = obs::Tracer::global();
+        Timer wall;
+        pool_->parallelFor(dpus_.size(), [&](std::size_t i) {
+            obs::ScopedSpan dpu_span(tracer, i + 1, "dpu.run");
+            stats.dpus[i] = dpus_[i]->run(num_tasklets, kernel, execMode_,
+                                          /*defer_fail_fast=*/true);
+            dpu_span.arg("dpu", static_cast<double>(i));
+            dpu_span.arg("cycles", stats.dpus[i].cycles);
+        });
+        stats.hostWallMs = wall.elapsedMs();
+    }
+
+    /** Merge the oldest pending launch (submission order). */
     void
     mergeNextAsync()
     {
@@ -889,11 +886,13 @@ class DpuSet
             // merge point after submission, with the synchronous
             // diagnostic. (The process panics; no pop needed.)
             panic(front.verifyFailure);
-        pipeline().waitFor(front.engineSeq);
+        if (front.async)
+            pipeline().waitFor(front.engineSeq);
         LaunchStats stats = std::move(front.stats);
         const unsigned tasklets = front.tasklets;
+        const bool async = front.async;
         pendingAsync_.pop_front();
-        finalizeLaunch(std::move(stats), tasklets, /*async=*/true);
+        finalizeLaunch(std::move(stats), tasklets, async);
     }
 
     /** Lazily-started pipeline worker. */
@@ -928,11 +927,10 @@ class DpuSet
     chargeDownload(std::size_t dpu, std::uint64_t bytes,
                    std::ptrdiff_t launch_index)
     {
-        const double ms = transferMs(bytes, 1, cfg_.dpuToHostGbps);
+        const double ms = busMs(bytes, 1, cfg_.dpuToHostGbps);
         xfer_.downloads += 1;
         xfer_.downloadedBytes += bytes;
         if (launch_index < 0) {
-            preLaunchDownloadMs_ += ms;
             xfer_.preLaunchDownloadMs += ms;
         } else {
             launches_[static_cast<std::size_t>(launch_index)]
@@ -1061,7 +1059,7 @@ class DpuSet
     std::unique_ptr<PipelineEngine> pipe_;
     std::uint64_t pendingUploadBytes_ = 0;
     std::size_t uploadDpusTouched_ = 0;
-    double preLaunchDownloadMs_ = 0;
+    double kernelCycles_ = 0; //!< running Σ maxCycles (finalizeLaunch)
     TransferTotals xfer_;
     /** Modelled-time trace cursor (µs); tracks totalModeledMs(). */
     double modelCursorUs_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Analytic PIM timing for paper-scale inputs.
+ * Analytic PIM timing for paper-scale inputs, and the only prober of
+ * the kernel cycle fits.
  *
  * Simulating 327,680 ciphertexts instruction-by-instruction is
  * intractable on a laptop, but every kernel in kernels.h is
@@ -8,8 +9,12 @@
  * for convolution, quadratic) function of the element count at a fixed
  * tasklet count. PimCostModel therefore
  *
- *  1. probes the real simulator at two small shapes,
- *  2. fits the exact linear/quadratic coefficients, and
+ *  1. probes the real simulator at exact-tiling shapes — two for the
+ *     elementwise kernels, three degrees for the convolution, whose
+ *     fit carries a per-launch base term that never shards;
+ *  2. fits the exact coefficients once per (op, width) and memoises
+ *     them (costSpecFor in plan.h reads the same memo, so the figure
+ *     model and the plan certifier share one fit); and
  *  3. composes system-level time analytically (all DPUs run the same
  *     padded shape; the critical path is one DPU).
  *
@@ -18,8 +23,9 @@
  *
  * Transfer policy: vector operands are PIM-resident (computing where
  * the data lives is the PIM service model), matching the GPU model's
- * HBM-resident assumption; launch overhead is always charged. The
- * *WithTransfers variants add explicit host staging for ablations.
+ * HBM-resident assumption; launch overhead is always charged.
+ * elementwiseWithTransfersMs adds explicit host staging for ablations,
+ * priced by pim::busMs like every other bus charge.
  */
 
 #ifndef PIMHE_PIMHE_COST_MODEL_H
@@ -28,6 +34,7 @@
 #include <map>
 #include <tuple>
 
+#include "analysis/plan_cost.h"
 #include "bigint/wide_int.h"
 #include "perf/platform.h"
 #include "pim/system.h"
@@ -91,11 +98,9 @@ class PimCostModel : public perf::PlatformModel
             const std::size_t dpus = dpusUsed(elems);
             per_dpu = (elems + dpus - 1) / dpus;
         }
-        const LinearFit fit = elementwiseFit(op, limbs);
         perf::Breakdown b;
-        b.computeMs =
-            (fit.base + fit.slope * static_cast<double>(per_dpu)) /
-            (cfg_.dpu.clockMhz * 1e3);
+        b.computeMs = elementwiseFit(op, limbs).at(per_dpu) /
+                      (cfg_.dpu.clockMhz * 1e3);
         b.overheadMs = cfg_.launchOverheadUs / 1e3;
         return b;
     }
@@ -106,12 +111,11 @@ class PimCostModel : public perf::PlatformModel
                                std::size_t elems) const
     {
         perf::Breakdown b = elementwiseMs(op, limbs, elems);
-        const double bytes = static_cast<double>(elems) *
-                             static_cast<double>(limbs) * 4.0;
+        const std::uint64_t bytes = elems * limbs * 4;
         const std::size_t dpus = dpusUsed(elems);
-        b.transferMs = transferMs(2.0 * bytes, dpus,
-                                  cfg_.hostToDpuGbps) +
-                       transferMs(bytes, dpus, cfg_.dpuToHostGbps);
+        b.transferMs =
+            pim::busMs(2 * bytes, dpus, cfg_.hostToDpuGbps) +
+            pim::busMs(bytes, dpus, cfg_.dpuToHostGbps);
         return b;
     }
 
@@ -123,11 +127,8 @@ class PimCostModel : public perf::PlatformModel
             std::max<std::size_t>(
                 1, std::min<std::size_t>(cfg_.numDpus, count));
         const std::size_t per_dpu = (count + dpus - 1) / dpus;
-        const QuadFit fit = convolutionFit(limbs);
         const double cycles_per_pair =
-            fit.linear * static_cast<double>(n) +
-            fit.quadratic * static_cast<double>(n) *
-                static_cast<double>(n);
+            convolutionFit(limbs).shard(n, n);
         perf::Breakdown b;
         b.computeMs = static_cast<double>(per_dpu) * cycles_per_pair /
                       (cfg_.dpu.clockMhz * 1e3);
@@ -173,17 +174,11 @@ class PimCostModel : public perf::PlatformModel
     }
 
   private:
-    struct LinearFit
-    {
-        double base = 0;
-        double slope = 0;
-    };
-
-    struct QuadFit
-    {
-        double linear = 0;
-        double quadratic = 0;
-    };
+    /** plan.h's CostSpec filler reads the memoised fits directly. */
+    friend inline analysis::CostSpec
+    costSpecFor(const PimCostModel &model, std::size_t limbs,
+                std::size_t n, std::size_t relin_digits,
+                std::size_t num_dpus, std::string name);
 
     pimhe_kernels::VecKernelParams
     vecParams(std::size_t limbs, std::size_t elems) const
@@ -222,15 +217,16 @@ class PimCostModel : public perf::PlatformModel
         return kp;
     }
 
-    LinearFit
+    /** Memoised cycles(elems) = base + slope*elems, probed at two
+     *  shapes that are exact multiples of the tasklet x chunk tiling
+     *  so the fit is exact there. */
+    analysis::LinearCycleFit
     elementwiseFit(perf::OpKind op, std::size_t limbs) const
     {
         const auto key = std::make_tuple(static_cast<int>(op), limbs);
         const auto it = vecFits_.find(key);
         if (it != vecFits_.end())
             return it->second;
-        // Probe at two shapes that are exact multiples of the
-        // tasklet x chunk tiling so the fit is exact there.
         const std::uint32_t chunk = static_cast<std::uint32_t>(
             pimhe_kernels::wramChunkBytes(cfg_.dpu, tasklets_) /
             (limbs * 4));
@@ -239,14 +235,23 @@ class PimCostModel : public perf::PlatformModel
         const std::size_t e2 = 2 * e1;
         const double c1 = simulateElementwiseCycles(op, limbs, e1);
         const double c2 = simulateElementwiseCycles(op, limbs, e2);
-        LinearFit fit;
+        analysis::LinearCycleFit fit;
         fit.slope = (c2 - c1) / static_cast<double>(e2 - e1);
         fit.base = c1 - fit.slope * static_cast<double>(e1);
         vecFits_[key] = fit;
         return fit;
     }
 
-    QuadFit
+    /**
+     * Memoised cycles(n) = base + linear*n + quadratic*n^2 for one
+     * convolution pair from three probe degrees. Three points are
+     * required because the per-launch base must be separated from the
+     * per-row work: a two-point fit folds startup into the linear
+     * term, and the row-sharded prediction (analysis convMs) then
+     * wrongly divides it by the DPU count — the drift the calibration
+     * sweep flags.
+     */
+    analysis::QuadCycleFit
     convolutionFit(std::size_t limbs) const
     {
         const auto it = convFits_.find(limbs);
@@ -254,35 +259,34 @@ class PimCostModel : public perf::PlatformModel
             return it->second;
         const std::size_t n1 = 4 * tasklets_;
         const std::size_t n2 = 2 * n1;
+        const std::size_t n3 = 4 * n1;
         const double c1 = simulateConvolutionCycles(n1, limbs);
         const double c2 = simulateConvolutionCycles(n2, limbs);
-        // Solve c = A n + B n^2 at the two probe points.
+        const double c3 = simulateConvolutionCycles(n3, limbs);
         const double a1 = static_cast<double>(n1);
         const double a2 = static_cast<double>(n2);
-        QuadFit fit;
-        fit.quadratic = (c2 / a2 - c1 / a1) / (a2 - a1);
-        fit.linear = c1 / a1 - fit.quadratic * a1;
+        const double a3 = static_cast<double>(n3);
+        // Divided differences over the three samples.
+        const double s1 = c2 - c1;
+        const double s2 = c3 - c2;
+        const double t1 = a2 - a1;
+        const double t2 = a3 - a2;
+        const double u1 = a2 * a2 - a1 * a1;
+        const double u2 = a3 * a3 - a2 * a2;
+        analysis::QuadCycleFit fit;
+        fit.quadratic = (s2 * t1 - s1 * t2) / (u2 * t1 - u1 * t2);
+        fit.linear = (s1 - fit.quadratic * u1) / t1;
+        fit.base = c1 - fit.linear * a1 - fit.quadratic * a1 * a1;
         convFits_[limbs] = fit;
         return fit;
     }
 
-    double
-    transferMs(double bytes, std::size_t dpus, double aggregate_gbps)
-        const
-    {
-        if (bytes <= 0)
-            return 0;
-        constexpr double per_dpu_gbps = 0.33;
-        const double gbps =
-            std::min(aggregate_gbps,
-                     per_dpu_gbps * static_cast<double>(dpus));
-        return bytes / (gbps * 1e6);
-    }
-
     pim::SystemConfig cfg_;
     unsigned tasklets_;
-    mutable std::map<std::tuple<int, std::size_t>, LinearFit> vecFits_;
-    mutable std::map<std::size_t, QuadFit> convFits_;
+    mutable std::map<std::tuple<int, std::size_t>,
+                     analysis::LinearCycleFit>
+        vecFits_;
+    mutable std::map<std::size_t, analysis::QuadCycleFit> convFits_;
 };
 
 } // namespace pimhe

@@ -100,8 +100,7 @@ class PimHeSystem
     addCiphertextVectors(const std::vector<Ciphertext<N>> &a,
                          const std::vector<Ciphertext<N>> &b)
     {
-        return elementwise(std::span(a), std::span(b),
-                           /*multiply=*/false);
+        return stagedOp(std::span(a), std::span(b), /*multiply=*/false);
     }
 
     /**
@@ -113,8 +112,7 @@ class PimHeSystem
     mulCoefficientwise(const std::vector<Ciphertext<N>> &a,
                        const std::vector<Ciphertext<N>> &b)
     {
-        return elementwise(std::span(a), std::span(b),
-                           /*multiply=*/true);
+        return stagedOp(std::span(a), std::span(b), /*multiply=*/true);
     }
 
     // ------------------------------------------------------------------
@@ -220,34 +218,13 @@ class PimHeSystem
         if (cts.size() == 1)
             return cts.front();
 
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = cts.front().size();
-        for (const auto &ct : cts)
-            PIMHE_ASSERT(ct.size() == comps,
-                         "ragged ciphertext vector in reduction");
-        const std::size_t num_dpus = dpus_.size();
-        const std::size_t total_elems = comps * n;
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t arr_bytes =
-            (per_dpu * N * 4 + 7) / 8 * 8;
-
+        const std::span<const Ciphertext<N>> all(cts);
+        const Geometry g = geometryOf(1, compsOf(all));
         // Accumulator + double-buffered operand slots, all from the
         // resident arena (eviction pressure included).
-        const std::uint64_t acc = cache_.allocScratch(arr_bytes);
-        pim::DoubleBuffer slots =
-            cache_.allocScratchDouble(arr_bytes);
-
-        const std::span<const Ciphertext<N>> all(cts);
-        std::vector<std::uint8_t> buf(num_dpus * arr_bytes);
-
-        // Seed the accumulator with ct 0 (no kernel involved).
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            flattenSlice(all.subspan(0, 1), d * per_dpu, per_dpu,
-                         sliceOf(buf, d, arr_bytes));
-        });
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyToMram(d, acc, sliceOf(buf, d, arr_bytes));
+        const std::uint64_t acc = cache_.allocScratch(g.arrBytes);
+        pim::DoubleBuffer slots = cache_.allocScratchDouble(g.arrBytes);
+        stage(all.first(1), acc, g); // seed: ct 0, no kernel involved
 
         // Streaming fold: upload ct i into the free slot while the
         // previous add still runs; a slot is reused only after the
@@ -258,17 +235,9 @@ class PimHeSystem
             const unsigned p = slots.turn & 1u;
             if (slotTicket[p].valid())
                 slotTicket[p].wait();
-            dpus_.hostPool().parallelFor(
-                num_dpus, [&](std::size_t d) {
-                    flattenSlice(all.subspan(i, 1), d * per_dpu,
-                                 per_dpu, sliceOf(buf, d, arr_bytes));
-                });
-            for (std::size_t d = 0; d < num_dpus; ++d)
-                dpus_.copyToMramAsync(d, slots.front(),
-                                      sliceOf(buf, d, arr_bytes));
-
-            pimhe_kernels::VecKernelParams kp =
-                vecParams(acc, slots.front(), acc, per_dpu);
+            stage(all.subspan(i, 1), slots.front(), g);
+            const pimhe_kernels::VecKernelParams kp =
+                vecParams(acc, slots.front(), acc, g.perDpu);
             dpus_.plan().declareWriteTarget(
                 ResidentCache<N>::scratchPlanId(acc));
             slotTicket[p] = dpus_.launchAsync(
@@ -280,20 +249,11 @@ class PimHeSystem
         }
 
         last.wait();
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMramForLaunch(d, acc,
-                                        sliceOf(buf, d, arr_bytes),
-                                        last.launchIndex());
-        std::vector<Ciphertext<N>> out(1);
-        for (std::size_t c = 0; c < comps; ++c)
-            out.front().comps.emplace_back(n);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(buf, d, arr_bytes), d * per_dpu,
-                           per_dpu, out);
-        });
+        Ciphertext<N> out =
+            std::move(collect(acc, g, last.launchIndex()).front());
         cache_.freeScratchDouble(slots);
         cache_.freeScratch(acc);
-        return std::move(out.front());
+        return out;
     }
 
     /**
@@ -470,7 +430,7 @@ class PimHeSystem
         while (cur.size() > 1) {
             const std::size_t half = cur.size() / 2;
             // Views into the working vector — no lo/hi copies.
-            auto sums = elementwise(
+            auto sums = stagedOp(
                 std::span<const Ciphertext<N>>(cur.data(), half),
                 std::span<const Ciphertext<N>>(cur.data() + half, half),
                 /*multiply=*/false);
@@ -491,9 +451,6 @@ class PimHeSystem
     // op-by-op hoping: an over-deep chain is rejected with the exact
     // op and depth that exhausts the noise budget, before any launch.
     // ------------------------------------------------------------------
-
-    /** Fresh empty plan (convenience; HeDag is the builder API). */
-    static analysis::HeDag makePlan() { return {}; }
 
     /** Noise-analysis view of this system's parameter set. */
     analysis::NoiseSpec
@@ -611,7 +568,6 @@ class PimHeSystem
             calib.enabled() && hasCostSpec_ && hasCostEstimate_ &&
             costEstimate_.ok() &&
             costEstimate_.rows.size() == dag.size();
-        const auto measureNow = [&]() { return measuredCursor(); };
 
         std::vector<Ciphertext<N>> val(dag.size());
         std::vector<Ciphertext<N>> outs;
@@ -619,7 +575,7 @@ class PimHeSystem
         for (analysis::NodeId id = 0; id < dag.size(); ++id) {
             const analysis::HeNode &node = dag[id];
             const MeasuredCursor before =
-                attribute ? measureNow() : MeasuredCursor{};
+                attribute ? measuredCursor() : MeasuredCursor{};
             const auto arg = [&](std::size_t i) -> const Ciphertext<N> & {
                 return val[node.args[i]];
             };
@@ -687,7 +643,7 @@ class PimHeSystem
             }
             if (attribute)
                 recordAttribution(node, costEstimate_.rows[id],
-                                  before, measureNow(), calib);
+                                  before, measuredCursor(), calib);
         }
         return outs;
     }
@@ -737,8 +693,7 @@ class PimHeSystem
         m.modeledMs = dpus_.totalModeledMs();
         m.busBytes = dpus_.transferTotals().busBytes();
         m.launches = dpus_.launches().size();
-        for (const pim::LaunchStats &l : dpus_.launches())
-            m.kernelCycles += l.maxCycles;
+        m.kernelCycles = dpus_.totalKernelCycles();
         // The context convolver (PIM-backed when a PimConvolver is
         // installed) owns a separate DpuSet; fold its usage in
         // through the layering-neutral ExactConvolver hook.
@@ -837,12 +792,11 @@ class PimHeSystem
         return kp;
     }
 
-    static void
-    bumpOpCounter(const char *name)
+    static pim::CompiledKernel
+    vecKernel(const pimhe_kernels::VecKernelParams &kp, bool multiply)
     {
-        obs::Registry &reg = obs::Registry::global();
-        if (reg.enabled())
-            reg.counter(name).add(1);
+        return multiply ? pimhe_kernels::compiledVecMulModQ(kp)
+                        : pimhe_kernels::compiledVecAddModQ(kp);
     }
 
     ResidentCiphertext
@@ -871,10 +825,7 @@ class PimHeSystem
         kp.mramOut = cache_.addrOf(out);
 
         dpus_.plan().declareWriteTarget(out);
-        dpus_.launch(tasklets_,
-                     multiply
-                         ? pimhe_kernels::compiledVecMulModQ(kp)
-                         : pimhe_kernels::compiledVecAddModQ(kp),
+        dpus_.launch(tasklets_, vecKernel(kp, multiply),
                      pimhe_kernels::vecKernelFootprint(
                          kp, dpus_.config().dpu, tasklets_, multiply));
 
@@ -883,103 +834,153 @@ class PimHeSystem
         return {out};
     }
 
+    /**
+     * Synchronous staged op: both operands stage into one scratch slot
+     * of A/B/Out thirds taken from the resident arena (so staged
+     * launches coexist with — and can evict — resident entries), the
+     * kernel launches behind the synchronous barrier, and the result
+     * third is collected.
+     */
     std::vector<Ciphertext<N>>
-    elementwise(std::span<const Ciphertext<N>> a,
-                std::span<const Ciphertext<N>> b, bool multiply)
+    stagedOp(std::span<const Ciphertext<N>> a,
+             std::span<const Ciphertext<N>> b, bool multiply)
+    {
+        obs::ScopedSpan span(obs::Tracer::global(), 0,
+                             multiply ? "pimhe.vec_mul"
+                                      : "pimhe.vec_add");
+        span.arg("cts", static_cast<double>(a.size()));
+        bumpOpCounter(multiply ? "pimhe.ops.vec_mul"
+                               : "pimhe.ops.vec_add");
+        const Geometry g = binaryGeometry(a, b);
+        const std::uint64_t scratch = cache_.allocScratch(3 * g.arrBytes);
+        const pimhe_kernels::VecKernelParams kp =
+            stageBinary(a, b, scratch, g);
+        dpus_.plan().declareWriteTarget(
+            ResidentCache<N>::scratchPlanId(scratch));
+        dpus_.launch(tasklets_, vecKernel(kp, multiply),
+                     pimhe_kernels::vecKernelFootprint(
+                         kp, dpus_.config().dpu, tasklets_, multiply));
+        std::vector<Ciphertext<N>> out =
+            collect(kp.mramOut, g, dpus_.launches().size() - 1);
+        cache_.freeScratch(scratch);
+        return out;
+    }
+
+    // ------------------------------------------------------------------
+    // The one staging path: geometry, stage, collect.
+    // ------------------------------------------------------------------
+
+    /**
+     * Per-DPU layout of `count` flattened ciphertexts: balanced
+     * slices, zero-padded so every DPU runs the same shape, with the
+     * region stride rounded up to the 8-byte DMA granularity so every
+     * kernel transfer is aligned.
+     */
+    struct Geometry
+    {
+        std::size_t count = 0;    //!< ciphertexts
+        std::size_t comps = 0;    //!< components per ciphertext
+        std::size_t perDpu = 0;   //!< elements per DPU
+        std::size_t arrBytes = 0; //!< per-DPU region stride
+    };
+
+    Geometry
+    geometryOf(std::size_t count, std::size_t comps) const
+    {
+        Geometry g;
+        g.count = count;
+        g.comps = comps;
+        const std::size_t total = count * comps * ctx_.ring().degree();
+        g.perDpu = (total + dpus_.size() - 1) / dpus_.size();
+        g.arrBytes = (g.perDpu * N * 4 + 7) / 8 * 8;
+        return g;
+    }
+
+    /** Component count shared by every ciphertext of `cts`. */
+    static std::size_t
+    compsOf(std::span<const Ciphertext<N>> cts)
+    {
+        const std::size_t comps = cts.front().size();
+        for (const auto &ct : cts)
+            PIMHE_ASSERT(ct.size() == comps, "ragged ciphertext vector");
+        return comps;
+    }
+
+    Geometry
+    binaryGeometry(std::span<const Ciphertext<N>> a,
+                   std::span<const Ciphertext<N>> b) const
     {
         PIMHE_ASSERT(a.size() == b.size() && !a.empty(),
                      "operand vectors must be equal-length, non-empty");
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan op_span(tracer, 0,
-                                multiply ? "pimhe.vec_mul"
-                                         : "pimhe.vec_add");
-        op_span.arg("cts", static_cast<double>(a.size()));
-        {
-            obs::Registry &reg = obs::Registry::global();
-            if (reg.enabled()) {
-                static obs::Counter adds =
-                    reg.counter("pimhe.ops.vec_add");
-                static obs::Counter muls =
-                    reg.counter("pimhe.ops.vec_mul");
-                (multiply ? muls : adds).add(1);
-            }
-        }
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = a.front().size();
-        for (std::size_t i = 0; i < a.size(); ++i)
-            PIMHE_ASSERT(a[i].size() == comps && b[i].size() == comps,
-                         "ragged ciphertext vectors");
+        const std::size_t comps = compsOf(a);
+        PIMHE_ASSERT(compsOf(b) == comps, "ragged ciphertext vector");
+        return geometryOf(a.size(), comps);
+    }
 
-        // Flatten into per-DPU balanced coefficient arrays (padded
-        // with zeros so every DPU runs the same shape).
-        const std::size_t total_elems = a.size() * comps * n;
+    /**
+     * Stage: flatten every DPU's slice of `cts` concurrently into
+     * disjoint regions of one buffer, then copy it to `addr` in DPU
+     * order so transfer accounting stays deterministic. The copies do
+     * not drain the pipeline: every caller stages into a region no
+     * in-flight launch touches, and a synchronous launch drains
+     * anyway.
+     */
+    void
+    stage(std::span<const Ciphertext<N>> cts, std::uint64_t addr,
+          const Geometry &g)
+    {
+        obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.stage");
         const std::size_t num_dpus = dpus_.size();
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t elem_bytes = N * 4;
-        // Round the per-DPU region stride up to the 8-byte DMA
-        // granularity so every kernel transfer is aligned.
-        const std::size_t arr_bytes =
-            (per_dpu * elem_bytes + 7) / 8 * 8;
-
-        // Scratch comes from the same arena the resident cache
-        // manages, so staged launches coexist with (and can evict)
-        // resident entries instead of silently overwriting them.
-        const std::uint64_t scratch =
-            cache_.allocScratch(3 * arr_bytes);
-        pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + arr_bytes,
-                      scratch + 2 * arr_bytes, per_dpu);
-
-        // Stage operands: flatten every DPU's slice concurrently into
-        // disjoint regions of one buffer, then issue the MRAM copies
-        // in DPU order so transfer accounting stays deterministic.
-        {
-            obs::ScopedSpan stage_span(tracer, 0, "pimhe.stage");
-            std::vector<std::uint8_t> abuf(num_dpus * arr_bytes);
-            std::vector<std::uint8_t> bbuf(num_dpus * arr_bytes);
-            dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-                flattenSlice(a, d * per_dpu, per_dpu,
-                             sliceOf(abuf, d, arr_bytes));
-                flattenSlice(b, d * per_dpu, per_dpu,
-                             sliceOf(bbuf, d, arr_bytes));
-            });
-            for (std::size_t d = 0; d < num_dpus; ++d) {
-                dpus_.copyToMram(d, kp.mramA,
-                                 sliceOf(abuf, d, arr_bytes));
-                dpus_.copyToMram(d, kp.mramB,
-                                 sliceOf(bbuf, d, arr_bytes));
-            }
-        }
-
-        // The kernel writes the result third of the scratch region
-        // (operand reads of the other thirds are unconstrained).
-        dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
-        dpus_.launch(tasklets_,
-                     multiply
-                         ? pimhe_kernels::compiledVecMulModQ(kp)
-                         : pimhe_kernels::compiledVecAddModQ(kp),
-                     pimhe_kernels::vecKernelFootprint(
-                         kp, dpus_.config().dpu, tasklets_, multiply));
-
-        // Collect results: download in DPU order (accounting), then
-        // unflatten concurrently — each DPU's flat element range maps
-        // to disjoint output coefficients.
-        obs::ScopedSpan collect_span(tracer, 0, "pimhe.collect");
-        std::vector<Ciphertext<N>> out(a.size());
-        for (auto &ct : out)
-            for (std::size_t cidx = 0; cidx < comps; ++cidx)
-                ct.comps.emplace_back(n);
-        std::vector<std::uint8_t> obuf(num_dpus * arr_bytes);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMram(d, kp.mramOut,
-                               sliceOf(obuf, d, arr_bytes));
+        std::vector<std::uint8_t> buf(num_dpus * g.arrBytes);
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(obuf, d, arr_bytes), d * per_dpu,
-                           per_dpu, out);
+            flattenSlice<N>(cts, ctx_.ring().degree(), d * g.perDpu,
+                            g.perDpu, sliceOf(buf, d, g.arrBytes));
         });
-        cache_.freeScratch(scratch);
+        for (std::size_t d = 0; d < num_dpus; ++d)
+            dpus_.copyToMramAsync(d, addr, sliceOf(buf, d, g.arrBytes));
+    }
+
+    /** Stage a and b into the A/B thirds of the slot at `scratch`;
+     *  returns the kernel parameters that read them. */
+    pimhe_kernels::VecKernelParams
+    stageBinary(std::span<const Ciphertext<N>> a,
+                std::span<const Ciphertext<N>> b, std::uint64_t scratch,
+                const Geometry &g)
+    {
+        const pimhe_kernels::VecKernelParams kp =
+            vecParams(scratch, scratch + g.arrBytes,
+                      scratch + 2 * g.arrBytes, g.perDpu);
+        stage(a, kp.mramA, g);
+        stage(b, kp.mramB, g);
+        return kp;
+    }
+
+    /**
+     * Collect: download every DPU's slice at `addr` in DPU order,
+     * charged to launch `launch_index` (which must be merged), then
+     * unflatten concurrently — each DPU's flat element range maps to
+     * disjoint output coefficients.
+     */
+    std::vector<Ciphertext<N>>
+    collect(std::uint64_t addr, const Geometry &g,
+            std::size_t launch_index)
+    {
+        obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.collect");
+        const std::size_t num_dpus = dpus_.size();
+        std::vector<Ciphertext<N>> out(g.count);
+        for (auto &ct : out)
+            for (std::size_t c = 0; c < g.comps; ++c)
+                ct.comps.emplace_back(ctx_.ring().degree());
+        std::vector<std::uint8_t> buf(num_dpus * g.arrBytes);
+        for (std::size_t d = 0; d < num_dpus; ++d)
+            dpus_.copyFromMramForLaunch(d, addr,
+                                        sliceOf(buf, d, g.arrBytes),
+                                        launch_index);
+        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
+            unflattenSlice<N>(sliceOf(buf, d, g.arrBytes),
+                              ctx_.ring().degree(), d * g.perDpu,
+                              g.perDpu, out);
+        });
         return out;
     }
 
@@ -992,10 +993,7 @@ class PimHeSystem
     {
         pim::LaunchTicket ticket;
         std::uint64_t outAddr = 0; //!< result third of the slot
-        std::size_t arrBytes = 0;  //!< per-DPU region stride
-        std::size_t perDpu = 0;    //!< elements per DPU
-        std::size_t count = 0;     //!< ciphertexts in the result
-        std::size_t comps = 0;     //!< components per ciphertext
+        Geometry geometry;         //!< layout of the result
         bool harvested = false;
         bool consumed = false;
         std::vector<Ciphertext<N>> results;
@@ -1057,103 +1055,47 @@ class PimHeSystem
     harvest(AsyncOpState &st)
     {
         st.ticket.wait();
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             "pimhe.collect");
-        const std::size_t num_dpus = dpus_.size();
-        std::vector<Ciphertext<N>> out(st.count);
-        for (auto &ct : out)
-            for (std::size_t cidx = 0; cidx < st.comps; ++cidx)
-                ct.comps.emplace_back(ctx_.ring().degree());
-        std::vector<std::uint8_t> obuf(num_dpus * st.arrBytes);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMramForLaunch(d, st.outAddr,
-                                        sliceOf(obuf, d, st.arrBytes),
-                                        st.ticket.launchIndex());
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(obuf, d, st.arrBytes),
-                           d * st.perDpu, st.perDpu, out);
-        });
-        st.results = std::move(out);
+        st.results =
+            collect(st.outAddr, st.geometry, st.ticket.launchIndex());
         st.harvested = true;
     }
 
     /**
-     * Async twin of elementwise(): same shapes, same kernels, same
+     * Async twin of stagedOp(): same shapes, same kernels, same
      * verifier footprint — but operands stage into the double
-     * buffer's free slot with copyToMramAsync (no pipeline drain) and
-     * the kernel goes through launchAsync. At most two ops are in
-     * flight; submitting a third first harvests the op that owns the
-     * slot being reused.
+     * buffer's free slot and the kernel goes through launchAsync. At
+     * most two ops are in flight; submitting a third first harvests
+     * the op that owns the slot being reused.
      */
     AsyncOp
     elementwiseAsync(std::span<const Ciphertext<N>> a,
                      std::span<const Ciphertext<N>> b, bool multiply)
     {
-        PIMHE_ASSERT(a.size() == b.size() && !a.empty(),
-                     "operand vectors must be equal-length, non-empty");
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan op_span(tracer, 0,
-                                multiply ? "pimhe.vec_mul_async"
-                                         : "pimhe.vec_add_async");
-        op_span.arg("cts", static_cast<double>(a.size()));
+        obs::ScopedSpan span(obs::Tracer::global(), 0,
+                             multiply ? "pimhe.vec_mul_async"
+                                      : "pimhe.vec_add_async");
+        span.arg("cts", static_cast<double>(a.size()));
         bumpOpCounter(multiply ? "pimhe.ops.vec_mul_async"
                                : "pimhe.ops.vec_add_async");
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = a.front().size();
-        for (std::size_t i = 0; i < a.size(); ++i)
-            PIMHE_ASSERT(a[i].size() == comps && b[i].size() == comps,
-                         "ragged ciphertext vectors");
-
-        const std::size_t total_elems = a.size() * comps * n;
-        const std::size_t num_dpus = dpus_.size();
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t arr_bytes =
-            (per_dpu * N * 4 + 7) / 8 * 8;
-
-        ensureStager(3 * arr_bytes);
+        const Geometry g = binaryGeometry(a, b);
+        ensureStager(3 * g.arrBytes);
         const unsigned slot = stager_.buf.turn & 1u;
         if (stager_.owner[slot] && !stager_.owner[slot]->harvested)
             harvest(*stager_.owner[slot]);
         stager_.owner[slot].reset();
 
         const std::uint64_t scratch = stager_.buf.front();
-        pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + arr_bytes,
-                      scratch + 2 * arr_bytes, per_dpu);
-
-        {
-            obs::ScopedSpan stage_span(tracer, 0, "pimhe.stage");
-            std::vector<std::uint8_t> abuf(num_dpus * arr_bytes);
-            std::vector<std::uint8_t> bbuf(num_dpus * arr_bytes);
-            dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-                flattenSlice(a, d * per_dpu, per_dpu,
-                             sliceOf(abuf, d, arr_bytes));
-                flattenSlice(b, d * per_dpu, per_dpu,
-                             sliceOf(bbuf, d, arr_bytes));
-            });
-            for (std::size_t d = 0; d < num_dpus; ++d) {
-                dpus_.copyToMramAsync(d, kp.mramA,
-                                      sliceOf(abuf, d, arr_bytes));
-                dpus_.copyToMramAsync(d, kp.mramB,
-                                      sliceOf(bbuf, d, arr_bytes));
-            }
-        }
-
+        const pimhe_kernels::VecKernelParams kp =
+            stageBinary(a, b, scratch, g);
         dpus_.plan().declareWriteTarget(
             ResidentCache<N>::scratchPlanId(scratch));
         auto st = std::make_shared<AsyncOpState>();
         st->ticket = dpus_.launchAsync(
-            tasklets_,
-            multiply ? pimhe_kernels::compiledVecMulModQ(kp)
-                     : pimhe_kernels::compiledVecAddModQ(kp),
+            tasklets_, vecKernel(kp, multiply),
             pimhe_kernels::vecKernelFootprint(kp, dpus_.config().dpu,
                                               tasklets_, multiply));
         st->outAddr = kp.mramOut;
-        st->arrBytes = arr_bytes;
-        st->perDpu = per_dpu;
-        st->count = a.size();
-        st->comps = comps;
+        st->geometry = g;
         stager_.owner[slot] = st;
         stager_.buf.flip();
         return AsyncOp(this, std::move(st));
@@ -1164,51 +1106,6 @@ class PimHeSystem
             std::size_t bytes)
     {
         return std::span<std::uint8_t>(buf.data() + idx * bytes, bytes);
-    }
-
-    /** Copy elements [begin, begin+count) of the flat view into buf. */
-    void
-    flattenSlice(std::span<const Ciphertext<N>> cts, std::size_t begin,
-                 std::size_t count, std::span<std::uint8_t> buf) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = cts.front().size();
-        std::fill(buf.begin(), buf.end(), 0);
-        for (std::size_t e = 0; e < count; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= cts.size() * comps * n)
-                break;
-            const auto &coeff =
-                cts[flat / (comps * n)][(flat / n) % comps]
-                   [flat % n];
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = coeff.limb(l);
-                std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
-            }
-        }
-    }
-
-    /** Inverse of flattenSlice into the output ciphertexts. */
-    void
-    unflattenSlice(std::span<const std::uint8_t> buf,
-                   std::size_t begin, std::size_t count,
-                   std::vector<Ciphertext<N>> &out) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = out.front().size();
-        for (std::size_t e = 0; e < count; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= out.size() * comps * n)
-                break;
-            WideInt<N> coeff;
-            for (std::size_t l = 0; l < N; ++l) {
-                std::uint32_t v;
-                std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
-                coeff.setLimb(l, v);
-            }
-            out[flat / (comps * n)][(flat / n) % comps][flat % n] =
-                coeff;
-        }
     }
 
     const BfvContext<N> &ctx_;
@@ -1264,14 +1161,7 @@ class PimConvolver : public ExactConvolver<N>
                                 "pimhe.convolve");
         op_span.arg("n", static_cast<double>(n));
         op_span.arg("dpus", static_cast<double>(num_dpus));
-        {
-            obs::Registry &reg = obs::Registry::global();
-            if (reg.enabled()) {
-                static obs::Counter convs =
-                    reg.counter("pimhe.ops.convolve");
-                convs.add(1);
-            }
-        }
+        bumpOpCounter("pimhe.ops.convolve");
         pimhe_kernels::ConvKernelParams kp;
         kp.n = static_cast<std::uint32_t>(n);
         kp.limbs = N;
@@ -1285,13 +1175,18 @@ class PimConvolver : public ExactConvolver<N>
         kp.mramA = 0;
         kp.mramB = n * elem_bytes;
         kp.mramOut = 2 * n * elem_bytes;
+        // Rows [rb, re) of DPU d; one DPU owns every row.
+        const auto shard = [&](std::size_t d) {
+            return analysis::rowShardRange(
+                kp.n, static_cast<std::uint32_t>(num_dpus),
+                static_cast<std::uint32_t>(d));
+        };
 
         if (num_dpus > 1) {
             // Shard 0 is a widest shard (analysis::rowShardRange), so
             // its row count bounds every DPU's accumulator region and
             // one footprint covers the whole launch.
-            const auto [b0, e0] = analysis::rowShardRange(
-                kp.n, static_cast<std::uint32_t>(num_dpus), 0);
+            const auto [b0, e0] = shard(0);
             kp.rowBegin = b0;
             kp.rowEnd = e0;
             kp.mramMeta =
@@ -1300,18 +1195,13 @@ class PimConvolver : public ExactConvolver<N>
 
         dpus_.broadcastToMram(kp.mramA, flatten(a));
         dpus_.broadcastToMram(kp.mramB, flatten(b));
-        if (num_dpus > 1) {
-            for (std::size_t d = 0; d < num_dpus; ++d) {
-                const auto [rb, re] = analysis::rowShardRange(
-                    kp.n, static_cast<std::uint32_t>(num_dpus),
-                    static_cast<std::uint32_t>(d));
-                const std::uint32_t meta[2] = {rb, re};
-                std::uint8_t bytes[8];
-                std::memcpy(bytes, meta, 8);
-                dpus_.copyToMram(d, kp.mramMeta,
-                                 std::span<const std::uint8_t>(bytes,
-                                                               8));
-            }
+        for (std::size_t d = 0; num_dpus > 1 && d < num_dpus; ++d) {
+            const auto [rb, re] = shard(d);
+            const std::uint32_t meta[2] = {rb, re};
+            dpus_.copyToMram(
+                d, kp.mramMeta,
+                std::span(reinterpret_cast<const std::uint8_t *>(meta),
+                          sizeof meta));
         }
 
         dpus_.launch(tasklets_,
@@ -1323,15 +1213,7 @@ class PimConvolver : public ExactConvolver<N>
         std::vector<U256> out(n);
         std::vector<std::uint8_t> buf;
         for (std::size_t d = 0; d < num_dpus; ++d) {
-            std::uint32_t rb = 0;
-            std::uint32_t re = kp.n;
-            if (num_dpus > 1) {
-                const auto rr = analysis::rowShardRange(
-                    kp.n, static_cast<std::uint32_t>(num_dpus),
-                    static_cast<std::uint32_t>(d));
-                rb = rr.first;
-                re = rr.second;
-            }
+            const auto [rb, re] = shard(d);
             if (rb == re)
                 continue;
             buf.resize(std::size_t(re - rb) * acc_bytes);
@@ -1353,8 +1235,7 @@ class PimConvolver : public ExactConvolver<N>
         u.modeledMs = dpus_.totalModeledMs();
         u.busBytes = dpus_.transferTotals().busBytes();
         u.launches = dpus_.launches().size();
-        for (const pim::LaunchStats &l : dpus_.launches())
-            u.kernelCycles += l.maxCycles;
+        u.kernelCycles = dpus_.totalKernelCycles();
         return u;
     }
 

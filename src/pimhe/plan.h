@@ -7,18 +7,18 @@
  * its predictions are auditable and its tests need no simulator. This
  * header fills a CostSpec from reality:
  *
- *  - the kernel cycle fits come from PimCostModel's public probe
- *    entry points (simulateElementwiseCycles / simulate-
- *    ConvolutionCycles), evaluated at the same two exact-tiling
- *    shapes the model itself fits at — never hand-entered numbers;
+ *  - the kernel cycle fits are PimCostModel's memoised fits — the
+ *    same ones its figure-model timings use, probed once per
+ *    coefficient width out of the simulator, never hand-entered;
  *  - machine shape (DPU count, clock, bus rates, launch overhead,
  *    resident arena) comes from the live pim::SystemConfig;
  *  - the host baseline constants come from perf::CpuCalibration.
  *
- * Probing runs a handful of tiny simulations per coefficient width;
+ * The first probe of a coefficient width runs seven tiny simulations;
  * PimHeSystem::certifyPlan therefore orders noise and capacity checks
- * (pure arithmetic) strictly before the first probe, so a rejected
- * plan never causes a simulated cycle.
+ * (pure arithmetic) strictly before it, so a rejected plan never
+ * causes a simulated cycle, and the model's memo makes every later
+ * certification probe-free.
  */
 
 #ifndef PIMHE_PIMHE_PLAN_H
@@ -32,61 +32,6 @@
 #include "pimhe/resident.h"
 
 namespace pimhe {
-
-/** Fit cycles(elems) = base + slope*elems from two probe shapes that
- *  are exact multiples of the tasklet x chunk tiling. */
-inline analysis::LinearCycleFit
-probeElementwiseFit(const PimCostModel &model, perf::OpKind op,
-                    std::size_t limbs)
-{
-    const std::uint32_t chunk =
-        pimhe_kernels::wramChunkBytes(model.config().dpu,
-                                      model.tasklets()) /
-        static_cast<std::uint32_t>(limbs * 4);
-    const std::size_t e1 =
-        static_cast<std::size_t>(model.tasklets()) * chunk * 2;
-    const std::size_t e2 = 2 * e1;
-    const double c1 = model.simulateElementwiseCycles(op, limbs, e1);
-    const double c2 = model.simulateElementwiseCycles(op, limbs, e2);
-    analysis::LinearCycleFit fit;
-    fit.slope = (c2 - c1) / static_cast<double>(e2 - e1);
-    fit.base = c1 - fit.slope * static_cast<double>(e1);
-    return fit;
-}
-
-/**
- * Fit cycles(n) = base + linear*n + quadratic*n^2 for one convolution
- * pair from three probe degrees. Three points are required because
- * the per-launch base must be separated from the per-row work: a
- * two-point fit folds startup into the linear term, and the row-
- * sharded prediction (analysis convMs) then wrongly divides it by
- * the DPU count — the drift the calibration sweep flags.
- */
-inline analysis::QuadCycleFit
-probeConvolutionFit(const PimCostModel &model, std::size_t limbs)
-{
-    const std::size_t n1 = 4 * model.tasklets();
-    const std::size_t n2 = 2 * n1;
-    const std::size_t n3 = 4 * n1;
-    const double c1 = model.simulateConvolutionCycles(n1, limbs);
-    const double c2 = model.simulateConvolutionCycles(n2, limbs);
-    const double c3 = model.simulateConvolutionCycles(n3, limbs);
-    const double a1 = static_cast<double>(n1);
-    const double a2 = static_cast<double>(n2);
-    const double a3 = static_cast<double>(n3);
-    // Divided differences over the three samples.
-    const double s1 = c2 - c1;
-    const double s2 = c3 - c2;
-    const double t1 = a2 - a1;
-    const double t2 = a3 - a2;
-    const double u1 = a2 * a2 - a1 * a1;
-    const double u2 = a3 * a3 - a2 * a2;
-    analysis::QuadCycleFit fit;
-    fit.quadratic = (s2 * t1 - s1 * t2) / (u2 * t1 - u1 * t2);
-    fit.linear = (s1 - fit.quadratic * u1) / t1;
-    fit.base = c1 - fit.linear * a1 - fit.quadratic * a1 * a1;
-    return fit;
-}
 
 /**
  * Everything in a CostSpec except the probed fits: geometry, machine
@@ -125,11 +70,13 @@ costSpecShape(const pim::SystemConfig &cfg, std::size_t limbs,
 }
 
 /**
- * Fill a CostSpec from probed fits plus the live system shape.
- * `num_dpus` is the DPU-set size the plan will actually run on (a
- * PimHeSystem may allocate fewer DPUs than the config describes).
- * Runs ~6 tiny simulations; call only for plans that already passed
- * the arithmetic-only noise and capacity checks.
+ * Fill a CostSpec from the model's memoised fits plus the live system
+ * shape. `num_dpus` is the DPU-set size the plan will actually run on
+ * (a PimHeSystem may allocate fewer DPUs than the config describes).
+ * The first call per coefficient width runs 7 tiny probe simulations
+ * (2 add, 2 mul, 3 convolution); later calls on the same model run
+ * none. Call only for plans that already passed the arithmetic-only
+ * noise and capacity checks.
  */
 inline analysis::CostSpec
 costSpecFor(const PimCostModel &model, std::size_t limbs,
@@ -139,11 +86,9 @@ costSpecFor(const PimCostModel &model, std::size_t limbs,
     analysis::CostSpec spec =
         costSpecShape(model.config(), limbs, n, relin_digits,
                       num_dpus, std::move(name));
-    spec.addCycles =
-        probeElementwiseFit(model, perf::OpKind::VecAdd, limbs);
-    spec.mulCycles =
-        probeElementwiseFit(model, perf::OpKind::VecMul, limbs);
-    spec.convCycles = probeConvolutionFit(model, limbs);
+    spec.addCycles = model.elementwiseFit(perf::OpKind::VecAdd, limbs);
+    spec.mulCycles = model.elementwiseFit(perf::OpKind::VecMul, limbs);
+    spec.convCycles = model.convolutionFit(limbs);
     return spec;
 }
 

@@ -77,6 +77,64 @@ struct ResidentCacheStats
     std::uint64_t bytesAvoided = 0; //!< re-uploads skipped via residency
 };
 
+/** Count one orchestrated op under `name` when metrics are on. */
+inline void
+bumpOpCounter(const char *name)
+{
+    obs::Registry &reg = obs::Registry::global();
+    if (reg.enabled())
+        reg.counter(name).add(1);
+}
+
+/**
+ * The host side of every MRAM staging layout: copy flat elements
+ * [begin, begin + count) of `cts` into `buf`, N 32-bit limbs each,
+ * zero-filling the rest of `buf`. Flat element f is coefficient f % n
+ * of component (f / n) % comps of ciphertext f / (comps * n).
+ */
+template <std::size_t N>
+void
+flattenSlice(std::span<const Ciphertext<N>> cts, std::size_t n,
+             std::size_t begin, std::size_t count,
+             std::span<std::uint8_t> buf)
+{
+    const std::size_t comps = cts.front().size();
+    std::fill(buf.begin(), buf.end(), 0);
+    for (std::size_t e = 0; e < count; ++e) {
+        const std::size_t flat = begin + e;
+        if (flat >= cts.size() * comps * n)
+            break;
+        const auto &coeff =
+            cts[flat / (comps * n)][(flat / n) % comps][flat % n];
+        for (std::size_t l = 0; l < N; ++l) {
+            const std::uint32_t v = coeff.limb(l);
+            std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
+        }
+    }
+}
+
+/** Inverse of flattenSlice into already-sized ciphertexts. */
+template <std::size_t N>
+void
+unflattenSlice(std::span<const std::uint8_t> buf, std::size_t n,
+               std::size_t begin, std::size_t count,
+               std::span<Ciphertext<N>> out)
+{
+    const std::size_t comps = out.front().size();
+    for (std::size_t e = 0; e < count; ++e) {
+        const std::size_t flat = begin + e;
+        if (flat >= out.size() * comps * n)
+            break;
+        WideInt<N> coeff;
+        for (std::size_t l = 0; l < N; ++l) {
+            std::uint32_t v;
+            std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
+            coeff.setLimb(l, v);
+        }
+        out[flat / (comps * n)][(flat / n) % comps][flat % n] = coeff;
+    }
+}
+
 /**
  * Host-side manager of device-resident ciphertext regions.
  *
@@ -193,7 +251,7 @@ class ResidentCache
             stats_.hits += 1;
             stats_.bytesAvoided += avoided;
             dpus_.noteResidentReuse(avoided);
-            bumpCounter("pimhe.resident.hits");
+            bumpOpCounter("pimhe.resident.hits");
             recordResidencyCounter();
             return e.addr;
         }
@@ -205,7 +263,7 @@ class ResidentCache
         dpus_.plan().noteAlloc(id, e.addr, e.regionBytes,
                                "resident region " + std::to_string(id));
         stats_.misses += 1;
-        bumpCounter("pimhe.resident.misses");
+        bumpOpCounter("pimhe.resident.misses");
         recordResidencyCounter();
         return e.addr;
     }
@@ -409,14 +467,6 @@ class ResidentCache
 
     void touch(Entry &e) { e.lastUse = ++tick_; }
 
-    static void
-    bumpCounter(const char *name)
-    {
-        obs::Registry &reg = obs::Registry::global();
-        if (reg.enabled())
-            reg.counter(name).add(1);
-    }
-
     /**
      * First-fit allocation, evicting LRU unpinned entries until the
      * request fits. Deterministic: eviction order depends only on the
@@ -457,13 +507,13 @@ class ResidentCache
             downloadEntry(*victim);
             victim->hostValid = true;
             stats_.dirtyEvictions += 1;
-            bumpCounter("pimhe.resident.evictions_dirty");
+            bumpOpCounter("pimhe.resident.evictions_dirty");
         }
         alloc_.release(victim->addr);
         victim->deviceValid = false;
         dpus_.plan().noteFree(victim_id);
         stats_.evictions += 1;
-        bumpCounter("pimhe.resident.evictions");
+        bumpOpCounter("pimhe.resident.evictions");
         return true;
     }
 
@@ -475,11 +525,11 @@ class ResidentCache
         std::vector<std::uint8_t> buf(num_dpus * region);
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
             for (std::uint32_t j = 0; j < e.count; ++j)
-                flattenSlice(e.host[j], e.shape, d,
-                             std::span<std::uint8_t>(
-                                 buf.data() + d * region +
+                flattenSlice<N>({&e.host[j], 1}, ctx_.ring().degree(),
+                                d * e.shape.perDpu, e.shape.perDpu,
+                                {buf.data() + d * region +
                                      j * e.shape.sliceBytes,
-                                 e.shape.sliceBytes));
+                                 e.shape.sliceBytes});
         });
         for (std::size_t d = 0; d < num_dpus; ++d)
             dpus_.copyToMram(
@@ -507,56 +557,13 @@ class ResidentCache
                 ct.comps.emplace_back(n);
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
             for (std::uint32_t j = 0; j < e.count; ++j)
-                unflattenSlice(std::span<const std::uint8_t>(
-                                   buf.data() + d * region +
+                unflattenSlice<N>({buf.data() + d * region +
                                        j * e.shape.sliceBytes,
-                                   e.shape.sliceBytes),
-                               e.shape, d, e.host[j]);
+                                   e.shape.sliceBytes},
+                                  n, d * e.shape.perDpu, e.shape.perDpu,
+                                  {&e.host[j], 1});
         });
         stats_.downloadedBytes += num_dpus * region;
-    }
-
-    /** Flat element f of a ciphertext = component f / n, coefficient
-     *  f % n; DPU d owns flat elements [d * perDpu, (d+1) * perDpu). */
-    void
-    flattenSlice(const Ciphertext<N> &ct, const Shape &s, std::size_t d,
-                 std::span<std::uint8_t> buf) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t total = s.comps * n;
-        std::fill(buf.begin(), buf.end(), 0);
-        const std::size_t begin = d * s.perDpu;
-        for (std::size_t e = 0; e < s.perDpu; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= total)
-                break;
-            const auto &coeff = ct[flat / n][flat % n];
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = coeff.limb(l);
-                std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
-            }
-        }
-    }
-
-    void
-    unflattenSlice(std::span<const std::uint8_t> buf, const Shape &s,
-                   std::size_t d, Ciphertext<N> &out) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t total = s.comps * n;
-        const std::size_t begin = d * s.perDpu;
-        for (std::size_t e = 0; e < s.perDpu; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= total)
-                break;
-            WideInt<N> coeff;
-            for (std::size_t l = 0; l < N; ++l) {
-                std::uint32_t v;
-                std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
-                coeff.setLimb(l, v);
-            }
-            out[flat / n][flat % n] = coeff;
-        }
     }
 
     const BfvContext<N> &ctx_;

@@ -216,6 +216,13 @@ TEST(CalibrationGate, HonestRunProducesRecordsInsideBand)
     EXPECT_TRUE(sawStaged);
     EXPECT_TRUE(sawResident);
 
+    // Attribution reads a running kernel-cycle total; it must equal
+    // the history sum it replaced.
+    double cycles = 0;
+    for (const pim::LaunchStats &l : sys.dpuSet().launches())
+        cycles += l.maxCycles;
+    EXPECT_EQ(sys.dpuSet().totalKernelCycles(), cycles);
+
     calib.clear();
     calib.setEnabled(false);
 }

@@ -285,6 +285,29 @@ TEST(PlanGate, CertifyPlanRetainsReports)
     EXPECT_FALSE(sys.lastCostEstimate().recommended.empty());
 }
 
+TEST(PlanGate, CertifyProbesTheFitsOnce)
+{
+    // The cost model memoises its cycle fits: the first certification
+    // runs the 7 probe simulations (2 add, 2 mul, 3 convolution), a
+    // second one none.
+    BfvHarness<2> h(16);
+    PimHeSystem<2> sys(h.ctx, tinySystem(2), 2, 8);
+    obs::Registry &reg = obs::Registry::global();
+    reg.setEnabled(true);
+    const auto runs = [&reg] {
+        std::uint64_t v = 0;
+        reg.scrape().counterValue("pim.dpu.runs", &v);
+        return v;
+    };
+    const std::uint64_t before = runs();
+    ASSERT_TRUE(sys.certifyPlan(addChain(4), "first"));
+    const std::uint64_t first = runs();
+    ASSERT_TRUE(sys.certifyPlan(addChain(4), "second"));
+    EXPECT_EQ(first - before, 7u);
+    EXPECT_EQ(runs() - first, 0u);
+    reg.setEnabled(false);
+}
+
 TEST(PlanGateDeath, ReportsRequireACertifiedPlan)
 {
     BfvHarness<1> h(16);

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/he_dag.h"
+#include "analysis/plan_cost.h"
 #include "pimhe/cost_model.h"
+#include "pimhe/plan.h"
 #include "test_util.h"
 
 namespace pimhe {
@@ -62,13 +65,22 @@ TEST(CostModel, ConvolutionFitMatchesSimulation)
     pim::SystemConfig one;
     one.numDpus = 1;
     PimCostModel model(one, 12);
+    // A plan of one MulPlain: exactly two one-DPU convolutions.
+    analysis::HeDag dag;
+    dag.output(dag.mulPlain(dag.input("a"), 0));
     for (const std::size_t limbs : {1ul, 2ul, 4ul}) {
-        for (const std::size_t n : {48ul, 96ul, 144ul}) {
+        for (const std::size_t n : {48ul, 96ul, 144ul, 1024ul}) {
+            const double ms = model.convolutionMs(n, limbs, 1).computeMs;
+            // One fit: the plan model prices the same memoised fit.
+            const analysis::CostReport plan = analysis::estimateCost(
+                dag, costSpecFor(model, limbs, n, 0, 1, "one-fit"));
+            EXPECT_EQ(plan.rows[1].pimStaged.kernelMs, 2 * ms)
+                << "limbs=" << limbs << " n=" << n;
+            if (n > 144)
+                continue; // beyond what an interpreted run affords
             const double exact =
                 model.simulateConvolutionCycles(n, limbs);
-            const double est =
-                model.convolutionMs(n, limbs, 1).computeMs *
-                one.dpu.clockMhz * 1e3;
+            const double est = ms * one.dpu.clockMhz * 1e3;
             EXPECT_NEAR(est / exact, 1.0, 0.02)
                 << "limbs=" << limbs << " n=" << n;
         }
@@ -194,6 +206,58 @@ TEST(CostModel, NativeMulAblationSpeedsUpMultiplication)
     const double a2 =
         m2.elementwiseMs(OpKind::VecAdd, 4, elems).computeMs;
     EXPECT_NEAR(a1 / a2, 1.0, 0.01);
+}
+
+TEST(BusTime, OneFormulaForEveryCaller)
+{
+    const pim::SystemConfig paper = pim::paperSystem();
+    struct Row
+    {
+        std::uint64_t bytes;
+        std::size_t dpus;
+        double gbps;
+        double ms;
+    };
+    const Row rows[] = {
+        {0, 1, paper.hostToDpuGbps, 0.0},
+        // One DPU: its 0.33 GB/s link binds, not the 6 GB/s bus.
+        {330000, 1, paper.hostToDpuGbps, 1.0},
+        // 64 DPUs: 64 links outrun the bus, the aggregate binds.
+        {6000000, 64, paper.hostToDpuGbps, 1.0},
+        {4400000, 64, paper.dpuToHostGbps, 1.0},
+    };
+    for (const Row &r : rows) {
+        EXPECT_DOUBLE_EQ(pim::busMs(r.bytes, r.dpus, r.gbps), r.ms)
+            << r.bytes << " B over " << r.dpus << " DPU(s)";
+
+        // Every caller charges exactly busMs for the same transfer.
+        pim::SystemConfig cfg = paper;
+        cfg.numDpus = r.dpus;
+        const double up = pim::busMs(r.bytes, r.dpus, cfg.hostToDpuGbps);
+        const double down =
+            pim::busMs(r.bytes, r.dpus, cfg.dpuToHostGbps);
+
+        pim::DpuSet set(cfg, r.dpus);
+        const std::vector<std::uint8_t> slice(r.bytes / r.dpus, 0);
+        for (std::size_t d = 0; d < r.dpus && !slice.empty(); ++d)
+            set.copyToMram(d, 0, slice);
+        EXPECT_EQ(set.launch(1, [](pim::TaskletCtx &ctx) {
+                         ctx.charge(1);
+                     }).hostToDpuMs,
+                  up);
+
+        const std::uint64_t elems = r.bytes / 4;
+        EXPECT_EQ(PimCostModel(cfg, 12)
+                      .elementwiseWithTransfersMs(OpKind::VecAdd, 1,
+                                                  elems)
+                      .transferMs,
+                  pim::busMs(2 * r.bytes, r.dpus, cfg.hostToDpuGbps) +
+                      down);
+
+        analysis::CostSpec spec;
+        spec.numDpus = r.dpus;
+        EXPECT_EQ(analysis::modeledDownloadMs(spec, r.bytes), down);
+    }
 }
 
 TEST(CostModel, DpusUsedClampsToSystem)
