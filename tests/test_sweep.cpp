@@ -17,12 +17,17 @@ namespace {
 using pimhe::testing::BfvHarness;
 using pimhe::testing::kSeed;
 
+// Every field is a size_t so the struct has no padding: gtest prints
+// the parameter as a byte dump, CMake's test discovery puts that dump
+// into the ctest name, and uninitialised padding bytes would make the
+// name change from one build to the next.
 struct SweepShape
 {
     std::size_t dpus;
-    unsigned tasklets;
+    std::size_t tasklets;
     std::size_t cts;
 };
+static_assert(sizeof(SweepShape) == 3 * sizeof(std::size_t));
 
 class PimSweep : public ::testing::TestWithParam<SweepShape>
 {
@@ -48,7 +53,8 @@ sweepOnce(const SweepShape &shape)
     pim::SystemConfig cfg;
     cfg.numDpus = shape.dpus;
     cfg.verifyBeforeLaunch = true;
-    PimHeSystem<N> server(h.ctx, cfg, shape.dpus, shape.tasklets);
+    PimHeSystem<N> server(h.ctx, cfg, shape.dpus,
+                          static_cast<unsigned>(shape.tasklets));
 
     std::vector<Ciphertext<N>> as, bs;
     std::vector<std::uint64_t> va, vb;
