@@ -8,10 +8,11 @@
  * verifier armed:
  *
  *  1. tree reduction of a ciphertext vector (the mean/variance
- *     aggregation shape): reduceCiphertextsStaged re-uploads each
- *     round's operands and downloads each round's sums, while the
- *     resident path uploads the packed slices once, folds them in
- *     MRAM across log2(m) launches, and downloads one ciphertext;
+ *     aggregation shape): a tree of staged addCiphertextVectors
+ *     re-uploads each round's operands and downloads each round's
+ *     sums, while the resident path uploads the packed slices once,
+ *     folds them in MRAM across log2(m) launches, and downloads one
+ *     ciphertext;
  *  2. negacyclic convolution row-sharded across K DPUs versus a
  *     single DPU: the shards cut the critical-path kernel time while
  *     staying bit-exact.
@@ -62,6 +63,24 @@ randomCiphertext(Rng &rng, const BfvContext<kLimbs> &ctx)
     return ct;
 }
 
+/** Tree of staged adds: every round uploads its operand halves and
+ *  downloads their sums; an odd leftover waits for the next round. */
+Ciphertext<kLimbs>
+stagedTreeSum(PimHeSystem<kLimbs> &sys,
+              std::vector<Ciphertext<kLimbs>> cur)
+{
+    while (cur.size() > 1) {
+        const std::size_t half = cur.size() / 2;
+        auto sums = sys.addCiphertextVectors(
+            {cur.begin(), cur.begin() + half},
+            {cur.begin() + half, cur.begin() + 2 * half});
+        if (cur.size() % 2)
+            sums.push_back(std::move(cur.back()));
+        cur = std::move(sums);
+    }
+    return cur.front();
+}
+
 } // namespace
 
 int
@@ -97,7 +116,7 @@ main()
               << " DPUs\n\n";
 
     PimHeSystem<kLimbs> staged(ctx, makeSystem(dpus), dpus, 12);
-    const auto staged_sum = staged.reduceCiphertextsStaged(vec);
+    const auto staged_sum = stagedTreeSum(staged, vec);
     const auto &sx = staged.transferTotals();
 
     PimHeSystem<kLimbs> resident(ctx, makeSystem(dpus), dpus, 12);

@@ -56,9 +56,7 @@ struct CostCtx
           sliceBytes(0), sliceElems(0), convUpBytes(0),
           convDownBytes(0)
     {
-        const std::uint64_t per_dpu =
-            (ctElems + s.numDpus - 1) / s.numDpus;
-        sliceBytes = (per_dpu * elemBytes + 7) / 8 * 8;
+        sliceBytes = pim::sliceLayout(ctElems, s.numDpus, elemBytes).stride;
         sliceElems = sliceBytes / elemBytes;
         convUpBytes = 2ULL * s.n * elemBytes;
         // accLimbs mirrors ConvKernelParams::accLimbs: 2*limbs + 1
@@ -79,7 +77,7 @@ struct CostCtx
     std::uint64_t
     perDpu(std::uint64_t elems) const
     {
-        return (elems + spec.numDpus - 1) / spec.numDpus;
+        return pim::sliceLayout(elems, spec.numDpus, elemBytes).perDpu;
     }
 
     /**

@@ -109,10 +109,23 @@ class ByteReader
         const std::uint64_t n = readU64();
         PIMHE_ASSERT(n >= 1 && n <= max_degree,
                      "implausible polynomial degree ", n);
+        requireRemaining(n, N * 4);
         Polynomial<N> p(n);
         for (std::size_t i = 0; i < n; ++i)
             p[i] = readWide<N>();
         return p;
+    }
+
+    /** Check that `count` items of `item_bytes` each remain before
+     *  allocating them, so a short input cannot claim a huge object. */
+    void
+    requireRemaining(std::uint64_t count, std::size_t item_bytes) const
+    {
+        const std::size_t left = bytes_.size() - pos_;
+        PIMHE_ASSERT(count <= left / item_bytes,
+                     "truncated stream: claims ", count,
+                     " coefficients of ", item_bytes, " bytes but only ",
+                     left, " bytes remain at offset ", pos_);
     }
 
     bool atEnd() const { return pos_ == bytes_.size(); }
@@ -211,6 +224,7 @@ deserializePlaintext(std::span<const std::uint8_t> bytes)
     detail::readHeader(r, detail::Tag::Plaintext, 0);
     const std::uint64_t n = r.readU64();
     PIMHE_ASSERT(n <= detail::kMaxDegree, "implausible degree ", n);
+    r.requireRemaining(n, 8);
     Plaintext pt(n);
     for (std::size_t i = 0; i < n; ++i)
         pt.coeffs[i] = r.readU64();

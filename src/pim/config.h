@@ -209,6 +209,27 @@ busMs(std::uint64_t bytes, std::size_t dpus, double aggregate_gbps)
     return static_cast<double>(bytes) / (gbps * 1e6);
 }
 
+/**
+ * Per-DPU share of `elems` elements of `elem_bytes` each over `dpus`
+ * DPUs: ceil(elems / dpus) elements per DPU (the tail DPU zero-padded,
+ * so all run one shape), their stride rounded up to the 8-byte DMA
+ * granule so every kernel transfer stays aligned. The only copy of the
+ * layout decision: pimhe/resident.h's Geometry (staged and resident
+ * MRAM regions) and the plan cost model call it.
+ */
+struct SliceLayout
+{
+    std::uint64_t perDpu = 0; //!< elements per DPU
+    std::uint64_t stride = 0; //!< their bytes, DMA-aligned
+};
+
+inline SliceLayout
+sliceLayout(std::uint64_t elems, std::size_t dpus, std::size_t elem_bytes)
+{
+    const std::uint64_t per_dpu = (elems + dpus - 1) / dpus;
+    return {per_dpu, (per_dpu * elem_bytes + 7) / 8 * 8};
+}
+
 } // namespace pim
 } // namespace pimhe
 

@@ -95,8 +95,8 @@ class PimCostModel : public perf::PlatformModel
                 (elems + units - 1) / units;
             per_dpu = units_per_dpu * elems_per_unit;
         } else {
-            const std::size_t dpus = dpusUsed(elems);
-            per_dpu = (elems + dpus - 1) / dpus;
+            per_dpu = pim::sliceLayout(elems, dpusUsed(elems), limbs * 4)
+                          .perDpu;
         }
         perf::Breakdown b;
         b.computeMs = elementwiseFit(op, limbs).at(per_dpu) /
@@ -196,7 +196,8 @@ class PimCostModel : public perf::PlatformModel
         const U128 q = U128::oneShl(kp.k) - U128(kp.c);
         for (std::size_t l = 0; l < 4; ++l)
             kp.q[l] = q.limb(l);
-        const std::size_t arr_bytes = ((elems * limbs * 4 + 7) / 8) * 8;
+        const std::uint64_t arr_bytes =
+            pim::sliceLayout(elems, 1, limbs * 4).stride;
         kp.mramA = 0;
         kp.mramB = arr_bytes;
         kp.mramOut = 2 * arr_bytes;

@@ -11,15 +11,19 @@
  *
  * Two orchestration modes coexist:
  *
- *  - the staged mode (addCiphertextVectors, mulCoefficientwise,
- *    reduceCiphertextsStaged) uploads operands before every launch
- *    and downloads every result — the paper's measurement setup;
+ *  - the staged mode (addCiphertextVectors, mulCoefficientwise and
+ *    their addAsync/mulAsync pipelined twins) uploads operands before
+ *    every launch and downloads every result — the paper's
+ *    measurement setup;
  *  - the resident mode (makeResident and the *Resident operations)
  *    keeps ciphertexts pinned in MRAM between launches through the
  *    cache in resident.h, so chained pipelines pay the bus once per
- *    operand instead of once per operation. reduceCiphertexts uses it
- *    to run a whole tree reduction as one upload, log2(n) in-place
- *    launches, and one download.
+ *    operand instead of once per operation. reduceResident is the one
+ *    reduction: one upload, log2(n) in-place launches, and one
+ *    download when the caller materialises (reduceCiphertexts).
+ *
+ * Both modes lay out MRAM regions with the same Geometry and move
+ * bytes through the same stage/collect pair (resident.h).
  */
 
 #ifndef PIMHE_PIMHE_ORCHESTRATOR_H
@@ -200,63 +204,6 @@ class PimHeSystem
     }
 
     /**
-     * Pipelined streaming reduction: a device-side accumulator is
-     * folded ct-by-ct with in-place adds while the NEXT operand's
-     * upload overlaps the current add — the classic transfer-hiding
-     * pipeline. One upload per operand, one download at the end.
-     * Exact modular addition makes the left fold bit-identical to
-     * reduceCiphertexts' tree fold at any pipeline depth.
-     */
-    Ciphertext<N>
-    reduceCiphertextsPipelined(const std::vector<Ciphertext<N>> &cts)
-    {
-        PIMHE_ASSERT(!cts.empty(), "empty reduction");
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             "pimhe.pipelined_reduce");
-        span.arg("cts", static_cast<double>(cts.size()));
-        bumpOpCounter("pimhe.ops.pipelined_reduce");
-        if (cts.size() == 1)
-            return cts.front();
-
-        const std::span<const Ciphertext<N>> all(cts);
-        const Geometry g = geometryOf(1, compsOf(all));
-        // Accumulator + double-buffered operand slots, all from the
-        // resident arena (eviction pressure included).
-        const std::uint64_t acc = cache_.allocScratch(g.arrBytes);
-        pim::DoubleBuffer slots = cache_.allocScratchDouble(g.arrBytes);
-        stage(all.first(1), acc, g); // seed: ct 0, no kernel involved
-
-        // Streaming fold: upload ct i into the free slot while the
-        // previous add still runs; a slot is reused only after the
-        // launch that read it completed (ticket two steps back).
-        pim::LaunchTicket slotTicket[2];
-        pim::LaunchTicket last;
-        for (std::size_t i = 1; i < cts.size(); ++i) {
-            const unsigned p = slots.turn & 1u;
-            if (slotTicket[p].valid())
-                slotTicket[p].wait();
-            stage(all.subspan(i, 1), slots.front(), g);
-            const pimhe_kernels::VecKernelParams kp =
-                vecParams(acc, slots.front(), acc, g.perDpu);
-            dpus_.plan().declareWriteTarget(
-                ResidentCache<N>::scratchPlanId(acc));
-            slotTicket[p] = dpus_.launchAsync(
-                tasklets_, pimhe_kernels::compiledVecAddModQ(kp),
-                pimhe_kernels::reduceRoundFootprint(
-                    kp, dpus_.config().dpu, tasklets_));
-            last = slotTicket[p];
-            slots.flip();
-        }
-
-        last.wait();
-        Ciphertext<N> out =
-            std::move(collect(acc, g, last.launchIndex()).front());
-        cache_.freeScratchDouble(slots);
-        cache_.freeScratch(acc);
-        return out;
-    }
-
-    /**
      * Harvest every outstanding pipelined operation, drain the launch
      * pipeline and release the staging slots. Called automatically
      * when an op stream changes shape; call it explicitly before
@@ -320,25 +267,21 @@ class PimHeSystem
         obs::ScopedSpan span(obs::Tracer::global(), 0,
                              "pimhe.resident_fused_add_mul");
         bumpOpCounter("pimhe.ops.resident_fused");
-        const auto &sa = cache_.shape(a.id);
-        PIMHE_ASSERT(sa == cache_.shape(b.id) &&
-                         sa == cache_.shape(c.id) &&
-                         cache_.count(a.id) == 1 &&
-                         cache_.count(b.id) == 1 &&
-                         cache_.count(c.id) == 1,
+        const Geometry la = cache_.layout(a.id);
+        PIMHE_ASSERT(la == cache_.layout(b.id) &&
+                         la == cache_.layout(c.id) && la.slices == 1,
                      "fused operands must be single same-shape "
                      "ciphertexts");
 
         pimhe_kernels::FusedKernelParams fp;
         fp.vec = vecParams(cache_.ensureResident(a.id), 0, 0,
-                           sa.sliceBytes / (N * 4));
+                           la.stride / (N * 4));
         cache_.pin(a.id);
         fp.vec.mramB = cache_.ensureResident(b.id);
         cache_.pin(b.id);
         fp.mramC = cache_.ensureResident(c.id);
         cache_.pin(c.id);
-        const std::uint64_t out =
-            cache_.allocDeviceOnly(sa.comps, 1);
+        const std::uint64_t out = cache_.allocDeviceOnly(la);
         fp.vec.mramOut = cache_.addrOf(out);
 
         dpus_.plan().declareWriteTarget(out);
@@ -374,9 +317,9 @@ class PimHeSystem
         const std::uint64_t addr = cache_.ensureResident(id);
         cache_.pin(id);
 
-        const auto &s = cache_.shape(id);
+        const std::uint64_t stride = cache_.layout(id).stride;
         const std::uint32_t slice_elems =
-            static_cast<std::uint32_t>(s.sliceBytes / (N * 4));
+            static_cast<std::uint32_t>(stride / (N * 4));
         std::uint32_t m = static_cast<std::uint32_t>(cts.size());
         while (m > 1) {
             // Fold the upper half onto the lower: slice[i] += slice[i
@@ -384,7 +327,7 @@ class PimHeSystem
             const std::uint32_t hh = (m + 1) / 2;
             const std::uint32_t pairs = m - hh;
             pimhe_kernels::VecKernelParams kp = vecParams(
-                addr, addr + std::uint64_t(hh) * s.sliceBytes, addr,
+                addr, addr + std::uint64_t(hh) * stride, addr,
                 pairs * slice_elems);
             // The fold legitimately writes the pinned region it also
             // reads; declare it anew each round (declarations are
@@ -414,31 +357,6 @@ class PimHeSystem
         Ciphertext<N> out = materialize(h);
         dropResident(h);
         return out;
-    }
-
-    /**
-     * The pre-resident reduction: tree of staged vector adds, every
-     * round re-uploading its operands and downloading its sums. Kept
-     * as the baseline the ablation bench (and the differential tests)
-     * compare the resident path against.
-     */
-    Ciphertext<N>
-    reduceCiphertextsStaged(const std::vector<Ciphertext<N>> &cts)
-    {
-        PIMHE_ASSERT(!cts.empty(), "empty reduction");
-        std::vector<Ciphertext<N>> cur = cts;
-        while (cur.size() > 1) {
-            const std::size_t half = cur.size() / 2;
-            // Views into the working vector — no lo/hi copies.
-            auto sums = stagedOp(
-                std::span<const Ciphertext<N>>(cur.data(), half),
-                std::span<const Ciphertext<N>>(cur.data() + half, half),
-                /*multiply=*/false);
-            if (cur.size() % 2)
-                sums.push_back(std::move(cur.back()));
-            cur = std::move(sums);
-        }
-        return cur.front();
     }
 
     // ------------------------------------------------------------------
@@ -808,20 +726,17 @@ class PimHeSystem
                                       : "pimhe.resident_add");
         bumpOpCounter(multiply ? "pimhe.ops.resident_mul"
                                : "pimhe.ops.resident_add");
-        const auto &sa = cache_.shape(a.id);
-        PIMHE_ASSERT(sa == cache_.shape(b.id) &&
-                         cache_.count(a.id) == cache_.count(b.id),
+        const Geometry la = cache_.layout(a.id);
+        PIMHE_ASSERT(la == cache_.layout(b.id),
                      "resident operands must share shape and count");
-        const std::uint32_t count = cache_.count(a.id);
 
         pimhe_kernels::VecKernelParams kp = vecParams(
             cache_.ensureResident(a.id), 0, 0,
-            std::uint64_t(count) * (sa.sliceBytes / (N * 4)));
+            la.slices * (la.stride / (N * 4)));
         cache_.pin(a.id);
         kp.mramB = cache_.ensureResident(b.id);
         cache_.pin(b.id);
-        const std::uint64_t out =
-            cache_.allocDeviceOnly(sa.comps, count);
+        const std::uint64_t out = cache_.allocDeviceOnly(la);
         kp.mramOut = cache_.addrOf(out);
 
         dpus_.plan().declareWriteTarget(out);
@@ -852,136 +767,52 @@ class PimHeSystem
         bumpOpCounter(multiply ? "pimhe.ops.vec_mul"
                                : "pimhe.ops.vec_add");
         const Geometry g = binaryGeometry(a, b);
-        const std::uint64_t scratch = cache_.allocScratch(3 * g.arrBytes);
+        const std::uint64_t scratch = cache_.allocScratch(3 * g.stride);
         const pimhe_kernels::VecKernelParams kp =
             stageBinary(a, b, scratch, g);
-        dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
         dpus_.launch(tasklets_, vecKernel(kp, multiply),
                      pimhe_kernels::vecKernelFootprint(
                          kp, dpus_.config().dpu, tasklets_, multiply));
         std::vector<Ciphertext<N>> out =
-            collect(kp.mramOut, g, dpus_.launches().size() - 1);
+            collect<N>(dpus_, kp.mramOut, g, dpus_.launches().size() - 1);
         cache_.freeScratch(scratch);
         return out;
     }
 
-    // ------------------------------------------------------------------
-    // The one staging path: geometry, stage, collect.
-    // ------------------------------------------------------------------
-
     /**
-     * Per-DPU layout of `count` flattened ciphertexts: balanced
-     * slices, zero-padded so every DPU runs the same shape, with the
-     * region stride rounded up to the 8-byte DMA granularity so every
-     * kernel transfer is aligned.
+     * Layout of a binary staged op: each operand vector, and the
+     * result, is one slice of the slot (see Geometry).
      */
-    struct Geometry
-    {
-        std::size_t count = 0;    //!< ciphertexts
-        std::size_t comps = 0;    //!< components per ciphertext
-        std::size_t perDpu = 0;   //!< elements per DPU
-        std::size_t arrBytes = 0; //!< per-DPU region stride
-    };
-
-    Geometry
-    geometryOf(std::size_t count, std::size_t comps) const
-    {
-        Geometry g;
-        g.count = count;
-        g.comps = comps;
-        const std::size_t total = count * comps * ctx_.ring().degree();
-        g.perDpu = (total + dpus_.size() - 1) / dpus_.size();
-        g.arrBytes = (g.perDpu * N * 4 + 7) / 8 * 8;
-        return g;
-    }
-
-    /** Component count shared by every ciphertext of `cts`. */
-    static std::size_t
-    compsOf(std::span<const Ciphertext<N>> cts)
-    {
-        const std::size_t comps = cts.front().size();
-        for (const auto &ct : cts)
-            PIMHE_ASSERT(ct.size() == comps, "ragged ciphertext vector");
-        return comps;
-    }
-
     Geometry
     binaryGeometry(std::span<const Ciphertext<N>> a,
                    std::span<const Ciphertext<N>> b) const
     {
         PIMHE_ASSERT(a.size() == b.size() && !a.empty(),
                      "operand vectors must be equal-length, non-empty");
-        const std::size_t comps = compsOf(a);
-        PIMHE_ASSERT(compsOf(b) == comps, "ragged ciphertext vector");
-        return geometryOf(a.size(), comps);
+        const Geometry g =
+            geometryOf<N>(a, 1, ctx_.ring().degree(), dpus_.size());
+        PIMHE_ASSERT(geometryOf<N>(b, 1, ctx_.ring().degree(),
+                                   dpus_.size()) == g,
+                     "ragged ciphertext vector");
+        return g;
     }
 
-    /**
-     * Stage: flatten every DPU's slice of `cts` concurrently into
-     * disjoint regions of one buffer, then copy it to `addr` in DPU
-     * order so transfer accounting stays deterministic. The copies do
-     * not drain the pipeline: every caller stages into a region no
-     * in-flight launch touches, and a synchronous launch drains
-     * anyway.
-     */
-    void
-    stage(std::span<const Ciphertext<N>> cts, std::uint64_t addr,
-          const Geometry &g)
-    {
-        obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.stage");
-        const std::size_t num_dpus = dpus_.size();
-        std::vector<std::uint8_t> buf(num_dpus * g.arrBytes);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            flattenSlice<N>(cts, ctx_.ring().degree(), d * g.perDpu,
-                            g.perDpu, sliceOf(buf, d, g.arrBytes));
-        });
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyToMramAsync(d, addr, sliceOf(buf, d, g.arrBytes));
-    }
-
-    /** Stage a and b into the A/B thirds of the slot at `scratch`;
-     *  returns the kernel parameters that read them. */
+    /** Stage a and b into the A/B thirds of the slot at `scratch`
+     *  and declare the slot as the next launch's write target;
+     *  returns the kernel parameters over it. */
     pimhe_kernels::VecKernelParams
     stageBinary(std::span<const Ciphertext<N>> a,
                 std::span<const Ciphertext<N>> b, std::uint64_t scratch,
                 const Geometry &g)
     {
         const pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + g.arrBytes,
-                      scratch + 2 * g.arrBytes, g.perDpu);
-        stage(a, kp.mramA, g);
-        stage(b, kp.mramB, g);
+            vecParams(scratch, scratch + g.stride,
+                      scratch + 2 * g.stride, g.perDpu);
+        stage<N>(dpus_, a, kp.mramA, g);
+        stage<N>(dpus_, b, kp.mramB, g);
+        dpus_.plan().declareWriteTarget(
+            ResidentCache<N>::scratchPlanId(scratch));
         return kp;
-    }
-
-    /**
-     * Collect: download every DPU's slice at `addr` in DPU order,
-     * charged to launch `launch_index` (which must be merged), then
-     * unflatten concurrently — each DPU's flat element range maps to
-     * disjoint output coefficients.
-     */
-    std::vector<Ciphertext<N>>
-    collect(std::uint64_t addr, const Geometry &g,
-            std::size_t launch_index)
-    {
-        obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.collect");
-        const std::size_t num_dpus = dpus_.size();
-        std::vector<Ciphertext<N>> out(g.count);
-        for (auto &ct : out)
-            for (std::size_t c = 0; c < g.comps; ++c)
-                ct.comps.emplace_back(ctx_.ring().degree());
-        std::vector<std::uint8_t> buf(num_dpus * g.arrBytes);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMramForLaunch(d, addr,
-                                        sliceOf(buf, d, g.arrBytes),
-                                        launch_index);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice<N>(sliceOf(buf, d, g.arrBytes),
-                              ctx_.ring().degree(), d * g.perDpu,
-                              g.perDpu, out);
-        });
-        return out;
     }
 
     // ------------------------------------------------------------------
@@ -1008,8 +839,7 @@ class PimHeSystem
      */
     struct ElementwiseStager
     {
-        bool active = false;
-        std::uint64_t slotBytes = 0; //!< bytes per slot (3 thirds)
+        std::uint64_t slotBytes = 0; //!< bytes per slot; 0 = none held
         pim::DoubleBuffer buf;
         std::shared_ptr<AsyncOpState> owner[2];
     };
@@ -1018,12 +848,11 @@ class PimHeSystem
     void
     ensureStager(std::uint64_t slot_bytes)
     {
-        if (stager_.active && stager_.slotBytes == slot_bytes)
+        if (stager_.slotBytes == slot_bytes)
             return;
         finishElementwiseStager();
         stager_.buf = cache_.allocScratchDouble(slot_bytes);
         stager_.slotBytes = slot_bytes;
-        stager_.active = true;
     }
 
     /** Harvest all outstanding async ops and free the staging pair.
@@ -1033,7 +862,7 @@ class PimHeSystem
     void
     finishElementwiseStager()
     {
-        if (!stager_.active)
+        if (stager_.slotBytes == 0)
             return;
         for (unsigned k = 0; k < 2; ++k) {
             auto &o = stager_.owner[(stager_.buf.turn + k) & 1u];
@@ -1056,7 +885,8 @@ class PimHeSystem
     {
         st.ticket.wait();
         st.results =
-            collect(st.outAddr, st.geometry, st.ticket.launchIndex());
+            collect<N>(dpus_, st.outAddr, st.geometry,
+                       st.ticket.launchIndex());
         st.harvested = true;
     }
 
@@ -1078,7 +908,7 @@ class PimHeSystem
         bumpOpCounter(multiply ? "pimhe.ops.vec_mul_async"
                                : "pimhe.ops.vec_add_async");
         const Geometry g = binaryGeometry(a, b);
-        ensureStager(3 * g.arrBytes);
+        ensureStager(3 * g.stride);
         const unsigned slot = stager_.buf.turn & 1u;
         if (stager_.owner[slot] && !stager_.owner[slot]->harvested)
             harvest(*stager_.owner[slot]);
@@ -1087,8 +917,6 @@ class PimHeSystem
         const std::uint64_t scratch = stager_.buf.front();
         const pimhe_kernels::VecKernelParams kp =
             stageBinary(a, b, scratch, g);
-        dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
         auto st = std::make_shared<AsyncOpState>();
         st->ticket = dpus_.launchAsync(
             tasklets_, vecKernel(kp, multiply),
@@ -1099,13 +927,6 @@ class PimHeSystem
         stager_.owner[slot] = st;
         stager_.buf.flip();
         return AsyncOp(this, std::move(st));
-    }
-
-    static std::span<std::uint8_t>
-    sliceOf(std::vector<std::uint8_t> &buf, std::size_t idx,
-            std::size_t bytes)
-    {
-        return std::span<std::uint8_t>(buf.data() + idx * bytes, bytes);
     }
 
     const BfvContext<N> &ctx_;

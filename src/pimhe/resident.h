@@ -22,14 +22,15 @@
  *    entries an operation touches so eviction can never pull an
  *    operand out from under a launch.
  *
- * Layout ("transposed" relative to the staged elementwise path): the
- * flat coefficient space of one ciphertext (comps * n elements,
+ * Layout (Geometry below, shared with the staged elementwise path):
+ * the flat coefficient space of one ciphertext (comps * n elements,
  * component-major) is split into one contiguous slice per DPU, padded
  * to the DMA granule; DPU d holds elements [d * perDpu, (d+1) *
  * perDpu). A multi-ciphertext region packs the slices of ciphertext j
- * at `addr + j * sliceBytes`, which makes tree reduction fully
- * DPU-local: every fold adds two slices that already sit in the same
- * MRAM bank.
+ * at `addr + j * stride`, which makes tree reduction fully DPU-local:
+ * every fold adds two slices that already sit in the same MRAM bank.
+ * The staged path uses the same code with the whole operand vector in
+ * one slice, and both move bytes through the one stage/collect pair.
  *
  * Determinism contract: every allocator and eviction decision runs on
  * the calling thread in program order, and uploads/downloads are
@@ -136,6 +137,104 @@ unflattenSlice(std::span<const std::uint8_t> buf, std::size_t n,
 }
 
 /**
+ * Per-DPU layout of one MRAM region: `slices` slices at `addr + j *
+ * stride`, slice j holding ciphertexts [j * ctsPerSlice, (j + 1) *
+ * ctsPerSlice) flattened and balanced over the DPUs by
+ * pim::sliceLayout. The resident cache packs one ciphertext per slice
+ * (so a tree fold adds slices that sit in the same bank); the staged
+ * path puts a whole operand vector in one slice.
+ */
+struct Geometry
+{
+    std::size_t slices = 0;
+    std::size_t ctsPerSlice = 0;
+    std::size_t comps = 0;    //!< components per ciphertext
+    std::size_t degree = 0;   //!< coefficients per component
+    std::size_t perDpu = 0;   //!< elements of one slice per DPU
+    std::uint64_t stride = 0; //!< bytes of one slice per DPU
+
+    std::uint64_t regionBytes() const { return slices * stride; }
+    bool operator==(const Geometry &) const = default;
+};
+
+/** Layout of `cts` (all with the same component count) as `slices`
+ *  equal slices spread over `dpus` DPUs. */
+template <std::size_t N>
+Geometry
+geometryOf(std::span<const Ciphertext<N>> cts, std::size_t slices,
+           std::size_t degree, std::size_t dpus)
+{
+    // Packed slices must hold whole elements and whole DMA granules.
+    static_assert(8 % (N * 4) == 0 || (N * 4) % 8 == 0,
+                  "slice strides must hold whole elements");
+    const std::size_t comps = cts.front().size();
+    for (const auto &ct : cts)
+        PIMHE_ASSERT(ct.size() == comps, "ragged ciphertext vector");
+    const std::size_t per_slice = cts.size() / slices;
+    const pim::SliceLayout s =
+        pim::sliceLayout(per_slice * comps * degree, dpus, N * 4);
+    return {slices, per_slice, comps, degree, s.perDpu, s.stride};
+}
+
+/**
+ * Stage: flatten every DPU's share of `cts` concurrently into disjoint
+ * parts of one buffer, then copy them to `addr` in DPU order so
+ * transfer accounting stays deterministic. Does not drain the launch
+ * pipeline: the caller stages into a region no in-flight launch
+ * touches, or drains first.
+ */
+template <std::size_t N>
+void
+stage(pim::DpuSet &dpus, std::span<const Ciphertext<N>> cts,
+      std::uint64_t addr, const Geometry &g)
+{
+    obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.stage");
+    const std::size_t region = g.regionBytes();
+    std::vector<std::uint8_t> buf(dpus.size() * region);
+    dpus.hostPool().parallelFor(dpus.size(), [&](std::size_t d) {
+        for (std::size_t j = 0; j < g.slices; ++j)
+            flattenSlice<N>(cts.subspan(j * g.ctsPerSlice, g.ctsPerSlice),
+                            g.degree, d * g.perDpu, g.perDpu,
+                            {buf.data() + d * region + j * g.stride,
+                             g.stride});
+    });
+    for (std::size_t d = 0; d < dpus.size(); ++d)
+        dpus.copyToMramAsync(d, addr, {buf.data() + d * region, region});
+}
+
+/**
+ * Collect: download every DPU's part of the region at `addr` in DPU
+ * order, charged to launch `launch_index` (which must be merged), then
+ * unflatten concurrently — each DPU's elements map to disjoint output
+ * coefficients.
+ */
+template <std::size_t N>
+std::vector<Ciphertext<N>>
+collect(pim::DpuSet &dpus, std::uint64_t addr, const Geometry &g,
+        std::size_t launch_index)
+{
+    obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.collect");
+    std::vector<Ciphertext<N>> out(g.slices * g.ctsPerSlice);
+    for (auto &ct : out)
+        for (std::size_t c = 0; c < g.comps; ++c)
+            ct.comps.emplace_back(g.degree);
+    const std::size_t region = g.regionBytes();
+    std::vector<std::uint8_t> buf(dpus.size() * region);
+    for (std::size_t d = 0; d < dpus.size(); ++d)
+        dpus.copyFromMramForLaunch(d, addr,
+                                   {buf.data() + d * region, region},
+                                   launch_index);
+    dpus.hostPool().parallelFor(dpus.size(), [&](std::size_t d) {
+        for (std::size_t j = 0; j < g.slices; ++j)
+            unflattenSlice<N>(
+                {buf.data() + d * region + j * g.stride, g.stride},
+                g.degree, d * g.perDpu, g.perDpu,
+                std::span(out).subspan(j * g.ctsPerSlice, g.ctsPerSlice));
+    });
+    return out;
+}
+
+/**
  * Host-side manager of device-resident ciphertext regions.
  *
  * @tparam N Coefficient limb count.
@@ -144,22 +243,6 @@ template <std::size_t N>
 class ResidentCache
 {
   public:
-    /** Per-DPU slice geometry of a ciphertext with `comps`
-     *  components. */
-    struct Shape
-    {
-        std::size_t comps = 0;
-        std::size_t perDpu = 0; //!< unpadded flat elements per DPU
-        std::uint64_t sliceBytes = 0; //!< padded per-DPU slice stride
-
-        bool
-        operator==(const Shape &o) const
-        {
-            return comps == o.comps && perDpu == o.perDpu &&
-                   sliceBytes == o.sliceBytes;
-        }
-    };
-
     ResidentCache(const BfvContext<N> &ctx, pim::DpuSet &dpus)
         : ctx_(ctx), dpus_(dpus), alloc_(0, arenaBytes(dpus.config()))
     {}
@@ -175,36 +258,20 @@ class ResidentCache
                                              mram);
     }
 
-    Shape
-    shapeFor(std::size_t comps) const
-    {
-        Shape s;
-        s.comps = comps;
-        const std::size_t total = comps * ctx_.ring().degree();
-        s.perDpu = (total + dpus_.size() - 1) / dpus_.size();
-        const std::size_t eb = N * 4;
-        // Slice stride must be a multiple of both the element size
-        // and the 8-byte DMA granule so packed slices stay aligned.
-        const std::size_t gran = eb < 8 ? 8 : eb;
-        s.sliceBytes = (s.perDpu * eb + gran - 1) / gran * gran;
-        return s;
-    }
-
     /**
      * Register `cts` as one packed region (slice of ciphertext j at
-     * `addr + j * sliceBytes`). Host-valid, not yet on the device —
-     * the upload happens at the first ensureResident.
+     * `addr + j * stride`). Host-valid, not yet on the device — the
+     * upload happens at the first ensureResident.
      */
     std::uint64_t
     insert(std::vector<Ciphertext<N>> cts)
     {
         PIMHE_ASSERT(!cts.empty(), "empty resident insert");
         Entry e;
-        e.shape = shapeFor(cts.front().size());
-        for (const auto &ct : cts)
-            PIMHE_ASSERT(ct.size() == e.shape.comps,
-                         "ragged ciphertexts in one resident region");
-        e.count = static_cast<std::uint32_t>(cts.size());
+        // One slice per ciphertext, so folds stay DPU-local.
+        e.layout = geometryOf<N>(std::span<const Ciphertext<N>>(cts),
+                                 cts.size(), ctx_.ring().degree(),
+                                 dpus_.size());
         e.hostValid = true;
         e.host = std::move(cts);
         const std::uint64_t id = nextId_++;
@@ -213,22 +280,20 @@ class ResidentCache
     }
 
     /**
-     * Allocate a device-only region for an operation's output: `count`
-     * ciphertexts of `comps` components each, dirty from birth (the
-     * kernel writes it; the host has no copy until materialize).
+     * Allocate a device-only region of layout `g` for an operation's
+     * output, dirty from birth (the kernel writes it; the host has no
+     * copy until materialize).
      */
     std::uint64_t
-    allocDeviceOnly(std::size_t comps, std::uint32_t count)
+    allocDeviceOnly(const Geometry &g)
     {
         Entry e;
-        e.shape = shapeFor(comps);
-        e.count = count;
-        e.regionBytes = e.shape.sliceBytes * count;
-        e.addr = allocateWithEviction(e.regionBytes);
+        e.layout = g;
+        e.addr = allocateWithEviction(g.regionBytes());
         e.deviceValid = true;
         const std::uint64_t id = nextId_++;
         // Dirty from birth: the kernel's write is the only copy.
-        dpus_.plan().noteAlloc(id, e.addr, e.regionBytes,
+        dpus_.plan().noteAlloc(id, e.addr, g.regionBytes(),
                                "resident region " + std::to_string(id));
         dpus_.plan().noteDirty(id, true);
         entries_.emplace(id, std::move(e));
@@ -247,7 +312,7 @@ class ResidentCache
         touch(e);
         if (e.deviceValid) {
             const std::uint64_t avoided =
-                e.count * e.shape.sliceBytes * dpus_.size();
+                e.layout.regionBytes() * dpus_.size();
             stats_.hits += 1;
             stats_.bytesAvoided += avoided;
             dpus_.noteResidentReuse(avoided);
@@ -256,11 +321,15 @@ class ResidentCache
             return e.addr;
         }
         PIMHE_ASSERT(e.hostValid, "entry resident nowhere");
-        e.regionBytes = e.shape.sliceBytes * e.count;
-        e.addr = allocateWithEviction(e.regionBytes);
-        uploadEntry(e);
+        const std::uint64_t bytes = e.layout.regionBytes();
+        e.addr = allocateWithEviction(bytes);
+        // A plain upload makes no disjointness promise against
+        // in-flight kernels, so it drains the pipeline first.
+        dpus_.drainAsync();
+        stage<N>(dpus_, e.host, e.addr, e.layout);
+        stats_.uploadedBytes += dpus_.size() * bytes;
         e.deviceValid = true;
-        dpus_.plan().noteAlloc(id, e.addr, e.regionBytes,
+        dpus_.plan().noteAlloc(id, e.addr, bytes,
                                "resident region " + std::to_string(id));
         stats_.misses += 1;
         bumpOpCounter("pimhe.resident.misses");
@@ -303,7 +372,7 @@ class ResidentCache
         touch(e);
         if (!e.hostValid) {
             PIMHE_ASSERT(e.deviceValid, "entry resident nowhere");
-            downloadEntry(e);
+            download(e);
             e.hostValid = true;
             // Host copy is fresh again; a clobber is now recoverable.
             dpus_.plan().noteDirty(id, false);
@@ -349,14 +418,15 @@ class ResidentCache
     {
         Entry &e = entry(id);
         PIMHE_ASSERT(e.deviceValid, "reduced entry must be resident");
-        e.count = 1;
+        e.layout.slices = 1;
         e.hostValid = false;
         e.host.clear();
         dpus_.plan().noteDirty(id, true);
     }
 
-    const Shape &shape(std::uint64_t id) { return entry(id).shape; }
-    std::uint32_t count(std::uint64_t id) { return entry(id).count; }
+    /** Region layout of the entry (its slice count is the number of
+     *  ciphertexts it holds). */
+    const Geometry &layout(std::uint64_t id) { return entry(id).layout; }
 
     /** Device address of an already-resident entry, without the
      *  hit/miss accounting of ensureResident (used for freshly
@@ -440,15 +510,12 @@ class ResidentCache
     }
 
     const ResidentCacheStats &stats() const { return stats_; }
-    const pim::MramAllocator &allocator() const { return alloc_; }
 
   private:
     struct Entry
     {
-        Shape shape;
-        std::uint32_t count = 1;
+        Geometry layout;
         std::uint64_t addr = 0;
-        std::uint64_t regionBytes = 0; //!< allocated (>= logical) bytes
         bool deviceValid = false;
         bool hostValid = false;
         bool pinned = false;
@@ -504,7 +571,7 @@ class ResidentCache
         if (victim == nullptr)
             return false;
         if (!victim->hostValid) {
-            downloadEntry(*victim);
+            download(*victim);
             victim->hostValid = true;
             stats_.dirtyEvictions += 1;
             bumpOpCounter("pimhe.resident.evictions_dirty");
@@ -517,53 +584,16 @@ class ResidentCache
         return true;
     }
 
+    /** Host copy of a device-valid entry. Drains the pipeline and
+     *  charges the most recent launch: every device-only value was
+     *  written by one. */
     void
-    uploadEntry(Entry &e)
+    download(Entry &e)
     {
-        const std::size_t num_dpus = dpus_.size();
-        const std::uint64_t region = e.shape.sliceBytes * e.count;
-        std::vector<std::uint8_t> buf(num_dpus * region);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            for (std::uint32_t j = 0; j < e.count; ++j)
-                flattenSlice<N>({&e.host[j], 1}, ctx_.ring().degree(),
-                                d * e.shape.perDpu, e.shape.perDpu,
-                                {buf.data() + d * region +
-                                     j * e.shape.sliceBytes,
-                                 e.shape.sliceBytes});
-        });
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyToMram(
-                d, e.addr,
-                std::span<const std::uint8_t>(buf.data() + d * region,
-                                              region));
-        stats_.uploadedBytes += num_dpus * region;
-    }
-
-    void
-    downloadEntry(Entry &e)
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t num_dpus = dpus_.size();
-        const std::uint64_t region = e.shape.sliceBytes * e.count;
-        std::vector<std::uint8_t> buf(num_dpus * region);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMram(
-                d, e.addr,
-                std::span<std::uint8_t>(buf.data() + d * region,
-                                        region));
-        e.host.assign(e.count, Ciphertext<N>{});
-        for (auto &ct : e.host)
-            for (std::size_t c = 0; c < e.shape.comps; ++c)
-                ct.comps.emplace_back(n);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            for (std::uint32_t j = 0; j < e.count; ++j)
-                unflattenSlice<N>({buf.data() + d * region +
-                                       j * e.shape.sliceBytes,
-                                   e.shape.sliceBytes},
-                                  n, d * e.shape.perDpu, e.shape.perDpu,
-                                  {&e.host[j], 1});
-        });
-        stats_.downloadedBytes += num_dpus * region;
+        dpus_.drainAsync();
+        e.host = collect<N>(dpus_, e.addr, e.layout,
+                            dpus_.launches().size() - 1);
+        stats_.downloadedBytes += dpus_.size() * e.layout.regionBytes();
     }
 
     const BfvContext<N> &ctx_;

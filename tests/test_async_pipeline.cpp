@@ -206,38 +206,6 @@ TEST(AsyncDifferential, PipelineStatsDeterministicAcrossThreadCounts)
     }
 }
 
-// ----- pipelined reduction -----
-
-TEST(PipelinedReduce, BitExactWithSynchronousTreeReduce)
-{
-    BfvHarness<kLimbs> h(32);
-    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(3, 4), 3, 12);
-
-    std::vector<Ciphertext<kLimbs>> cts;
-    std::uint64_t expected = 0;
-    for (std::size_t i = 0; i < 7; ++i) {
-        cts.push_back(h.encryptScalar(5 + 3 * i));
-        expected += 5 + 3 * i;
-    }
-
-    const auto tree = sys.reduceCiphertexts(cts);
-    const auto piped = sys.reduceCiphertextsPipelined(cts);
-    expectCiphertextsEqual({tree}, {piped});
-    EXPECT_EQ(h.decryptScalar(piped), expected % h.params.t);
-    // The stream must actually have gone through the async engine.
-    EXPECT_GT(sys.dpuSet().pipelineStats().asyncLaunches, 0u);
-}
-
-TEST(PipelinedReduce, SingleElementShortCircuits)
-{
-    BfvHarness<kLimbs> h(32);
-    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(2, 2), 2, 8);
-    const auto ct = h.encryptScalar(42);
-    const auto out = sys.reduceCiphertextsPipelined({ct});
-    expectCiphertextsEqual({ct}, {out});
-    EXPECT_TRUE(sys.dpuSet().launches().empty());
-}
-
 // ----- two-track clock semantics -----
 
 TEST(TwoTrackClock, UnitScheduleArithmetic)

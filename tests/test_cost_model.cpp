@@ -9,6 +9,7 @@
 #include "analysis/he_dag.h"
 #include "analysis/plan_cost.h"
 #include "pimhe/cost_model.h"
+#include "pimhe/orchestrator.h"
 #include "pimhe/plan.h"
 #include "test_util.h"
 
@@ -257,6 +258,83 @@ TEST(BusTime, OneFormulaForEveryCaller)
         analysis::CostSpec spec;
         spec.numDpus = r.dpus;
         EXPECT_EQ(analysis::modeledDownloadMs(spec, r.bytes), down);
+    }
+}
+
+/**
+ * One (n, DPUs) shape through every caller of pim::sliceLayout: the
+ * staged slot, the resident region and the plan cost model must each
+ * lay one ciphertext (2 components x n coefficients) out with
+ * `stride` bytes per DPU.
+ */
+template <std::size_t N>
+void
+expectOneLayout(std::size_t n, std::size_t dpus, std::uint64_t stride)
+{
+    SCOPED_TRACE("n " + std::to_string(n) + ", " + std::to_string(dpus) +
+                 " DPUs, " + std::to_string(N) + " limb(s)");
+    EXPECT_EQ(pim::sliceLayout(2 * n, dpus, N * 4).stride, stride);
+
+    pim::SystemConfig cfg = pim::paperSystem();
+    cfg.numDpus = dpus;
+    pimhe::testing::BfvHarness<N> h(n);
+    const Ciphertext<N> ct = h.encryptScalar(1);
+
+    // Staged slot: both operands upload one slice per DPU, the sum
+    // downloads one.
+    PimHeSystem<N> staged(h.ctx, cfg, dpus, 12);
+    staged.addCiphertextVectors({ct}, {ct});
+    EXPECT_EQ(staged.transferTotals().uploadedBytes, 2 * dpus * stride);
+    EXPECT_EQ(staged.transferTotals().downloadedBytes, dpus * stride);
+
+    // Resident region: two packed slices per DPU up, the folded one
+    // back.
+    PimHeSystem<N> resident(h.ctx, cfg, dpus, 12);
+    resident.reduceCiphertexts({ct, ct});
+    EXPECT_EQ(resident.residentStats().uploadedBytes, 2 * dpus * stride);
+    EXPECT_EQ(resident.residentStats().downloadedBytes, dpus * stride);
+
+    // Plan cost model: a two-term Reduce pins two slices per DPU, which
+    // an empty arena reports as the violation's usage.
+    analysis::HeDag dag;
+    dag.output(dag.reduce({dag.input(), dag.input()}));
+    analysis::CostSpec spec;
+    spec.limbs = N;
+    spec.n = n;
+    spec.numDpus = dpus;
+    spec.residentArenaBytes = 0;
+    const analysis::CostReport rep = analysis::estimateCost(dag, spec);
+    ASSERT_EQ(rep.violations.size(), 1u);
+    EXPECT_EQ(rep.violations[0].usage, 2 * stride);
+}
+
+TEST(Layout, OneFormulaForEveryCaller)
+{
+    struct Row
+    {
+        std::size_t n;
+        std::size_t dpus;
+        std::size_t limbs;
+        std::uint64_t stride;
+    };
+    const Row rows[] = {
+        {16, 1, 1, 128},
+        {16, 4, 2, 64},
+        // 32 elements over 3 DPUs: 11 each, the last one padded.
+        {16, 3, 1, 48}, // 44 bytes rounded up to the 8-byte granule
+        {16, 3, 2, 88},
+        {16, 3, 4, 176},
+        {16, 6, 1, 24},
+        {32, 5, 2, 104},
+        // More DPUs than elements: one padded element each.
+        {16, 64, 1, 8},
+    };
+    for (const Row &r : rows) {
+        switch (r.limbs) {
+          case 1: expectOneLayout<1>(r.n, r.dpus, r.stride); break;
+          case 2: expectOneLayout<2>(r.n, r.dpus, r.stride); break;
+          default: expectOneLayout<4>(r.n, r.dpus, r.stride); break;
+        }
     }
 }
 

@@ -137,6 +137,38 @@ TEST(Serialize, RejectsAbsurdDegree)
                  "implausible polynomial degree");
 }
 
+TEST(Serialize, RejectsClaimLargerThanInputBeforeAllocating)
+{
+    // A 40-byte ciphertext whose header claims the largest degree any
+    // header may (2^20 coefficients, 16 MB at 4 limbs).
+    ByteWriter w;
+    w.writeU32(0x50494D48);
+    w.writeU32(1);
+    w.writeU32(1); // ciphertext tag
+    w.writeU32(4); // limbs
+    w.writeU32(2); // components
+    w.writeU64(std::uint64_t(1) << 20);
+    w.writeU32(7); // three limbs of a first coefficient, then nothing
+    w.writeU32(7);
+    w.writeU32(7);
+    const auto ct = w.take();
+    ASSERT_EQ(ct.size(), 40u);
+    EXPECT_DEATH(deserializeCiphertext<4>(ct),
+                 "claims 1048576 coefficients of 16 bytes but only 12 "
+                 "bytes remain");
+
+    ByteWriter p;
+    p.writeU32(0x50494D48);
+    p.writeU32(1);
+    p.writeU32(2); // plaintext tag
+    p.writeU32(0);
+    p.writeU64(std::uint64_t(1) << 20);
+    const auto pt = p.take();
+    EXPECT_DEATH(deserializePlaintext(pt),
+                 "claims 1048576 coefficients of 8 bytes but only 0 "
+                 "bytes remain");
+}
+
 TEST(Serialize, WireSizeIsCompact)
 {
     // 2 components x n coefficients x N limbs x 4 bytes + headers.

@@ -194,11 +194,14 @@ else
     echo "=== [tsan] build ==="
     cmake --build "${dir}" -j "${JOBS}" \
         --target test_parallel_exec test_differential test_noise_fuzz \
-        test_async_pipeline
+        test_async_pipeline test_resident
     # The async-pipeline differential suite (label unit_differential)
     # matches the 'stress|differential' regex, so the pipelined
     # engine's caller-thread/worker handoff runs under TSan with the
-    # host pool forced wide.
+    # host pool forced wide; the resident suite (unit_stress) does the
+    # same for the host-pool stage/collect behind every cache upload
+    # and download. A suite missing from the target list is skipped
+    # silently, not failed.
     echo "=== [tsan] ctest -L 'stress|differential' (16 threads) ==="
     PIMHE_HOST_THREADS=16 ctest --test-dir "${dir}" \
         --output-on-failure -j "${JOBS}" -L 'stress|differential'
