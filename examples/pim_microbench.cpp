@@ -35,22 +35,9 @@ runEngineDemo(const pim::SystemConfig &base, std::size_t host_threads,
     cfg.numDpus = std::max(cfg.numDpus, dpus);
     pim::DpuSet set(cfg, dpus);
 
-    pimhe_kernels::VecKernelParams kp;
-    kp.elems = static_cast<std::uint32_t>(per_dpu_elems);
-    kp.limbs = static_cast<std::uint32_t>(limbs);
-    static constexpr std::uint32_t ks[3] = {27, 54, 109};
-    static constexpr std::uint32_t cs[3] = {2047, 77823, 229375};
-    const std::size_t w = perf::widthIndex(limbs);
-    kp.k = ks[w];
-    kp.c = cs[w];
-    const U128 q = U128::oneShl(kp.k) - U128(kp.c);
-    for (std::size_t l = 0; l < 4; ++l)
-        kp.q[l] = q.limb(l);
-    const std::size_t arr_bytes =
-        ((per_dpu_elems * limbs * 4 + 7) / 8) * 8;
-    kp.mramA = 0;
-    kp.mramB = arr_bytes;
-    kp.mramOut = 2 * arr_bytes;
+    const pimhe_kernels::VecKernelParams kp =
+        pimhe_kernels::standardVecParams(limbs, per_dpu_elems);
+    const std::size_t arr_bytes = kp.mramB;
 
     std::vector<std::uint8_t> zeros(arr_bytes, 0);
     for (std::size_t d = 0; d < dpus; ++d) {

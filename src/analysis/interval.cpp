@@ -9,6 +9,8 @@
 
 #include <sstream>
 
+#include "pim/config.h"
+
 namespace pimhe {
 namespace analysis {
 
@@ -217,10 +219,9 @@ analyzeParamsSet(const ParamsSpec &spec)
     }
 
     // Negacyclic convolution accumulator: n centred products in
-    // two's complement over accLimbs() limbs (kernels.h).
+    // two's complement over pim::convAccLimbs limbs.
     {
-        const std::size_t raw = 2 * limbs + 1;
-        const std::size_t acc_limbs = raw + (raw & 1);
+        const std::size_t acc_limbs = pim::convAccLimbs(limbs);
         const AbsVal half = q.shr(1);
         const AbsVal hh =
             mulChecked(tr, "conv accumulator", half, half);

@@ -59,10 +59,7 @@ struct CostCtx
         sliceBytes = pim::sliceLayout(ctElems, s.numDpus, elemBytes).stride;
         sliceElems = sliceBytes / elemBytes;
         convUpBytes = 2ULL * s.n * elemBytes;
-        // accLimbs mirrors ConvKernelParams::accLimbs: 2*limbs + 1
-        // rounded up to an even limb count.
-        const std::uint64_t raw = 2 * s.limbs + 1;
-        convDownBytes = s.n * (raw + (raw & 1)) * 4;
+        convDownBytes = s.n * pim::convAccLimbs(s.limbs) * 4;
     }
 
     /** One elementwise launch over per-DPU `elems` elements. */

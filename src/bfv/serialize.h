@@ -172,6 +172,17 @@ readHeader(ByteReader &r, Tag expected, std::size_t limbs)
     PIMHE_ASSERT(r.readU32() == limbs, "coefficient width mismatch");
 }
 
+/** Every polynomial of one object shares its first one's degree; the
+ *  wire format carries a degree per polynomial, so check it. */
+template <std::size_t N>
+void
+requireDegree(const Polynomial<N> &p, std::size_t degree,
+              const char *what, std::size_t index)
+{
+    PIMHE_ASSERT(p.size() == degree, what, " ", index, " has ", p.size(),
+                 " coefficients, not the ", degree, " of the first");
+}
+
 } // namespace detail
 
 /** Serialise a ciphertext (any component count). */
@@ -198,9 +209,12 @@ deserializeCiphertext(std::span<const std::uint8_t> bytes)
     PIMHE_ASSERT(comps >= 2 && comps <= 8,
                  "implausible component count ", comps);
     Ciphertext<N> ct;
-    for (std::uint32_t c = 0; c < comps; ++c)
+    for (std::uint32_t c = 0; c < comps; ++c) {
         ct.comps.push_back(
             r.template readPoly<N>(detail::kMaxDegree));
+        detail::requireDegree(ct.comps.back(), ct.comps.front().size(),
+                              "ciphertext component", c);
+    }
     PIMHE_ASSERT(r.atEnd(), "trailing bytes after ciphertext");
     return ct;
 }
@@ -253,6 +267,7 @@ deserializePublicKey(std::span<const std::uint8_t> bytes)
     PublicKey<N> pk;
     pk.p0 = r.template readPoly<N>(detail::kMaxDegree);
     pk.p1 = r.template readPoly<N>(detail::kMaxDegree);
+    detail::requireDegree(pk.p1, pk.p0.size(), "public key polynomial", 1);
     PIMHE_ASSERT(r.atEnd(), "trailing bytes after public key");
     return pk;
 }
@@ -312,6 +327,10 @@ deserializeRelinKey(std::span<const std::uint8_t> bytes)
     for (std::uint32_t i = 0; i < digits; ++i) {
         auto b = r.template readPoly<N>(detail::kMaxDegree);
         auto a = r.template readPoly<N>(detail::kMaxDegree);
+        const std::size_t degree =
+            rlk.digits.empty() ? b.size() : rlk.digits.front().first.size();
+        detail::requireDegree(b, degree, "relin key digit", i);
+        detail::requireDegree(a, degree, "relin key digit", i);
         rlk.digits.emplace_back(std::move(b), std::move(a));
     }
     PIMHE_ASSERT(r.atEnd(), "trailing bytes after relin key");

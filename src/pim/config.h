@@ -170,9 +170,21 @@ struct SystemConfig
      * Per-DPU MRAM budget the resident ciphertext cache may manage
      * (see pimhe/resident.h). 0 means the whole MRAM bank. Tests set
      * tiny values to force LRU eviction churn; real runs leave the
-     * default. Clamped to dpu.mramBytes.
+     * default. Clamped to dpu.mramBytes (residentArenaBytes).
      */
     std::uint64_t residentCapacityBytes = 0;
+
+    /** Per-DPU bytes the resident cache manages: residentCapacityBytes
+     *  clamped to the bank. The only copy of the clamp: the cache and
+     *  the plan cost model call it. */
+    std::uint64_t
+    residentArenaBytes() const
+    {
+        return residentCapacityBytes == 0
+                   ? dpu.mramBytes
+                   : std::min<std::uint64_t>(residentCapacityBytes,
+                                             dpu.mramBytes);
+    }
 
     /** Total PIM-enabled memory capacity in bytes (158 GB). */
     double
@@ -228,6 +240,21 @@ sliceLayout(std::uint64_t elems, std::size_t dpus, std::size_t elem_bytes)
 {
     const std::uint64_t per_dpu = (elems + dpus - 1) / dpus;
     return {per_dpu, (per_dpu * elem_bytes + 7) / 8 * 8};
+}
+
+/**
+ * Two's-complement accumulator limbs of the negacyclic convolution
+ * kernel over `limbs`-limb coefficients: a product spans 2 * limbs,
+ * one more limb absorbs the sum over n terms, and the count rounds up
+ * to even so each accumulator is whole 8-byte DMA granules. The only
+ * copy: ConvKernelParams::accLimbs, the plan cost model and the
+ * interval analyzer call it.
+ */
+inline std::size_t
+convAccLimbs(std::size_t limbs)
+{
+    const std::size_t raw = 2 * limbs + 1;
+    return raw + (raw & 1);
 }
 
 } // namespace pim

@@ -35,7 +35,6 @@
 #include <tuple>
 
 #include "analysis/plan_cost.h"
-#include "bigint/wide_int.h"
 #include "perf/platform.h"
 #include "pim/system.h"
 #include "pimhe/kernels.h"
@@ -51,9 +50,6 @@ class PimCostModel : public perf::PlatformModel
     /**
      * @param cfg      System to model (defaults to the paper's).
      * @param tasklets Tasklets per DPU used by the kernels.
-     * @param pm_k     Modulus bit length (pseudo-Mersenne 2^k - c).
-     * @param pm_c     Fold constant per width index; defaults match
-     *                 standardParams.
      */
     explicit
     PimCostModel(pim::SystemConfig cfg = pim::paperSystem(),
@@ -146,7 +142,9 @@ class PimCostModel : public perf::PlatformModel
                               std::size_t elems) const
     {
         pim::Dpu dpu(cfg_.dpu);
-        pimhe_kernels::VecKernelParams kp = vecParams(limbs, elems);
+        // Cycles depend on the shape only, not on the modulus value.
+        const pimhe_kernels::VecKernelParams kp =
+            pimhe_kernels::standardVecParams(limbs, elems);
         const std::size_t bytes = elems * limbs * 4;
         const std::vector<std::uint8_t> zeros(bytes, 0);
         dpu.mram().write(kp.mramA, zeros.data(), bytes);
@@ -163,7 +161,8 @@ class PimCostModel : public perf::PlatformModel
     simulateConvolutionCycles(std::size_t n, std::size_t limbs) const
     {
         pim::Dpu dpu(cfg_.dpu);
-        pimhe_kernels::ConvKernelParams kp = convParams(limbs, n);
+        const pimhe_kernels::ConvKernelParams kp =
+            pimhe_kernels::standardConvParams(limbs, n);
         const std::size_t bytes = n * limbs * 4;
         const std::vector<std::uint8_t> zeros(bytes, 0);
         dpu.mram().write(kp.mramA, zeros.data(), bytes);
@@ -179,44 +178,6 @@ class PimCostModel : public perf::PlatformModel
     costSpecFor(const PimCostModel &model, std::size_t limbs,
                 std::size_t n, std::size_t relin_digits,
                 std::size_t num_dpus, std::string name);
-
-    pimhe_kernels::VecKernelParams
-    vecParams(std::size_t limbs, std::size_t elems) const
-    {
-        pimhe_kernels::VecKernelParams kp;
-        kp.elems = static_cast<std::uint32_t>(elems);
-        kp.limbs = static_cast<std::uint32_t>(limbs);
-        // Timing does not depend on modulus values, only shape; use
-        // the standard modulus shape per width.
-        static constexpr std::uint32_t ks[3] = {27, 54, 109};
-        static constexpr std::uint32_t cs[3] = {2047, 77823, 229375};
-        const std::size_t w = perf::widthIndex(limbs);
-        kp.k = ks[w];
-        kp.c = cs[w];
-        const U128 q = U128::oneShl(kp.k) - U128(kp.c);
-        for (std::size_t l = 0; l < 4; ++l)
-            kp.q[l] = q.limb(l);
-        const std::uint64_t arr_bytes =
-            pim::sliceLayout(elems, 1, limbs * 4).stride;
-        kp.mramA = 0;
-        kp.mramB = arr_bytes;
-        kp.mramOut = 2 * arr_bytes;
-        return kp;
-    }
-
-    pimhe_kernels::ConvKernelParams
-    convParams(std::size_t limbs, std::size_t n) const
-    {
-        pimhe_kernels::ConvKernelParams kp;
-        kp.n = static_cast<std::uint32_t>(n);
-        kp.limbs = static_cast<std::uint32_t>(limbs);
-        kp.q.fill(0xFFFFFFFFu);
-        kp.halfQ.fill(0x7FFFFFFFu);
-        kp.mramA = 0;
-        kp.mramB = n * limbs * 4;
-        kp.mramOut = 2 * n * limbs * 4;
-        return kp;
-    }
 
     /** Memoised cycles(elems) = base + slope*elems, probed at two
      *  shapes that are exact multiples of the tasklet x chunk tiling

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "pim/dpu.h"
@@ -315,60 +316,21 @@ struct ProbedCost
     std::uint64_t perElement = 0;
 };
 
-/** Probe the per-element body of runElementwise: limb loads, the
- *  modular op, limb stores, and the charge(3) loop overhead. */
+/** Probe one element of runElementwise (detail::elementStep): limb
+ *  loads, the modular op, limb stores, and the charge(3) loop
+ *  overhead. */
 inline std::uint64_t
-probeVecPerElement(const pim::DpuConfig &cfg,
-                   const VecKernelParams &p, bool multiply)
+probePerElement(const pim::DpuConfig &cfg, const VecKernelParams &p,
+                bool has_c, detail::ElementOp op)
 {
     return probeInstructions(cfg, [&](pim::TaskletCtx &ctx) {
-        std::uint32_t a[pim::kMaxLimbs] = {};
-        std::uint32_t b[pim::kMaxLimbs] = {};
-        std::uint32_t out[pim::kMaxLimbs] = {};
-        for (std::uint32_t l = 0; l < p.limbs; ++l) {
-            a[l] = ctx.wramLoad32(4 * l);
-            b[l] = ctx.wramLoad32(4 * l);
-        }
-        if (multiply)
-            pim::dpuWideMulModQ(ctx, a, b, p.q.data(), p.k, p.c, out,
-                                p.limbs);
-        else
-            pim::dpuWideAddModQ(ctx, a, b, p.q.data(), out, p.limbs);
-        for (std::uint32_t l = 0; l < p.limbs; ++l)
-            ctx.wramStore32(4 * l, out[l]);
-        ctx.charge(3);
-    });
-}
-
-/** Probe the fused add->mul per-element body (4-buffer kernel). */
-inline std::uint64_t
-probeFusedPerElement(const pim::DpuConfig &cfg,
-                     const FusedKernelParams &p)
-{
-    const VecKernelParams &v = p.vec;
-    return probeInstructions(cfg, [&](pim::TaskletCtx &ctx) {
-        std::uint32_t a[pim::kMaxLimbs] = {};
-        std::uint32_t b[pim::kMaxLimbs] = {};
-        std::uint32_t c[pim::kMaxLimbs] = {};
-        std::uint32_t sum[pim::kMaxLimbs] = {};
-        std::uint32_t out[pim::kMaxLimbs] = {};
-        for (std::uint32_t l = 0; l < v.limbs; ++l) {
-            a[l] = ctx.wramLoad32(4 * l);
-            b[l] = ctx.wramLoad32(4 * l);
-            c[l] = ctx.wramLoad32(4 * l);
-        }
-        pim::dpuWideAddModQ(ctx, a, b, v.q.data(), sum, v.limbs);
-        pim::dpuWideMulModQ(ctx, sum, c, v.q.data(), v.k, v.c, out,
-                            v.limbs);
-        for (std::uint32_t l = 0; l < v.limbs; ++l)
-            ctx.wramStore32(4 * l, out[l]);
-        ctx.charge(3);
+        detail::elementStep(ctx, p, has_c, 0, 0, 0, 0, op);
     });
 }
 
 /**
  * Fast body shared by the elementwise kernels. Mirrors
- * detail::runElementwise (and the fused kernel body) chunk for chunk:
+ * detail::runElementwise chunk for chunk:
  * the same tasklet partition, the same DMA transfer sizes and counts,
  * the same per-chunk charge(5) — but element values come from the
  * host mirrors and per-element instructions from the probed cost.
@@ -383,9 +345,10 @@ probeFusedPerElement(const pim::DpuConfig &cfg,
  */
 inline void
 runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
-                   std::uint64_t mram_c, bool fused, bool multiply,
+                   std::optional<std::uint64_t> mram_c, bool multiply,
                    std::uint64_t per_element)
 {
+    const bool fused = mram_c.has_value();
     const std::uint32_t buffers = fused ? 4u : 3u;
     const std::uint32_t eb = p.elemBytes();
     const std::uint32_t chunk_bytes =
@@ -421,7 +384,7 @@ runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
             f.mram.read(p.mramB + off, bytesOf(bbuf), sem);
             f.chargeDma(t, dma_bytes);
             if (fused) {
-                f.mram.read(mram_c + off, bytesOf(cbuf), sem);
+                f.mram.read(*mram_c + off, bytesOf(cbuf), sem);
                 f.chargeDma(t, dma_bytes);
             }
             for (std::uint32_t i = 0; i < count; ++i) {
@@ -812,26 +775,30 @@ runFastNtt(pim::FastCtx &f, const NttKernelParams &kp,
 
 namespace detail {
 
+/** An elementwise CompiledKernel: `interpret` as the interpreter body,
+ *  runFastElementwise as the fast body, its per-element instruction
+ *  count probed from `op`. */
 inline pim::CompiledKernel
-compiledVecKernel(const VecKernelParams &p, bool multiply,
-                  const char *name)
+compiledElementwise(const char *name, pim::Kernel interpret,
+                    const VecKernelParams &p,
+                    std::optional<std::uint64_t> mram_c, bool multiply,
+                    ElementOp op)
 {
     pim::CompiledKernel ck;
     ck.name = name;
-    ck.interpret =
-        multiply ? makeVecMulModQKernel(p) : makeVecAddModQKernel(p);
+    ck.interpret = std::move(interpret);
     ck.outputs = {{p.mramOut,
                    p.mramOut + static_cast<std::uint64_t>(p.elems) *
                                    p.elemBytes(),
                    "result"}};
     auto cost = std::make_shared<fastpath::ProbedCost>();
-    ck.fast = [p, multiply, cost](pim::FastCtx &f) {
+    ck.fast = [p, mram_c, multiply, op, cost](pim::FastCtx &f) {
         std::call_once(cost->once, [&] {
-            cost->perElement =
-                fastpath::probeVecPerElement(f.cfg, p, multiply);
+            cost->perElement = fastpath::probePerElement(
+                f.cfg, p, mram_c.has_value(), op);
         });
-        fastpath::runFastElementwise(f, p, 0, /*fused=*/false,
-                                     multiply, cost->perElement);
+        fastpath::runFastElementwise(f, p, mram_c, multiply,
+                                     cost->perElement);
     };
     return ck;
 }
@@ -843,41 +810,28 @@ compiledVecKernel(const VecKernelParams &p, bool multiply,
 inline pim::CompiledKernel
 compiledVecAddModQ(const VecKernelParams &p)
 {
-    return detail::compiledVecKernel(
-        p, false,
-        p.mramOut == p.mramA ? "vec-add-modq-inplace" : "vec-add-modq");
+    return detail::compiledElementwise(
+        p.mramOut == p.mramA ? "vec-add-modq-inplace" : "vec-add-modq",
+        makeVecAddModQKernel(p), p, std::nullopt, false,
+        detail::addElement);
 }
 
 /** Compiled elementwise modular multiply. */
 inline pim::CompiledKernel
 compiledVecMulModQ(const VecKernelParams &p)
 {
-    return detail::compiledVecKernel(p, true, "vec-mul-modq");
+    return detail::compiledElementwise(
+        "vec-mul-modq", makeVecMulModQKernel(p), p, std::nullopt, true,
+        detail::mulElement);
 }
 
 /** Compiled fused elementwise (a + b) * c kernel. */
 inline pim::CompiledKernel
 compiledVecAddMulModQ(const FusedKernelParams &p)
 {
-    pim::CompiledKernel ck;
-    ck.name = "vec-add-mul-fused";
-    ck.interpret = makeVecAddMulModQKernel(p);
-    ck.outputs = {{p.vec.mramOut,
-                   p.vec.mramOut +
-                       static_cast<std::uint64_t>(p.vec.elems) *
-                           p.vec.elemBytes(),
-                   "result"}};
-    auto cost = std::make_shared<fastpath::ProbedCost>();
-    ck.fast = [p, cost](pim::FastCtx &f) {
-        std::call_once(cost->once, [&] {
-            cost->perElement =
-                fastpath::probeFusedPerElement(f.cfg, p);
-        });
-        fastpath::runFastElementwise(f, p.vec, p.mramC, /*fused=*/true,
-                                     /*multiply=*/false,
-                                     cost->perElement);
-    };
-    return ck;
+    return detail::compiledElementwise(
+        "vec-add-mul-fused", makeVecAddMulModQKernel(p), p.vec, p.mramC,
+        false, detail::fusedElement);
 }
 
 /** Compiled negacyclic convolution (plain or row-sharded). */

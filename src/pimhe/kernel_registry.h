@@ -6,11 +6,13 @@
  * footprint builder produces over the supported parameter grid (the
  * paper's three security levels for the elementwise kernels, the
  * WRAM-fit degree envelope for convolution, the ablation lengths for
- * NTT). The registry exists so coverage is a checkable property
- * instead of a convention:
+ * NTT). It is the only list of shipped launch plans, and it exists so
+ * coverage is a checkable property instead of a convention:
  *
- *  - tools/pim_prove sweeps every registered plan through the
- *    symbolic race prover for all tasklet counts 1..24;
+ *  - tools/pim_prove runs every registered plan, at every tasklet
+ *    count from 1 to its footprint's ceiling, through the two kernel
+ *    checks of DpuSet's launch gate: the LaunchVerifier budgets and
+ *    the symbolic race prover;
  *  - tests/test_kernel_registry.cpp greps src/pimhe for kernel
  *    factories and fails when one ships without a registry row — i.e.
  *    without a footprint builder and a parametric access model.
@@ -51,8 +53,11 @@ struct KernelFamily
 {
     std::string factory; //!< make*Kernel function name (audited)
     std::string title;   //!< short description for reports
-    /** All launch plans of this family over the supported grid. */
-    std::function<std::vector<KernelPlan>(const pim::DpuConfig &)> plans;
+    /** All launch plans of this family over the supported grid, with
+     *  footprints built for a launch of `tasklets` tasklets. */
+    std::function<std::vector<KernelPlan>(const pim::DpuConfig &,
+                                          unsigned tasklets)>
+        plans;
 
     /**
      * Build this family's CompiledKernel (fast_kernels.h) for a
@@ -67,29 +72,33 @@ struct KernelFamily
     std::string fastWaiver; //!< reason a family is interpreter-only
 };
 
+/** NTT lengths of the ablation the NTT plans cover. */
+inline constexpr std::uint32_t kNttLengths[] = {256, 1024, 2048};
+
 namespace detail {
 
+/** The standard level-N block (real modulus, so registry-built
+ *  compiled kernels are runnable: the suppression audit executes
+ *  them). */
 template <std::size_t N>
 VecKernelParams
 registryVecParams()
 {
     const auto params = standardParams<N>();
-    VecKernelParams kp;
-    const std::uint64_t arr =
-        (static_cast<std::uint64_t>(params.n) * N * 4 + 7) / 8 * 8;
-    kp.mramA = 0;
-    kp.mramB = arr;
-    kp.mramOut = 2 * arr;
-    kp.elems = static_cast<std::uint32_t>(params.n);
-    kp.limbs = static_cast<std::uint32_t>(N);
-    // Real modulus shape, so registry-built compiled kernels are
-    // actually runnable (the suppression audit executes them).
-    kp.k = static_cast<std::uint32_t>(params.q.bitLength());
-    kp.c = static_cast<std::uint32_t>(
-        (WideInt<N>::oneShl(kp.k) - params.q).toUint64());
-    for (std::size_t l = 0; l < N && l < 4; ++l)
-        kp.q[l] = params.q.limb(l);
-    return kp;
+    return makeVecParams(params.q, params.n);
+}
+
+/** registryVecParams with operand C where the result was and the
+ *  result one array further. */
+template <std::size_t N>
+FusedKernelParams
+registryFusedParams()
+{
+    FusedKernelParams fp;
+    fp.vec = registryVecParams<N>();
+    fp.mramC = fp.vec.mramOut;
+    fp.vec.mramOut += fp.vec.mramB;
+    return fp;
 }
 
 template <std::size_t N>
@@ -103,50 +112,42 @@ levelTag()
 
 template <std::size_t N>
 void
-appendVecPlans(const pim::DpuConfig &cfg, bool multiply,
-               std::vector<KernelPlan> &out)
+appendVecPlans(const pim::DpuConfig &cfg, unsigned tasklets,
+               bool multiply, std::vector<KernelPlan> &out)
 {
     const VecKernelParams kp = registryVecParams<N>();
-    // The footprint builder takes the planned tasklet count only to
-    // size the WRAM chunk note; the access model re-derives the layout
-    // per (t, N), so one plan per level covers the whole sweep.
-    out.push_back({vecKernelFootprint(kp, cfg, 12, multiply),
+    out.push_back({vecKernelFootprint(kp, cfg, tasklets, multiply),
                    levelTag<N>() + ", n=" + std::to_string(kp.elems)});
 }
 
 template <std::size_t N>
 void
-appendFusedPlans(const pim::DpuConfig &cfg, std::vector<KernelPlan> &out)
+appendFusedPlans(const pim::DpuConfig &cfg, unsigned tasklets,
+                 std::vector<KernelPlan> &out)
 {
-    FusedKernelParams fp;
-    fp.vec = registryVecParams<N>();
-    const std::uint64_t arr = fp.vec.mramB;
-    fp.mramC = 2 * arr;
-    fp.vec.mramOut = 3 * arr;
+    const FusedKernelParams fp = registryFusedParams<N>();
     out.push_back(
-        {fusedKernelFootprint(fp, cfg, 12),
+        {fusedKernelFootprint(fp, cfg, tasklets),
          levelTag<N>() + ", n=" + std::to_string(fp.vec.elems)});
 }
 
 template <std::size_t N>
 void
-appendReducePlans(const pim::DpuConfig &cfg, std::vector<KernelPlan> &out)
+appendReducePlans(const pim::DpuConfig &cfg, unsigned tasklets,
+                  std::vector<KernelPlan> &out)
 {
     // One fold round of an 8-ciphertext tree reduction in the resident
     // layout: slices of n elements packed back to back, the upper half
     // added onto the lower in place (mramOut == mramA).
-    const auto params = standardParams<N>();
-    const std::uint64_t slice_bytes =
-        static_cast<std::uint64_t>(params.n) * N * 4;
-    const std::uint32_t hh = 4, pairs = 4;
     VecKernelParams kp = registryVecParams<N>();
-    kp.mramA = 0;
-    kp.mramB = hh * slice_bytes;
+    const std::uint32_t n = kp.elems;
+    const std::uint32_t hh = 4, pairs = 4;
+    kp.mramB = hh * kp.mramB;
     kp.mramOut = 0;
-    kp.elems = static_cast<std::uint32_t>(pairs * params.n);
+    kp.elems = pairs * n;
     out.push_back(
-        {reduceRoundFootprint(kp, cfg, 12),
-         levelTag<N>() + ", 8->4 fold, n=" + std::to_string(params.n)});
+        {reduceRoundFootprint(kp, cfg, tasklets),
+         levelTag<N>() + ", 8->4 fold, n=" + std::to_string(n)});
 }
 
 template <std::size_t N>
@@ -155,15 +156,10 @@ appendConvPlans(const pim::DpuConfig &cfg, std::vector<KernelPlan> &out)
 {
     const auto params = standardParams<N>();
     // Largest power-of-two degree whose WRAM layout admits >= 1
-    // tasklet — the same envelope pim_verify and the tests stay in.
+    // tasklet: the envelope the shipped reduced-degree tests stay in.
     for (std::uint32_t n = static_cast<std::uint32_t>(params.n); n >= 4;
          n /= 2) {
-        ConvKernelParams cp;
-        cp.n = n;
-        cp.limbs = static_cast<std::uint32_t>(N);
-        cp.mramA = 0;
-        cp.mramB = static_cast<std::uint64_t>(n) * N * 4;
-        cp.mramOut = 2 * cp.mramB;
+        const ConvKernelParams cp = makeConvParams(params.q, n);
         const auto plain = convKernelFootprint(cp, cfg);
         if (plain.maxTasklets < 1)
             continue;
@@ -188,16 +184,14 @@ appendConvPlans(const pim::DpuConfig &cfg, std::vector<KernelPlan> &out)
 inline void
 appendNttPlans(const pim::DpuConfig &cfg, std::vector<KernelPlan> &out)
 {
-    for (const std::uint32_t n : {256u, 1024u, 2048u}) {
+    for (const std::uint32_t n : kNttLengths) {
         const auto primes = findNttPrimes(30, 2ULL * n, 1);
         if (primes.empty())
-            continue;
+            continue; // pim_prove's interval sweep fails the length
         const auto nkp = makeNttParams(
             static_cast<std::uint32_t>(primes.front()), n, /*count=*/4);
-        const auto fp = nttKernelFootprint(nkp, cfg);
-        if (fp.maxTasklets < 1)
-            continue;
-        out.push_back({fp, "n=" + std::to_string(n) + ", 4 pairs"});
+        out.push_back({nttKernelFootprint(nkp, cfg),
+                       "n=" + std::to_string(n) + ", 4 pairs"});
     }
 }
 
@@ -209,47 +203,43 @@ kernelRegistry()
 {
     static const std::vector<KernelFamily> rows = {
         {"makeVecAddModQKernel", "elementwise modular add",
-         [](const pim::DpuConfig &cfg) {
+         [](const pim::DpuConfig &cfg, unsigned tasklets) {
              std::vector<KernelPlan> out;
-             detail::appendVecPlans<1>(cfg, false, out);
-             detail::appendVecPlans<2>(cfg, false, out);
-             detail::appendVecPlans<4>(cfg, false, out);
-             detail::appendReducePlans<1>(cfg, out);
-             detail::appendReducePlans<2>(cfg, out);
-             detail::appendReducePlans<4>(cfg, out);
+             detail::appendVecPlans<1>(cfg, tasklets, false, out);
+             detail::appendVecPlans<2>(cfg, tasklets, false, out);
+             detail::appendVecPlans<4>(cfg, tasklets, false, out);
+             detail::appendReducePlans<1>(cfg, tasklets, out);
+             detail::appendReducePlans<2>(cfg, tasklets, out);
+             detail::appendReducePlans<4>(cfg, tasklets, out);
              return out;
          },
          [] { return compiledVecAddModQ(detail::registryVecParams<2>()); },
          ""},
         {"makeVecMulModQKernel", "elementwise modular multiply",
-         [](const pim::DpuConfig &cfg) {
+         [](const pim::DpuConfig &cfg, unsigned tasklets) {
              std::vector<KernelPlan> out;
-             detail::appendVecPlans<1>(cfg, true, out);
-             detail::appendVecPlans<2>(cfg, true, out);
-             detail::appendVecPlans<4>(cfg, true, out);
+             detail::appendVecPlans<1>(cfg, tasklets, true, out);
+             detail::appendVecPlans<2>(cfg, tasklets, true, out);
+             detail::appendVecPlans<4>(cfg, tasklets, true, out);
              return out;
          },
          [] { return compiledVecMulModQ(detail::registryVecParams<2>()); },
          ""},
         {"makeVecAddMulModQKernel", "fused elementwise add->mul",
-         [](const pim::DpuConfig &cfg) {
+         [](const pim::DpuConfig &cfg, unsigned tasklets) {
              std::vector<KernelPlan> out;
-             detail::appendFusedPlans<1>(cfg, out);
-             detail::appendFusedPlans<2>(cfg, out);
-             detail::appendFusedPlans<4>(cfg, out);
+             detail::appendFusedPlans<1>(cfg, tasklets, out);
+             detail::appendFusedPlans<2>(cfg, tasklets, out);
+             detail::appendFusedPlans<4>(cfg, tasklets, out);
              return out;
          },
          [] {
-             FusedKernelParams fp;
-             fp.vec = detail::registryVecParams<2>();
-             const std::uint64_t arr = fp.vec.mramB;
-             fp.mramC = 2 * arr;
-             fp.vec.mramOut = 3 * arr;
-             return compiledVecAddMulModQ(fp);
+             return compiledVecAddMulModQ(
+                 detail::registryFusedParams<2>());
          },
          ""},
         {"makeNegacyclicConvKernel", "negacyclic convolution",
-         [](const pim::DpuConfig &cfg) {
+         [](const pim::DpuConfig &cfg, unsigned) {
              std::vector<KernelPlan> out;
              detail::appendConvPlans<1>(cfg, out);
              detail::appendConvPlans<2>(cfg, out);
@@ -257,17 +247,12 @@ kernelRegistry()
              return out;
          },
          [] {
-             ConvKernelParams cp;
-             cp.n = 64;
-             cp.limbs = 2;
-             cp.mramA = 0;
-             cp.mramB = 64ULL * 2 * 4;
-             cp.mramOut = 2 * cp.mramB;
-             return compiledNegacyclicConv(cp);
+             return compiledNegacyclicConv(
+                 makeConvParams(standardParams<2>().q, 64));
          },
          ""},
         {"makeNttMulKernel", "NTT polynomial product",
-         [](const pim::DpuConfig &cfg) {
+         [](const pim::DpuConfig &cfg, unsigned) {
              std::vector<KernelPlan> out;
              detail::appendNttPlans(cfg, out);
              return out;

@@ -23,8 +23,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "analysis/footprint.h"
+#include "bfv/params.h"
 #include "pim/dpu.h"
 #include "pim/wide_ops.h"
 
@@ -47,16 +50,50 @@ struct VecKernelParams
 };
 
 /**
+ * The elementwise parameter block of modulus q over `elems` elements:
+ * k and c of q = 2^k - c (which must be pseudo-Mersenne with a 32-bit
+ * c), the q limbs, and the default layout of A, B and Out back to back
+ * from offset 0, each array rounded up to the 8-byte DMA granule.
+ * Callers that place their own regions overwrite the addresses.
+ */
+template <std::size_t N>
+VecKernelParams
+makeVecParams(const WideInt<N> &q, std::size_t elems)
+{
+    static_assert(N <= 4, "kernels support up to 128-bit widths");
+    VecKernelParams kp;
+    kp.elems = static_cast<std::uint32_t>(elems);
+    kp.limbs = N;
+    kp.k = static_cast<std::uint32_t>(q.bitLength());
+    const WideInt<N> c = WideInt<N>::oneShl(kp.k) - q;
+    PIMHE_ASSERT(c.fitsUint64() && c.toUint64() >> 32 == 0,
+                 "modulus is not pseudo-Mersenne with 32-bit c");
+    kp.c = static_cast<std::uint32_t>(c.toUint64());
+    for (std::size_t l = 0; l < N; ++l)
+        kp.q[l] = q.limb(l);
+    const std::uint64_t arr = pim::sliceLayout(elems, 1, N * 4).stride;
+    kp.mramB = arr;
+    kp.mramOut = 2 * arr;
+    return kp;
+}
+
+/**
  * Bytes of WRAM one tasklet may use per staging buffer. The
  * elementwise kernels keep three buffers live at once (A chunk,
- * B chunk, OUT chunk); the fused add->mul kernel keeps four.
+ * B chunk, OUT chunk); the fused add->mul kernel keeps four. Each
+ * tasklet's stack (analysis::kDefaultStackBytes, which the launch
+ * verifier charges) shares the same WRAM, so it comes off the
+ * tasklet's share before the buffers split the rest.
  */
 inline std::uint32_t
 wramChunkBytes(const pim::DpuConfig &cfg, unsigned num_tasklets,
                unsigned num_buffers = 3)
 {
+    const std::size_t share = cfg.wramBytes / num_tasklets;
     const std::size_t budget =
-        cfg.wramBytes / (num_buffers * num_tasklets);
+        share > analysis::kDefaultStackBytes
+            ? (share - analysis::kDefaultStackBytes) / num_buffers
+            : 0;
     std::uint32_t bytes = 8;
     while (bytes * 2 <= budget && bytes * 2 <= 2048)
         bytes *= 2;
@@ -103,25 +140,87 @@ alignedTaskletRange(std::uint32_t elems, std::uint32_t elem_bytes,
 
 namespace detail {
 
+/** Signature of an elementwise kernel's modular op on one element:
+ *  out = f(a, b, c), c being zero unless the kernel has operand C. */
+using ElementOp = void (*)(pim::TaskletCtx &, const VecKernelParams &,
+                           const std::uint32_t *, const std::uint32_t *,
+                           const std::uint32_t *, std::uint32_t *);
+
 /**
- * Shared chunked elementwise driver: DMA A/B chunks into WRAM, apply
- * `op` per element, DMA the result back.
+ * One element of runElementwise: load its limbs of a, b (and c when
+ * `has_c`) from the WRAM buffers at wa/wb/wc, apply `op`, store the
+ * result at wo, and charge the loop overhead. The fast path probes
+ * this same step for its per-element instruction count.
  */
-template <typename PerElement>
-void
-runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
-               PerElement &&op)
+inline void
+elementStep(pim::TaskletCtx &ctx, const VecKernelParams &p, bool has_c,
+            std::uint32_t wa, std::uint32_t wb, std::uint32_t wc,
+            std::uint32_t wo, ElementOp op)
 {
+    std::uint32_t a[pim::kMaxLimbs] = {};
+    std::uint32_t b[pim::kMaxLimbs] = {};
+    std::uint32_t c[pim::kMaxLimbs] = {};
+    std::uint32_t out[pim::kMaxLimbs] = {};
+    for (std::uint32_t l = 0; l < p.limbs; ++l) {
+        a[l] = ctx.wramLoad32(wa + 4 * l);
+        b[l] = ctx.wramLoad32(wb + 4 * l);
+        if (has_c)
+            c[l] = ctx.wramLoad32(wc + 4 * l);
+    }
+    op(ctx, p, a, b, c, out);
+    for (std::uint32_t l = 0; l < p.limbs; ++l)
+        ctx.wramStore32(wo + 4 * l, out[l]);
+    ctx.charge(3); // loop index/branch overhead
+}
+
+inline void
+addElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
+           const std::uint32_t *a, const std::uint32_t *b,
+           const std::uint32_t *, std::uint32_t *out)
+{
+    pim::dpuWideAddModQ(ctx, a, b, p.q.data(), out, p.limbs);
+}
+
+inline void
+mulElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
+           const std::uint32_t *a, const std::uint32_t *b,
+           const std::uint32_t *, std::uint32_t *out)
+{
+    pim::dpuWideMulModQ(ctx, a, b, p.q.data(), p.k, p.c, out, p.limbs);
+}
+
+/** ((a + b) mod q * c) mod q, the intermediate kept in registers. */
+inline void
+fusedElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
+             const std::uint32_t *a, const std::uint32_t *b,
+             const std::uint32_t *c, std::uint32_t *out)
+{
+    std::uint32_t sum[pim::kMaxLimbs] = {};
+    pim::dpuWideAddModQ(ctx, a, b, p.q.data(), sum, p.limbs);
+    pim::dpuWideMulModQ(ctx, sum, c, p.q.data(), p.k, p.c, out, p.limbs);
+}
+
+/**
+ * Shared chunked elementwise driver: DMA the A and B chunks (and the
+ * C chunk when operand C is at `mram_c`) into WRAM, apply `op` per
+ * element, DMA the result back. Three WRAM buffers per tasklet, four
+ * with operand C.
+ */
+inline void
+runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
+               std::optional<std::uint64_t> mram_c, ElementOp op)
+{
+    const std::uint32_t buffers = mram_c ? 4 : 3;
     const std::uint32_t elem_bytes = p.elemBytes();
     const std::uint32_t chunk_bytes =
-        wramChunkBytes(ctx.config(), ctx.numTasklets());
+        wramChunkBytes(ctx.config(), ctx.numTasklets(), buffers);
     const std::uint32_t chunk_elems =
         std::max<std::uint32_t>(1, chunk_bytes / elem_bytes);
 
-    const std::uint32_t wbase = ctx.id() * 3 * chunk_bytes;
-    const std::uint32_t wa = wbase;
-    const std::uint32_t wb = wbase + chunk_bytes;
-    const std::uint32_t wo = wbase + 2 * chunk_bytes;
+    const std::uint32_t wa = ctx.id() * buffers * chunk_bytes;
+    const std::uint32_t wb = wa + chunk_bytes;
+    const std::uint32_t wc = wb + chunk_bytes;
+    const std::uint32_t wo = wa + (buffers - 1) * chunk_bytes;
 
     const auto [begin, end] = alignedTaskletRange(
         p.elems, elem_bytes, ctx.id(), ctx.numTasklets());
@@ -132,25 +231,17 @@ runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
         // DMA sizes must be 8-byte multiples; element sizes are 4,
         // 8 or 16 bytes, so round the tail up to 8.
         const std::uint32_t bytes = ((count * elem_bytes + 7) / 8) * 8;
-        ctx.mramRead(p.mramA + std::uint64_t(e) * elem_bytes, wa,
-                     bytes);
-        ctx.mramRead(p.mramB + std::uint64_t(e) * elem_bytes, wb,
-                     bytes);
+        const std::uint64_t off = std::uint64_t(e) * elem_bytes;
+        ctx.mramRead(p.mramA + off, wa, bytes);
+        ctx.mramRead(p.mramB + off, wb, bytes);
+        if (mram_c)
+            ctx.mramRead(*mram_c + off, wc, bytes);
         for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint32_t a[pim::kMaxLimbs];
-            std::uint32_t b[pim::kMaxLimbs];
-            std::uint32_t out[pim::kMaxLimbs];
-            for (std::uint32_t l = 0; l < p.limbs; ++l) {
-                a[l] = ctx.wramLoad32(wa + i * elem_bytes + 4 * l);
-                b[l] = ctx.wramLoad32(wb + i * elem_bytes + 4 * l);
-            }
-            op(ctx, a, b, out);
-            for (std::uint32_t l = 0; l < p.limbs; ++l)
-                ctx.wramStore32(wo + i * elem_bytes + 4 * l, out[l]);
-            ctx.charge(3); // loop index/branch overhead
+            const std::uint32_t at = i * elem_bytes;
+            elementStep(ctx, p, mram_c.has_value(), wa + at, wb + at,
+                        wc + at, wo + at, op);
         }
-        ctx.mramWrite(wo, p.mramOut + std::uint64_t(e) * elem_bytes,
-                      bytes);
+        ctx.mramWrite(wo, p.mramOut + off, bytes);
         ctx.charge(5); // chunk loop overhead
     }
 }
@@ -158,7 +249,7 @@ runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
 /**
  * Parametric per-tasklet access model of the chunked elementwise
  * kernels, shared by the add/mul/fused/in-place-reduce footprints.
- * Mirrors runElementwise (and the fused kernel body) exactly: WRAM
+ * Mirrors runElementwise exactly: WRAM
  * buffer slots at id * buffers * chunk, and on MRAM the union of every
  * chunk DMA, which tiles [begin*eb, roundUp8(end*eb)) contiguously
  * because alignedTaskletRange keeps begin*eb a multiple of 8 and every
@@ -166,11 +257,11 @@ runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
  */
 inline analysis::TaskletAccessFn
 elementwiseAccessModel(const VecKernelParams &p,
-                       const pim::DpuConfig &cfg, unsigned buffers,
-                       std::uint64_t mram_c = 0, bool has_c = false)
+                       const pim::DpuConfig &cfg,
+                       std::optional<std::uint64_t> mram_c)
 {
-    return [p, cfg, buffers, mram_c,
-            has_c](unsigned t, unsigned N) {
+    const unsigned buffers = mram_c ? 4 : 3;
+    return [p, cfg, buffers, mram_c](unsigned t, unsigned N) {
         std::vector<analysis::SymAccess> out;
         if (N == 0 || t >= N)
             return out;
@@ -210,9 +301,9 @@ elementwiseAccessModel(const VecKernelParams &p,
                        p.mramA + me, false, "operand A"});
         out.push_back({analysis::Space::Mram, 0, p.mramB + mb,
                        p.mramB + me, false, "operand B"});
-        if (has_c)
-            out.push_back({analysis::Space::Mram, 0, mram_c + mb,
-                           mram_c + me, false, "operand C"});
+        if (mram_c)
+            out.push_back({analysis::Space::Mram, 0, *mram_c + mb,
+                           *mram_c + me, false, "operand C"});
         out.push_back({analysis::Space::Mram, 0, p.mramOut + mb,
                        p.mramOut + me, true, "result"});
         return out;
@@ -230,12 +321,7 @@ inline pim::Kernel
 makeVecAddModQKernel(VecKernelParams p)
 {
     return [p](pim::TaskletCtx &ctx) {
-        detail::runElementwise(
-            ctx, p,
-            [&p](pim::TaskletCtx &c, const std::uint32_t *a,
-                 const std::uint32_t *b, std::uint32_t *out) {
-                pim::dpuWideAddModQ(c, a, b, p.q.data(), out, p.limbs);
-            });
+        detail::runElementwise(ctx, p, std::nullopt, detail::addElement);
     };
 }
 
@@ -250,43 +336,45 @@ inline pim::Kernel
 makeVecMulModQKernel(VecKernelParams p)
 {
     return [p](pim::TaskletCtx &ctx) {
-        detail::runElementwise(
-            ctx, p,
-            [&p](pim::TaskletCtx &c, const std::uint32_t *a,
-                 const std::uint32_t *b, std::uint32_t *out) {
-                pim::dpuWideMulModQ(c, a, b, p.q.data(), p.k, p.c, out,
-                                    p.limbs);
-            });
+        detail::runElementwise(ctx, p, std::nullopt, detail::mulElement);
     };
 }
 
+namespace detail {
+
 /**
- * Static resource footprint of the elementwise kernels (add and mul
- * share one memory shape) at a planned tasklet count. Mirrors
- * runElementwise's layout arithmetic exactly: three chunk buffers per
- * tasklet, three flat MRAM arrays, chunked 8-byte-aligned DMA.
+ * Static resource footprint of the chunked elementwise kernels at a
+ * planned tasklet count. Mirrors runElementwise exactly: three chunk
+ * buffers per tasklet (four with operand C at `mram_c`), flat MRAM
+ * arrays, chunked 8-byte-aligned DMA.
  */
 inline analysis::KernelFootprint
-vecKernelFootprint(const VecKernelParams &p, const pim::DpuConfig &cfg,
-                   unsigned tasklets, bool multiply)
+elementwiseFootprint(std::string kernel, const VecKernelParams &p,
+                     const pim::DpuConfig &cfg, unsigned tasklets,
+                     std::optional<std::uint64_t> mram_c)
 {
+    const unsigned buffers = mram_c ? 4 : 3;
     analysis::KernelFootprint fp;
-    fp.kernel = multiply ? "vec-mul-modq" : "vec-add-modq";
+    fp.kernel = std::move(kernel);
     fp.minTasklets = 1;
     fp.maxTasklets = cfg.maxTasklets;
 
     const std::uint32_t elem_bytes = p.elemBytes();
     const std::uint32_t chunk =
-        wramChunkBytes(cfg, std::max(1u, tasklets));
-    fp.wramBytesPerTasklet = 3 * chunk;
+        wramChunkBytes(cfg, std::max(1u, tasklets), buffers);
+    fp.wramBytesPerTasklet = buffers * chunk;
 
     const std::uint64_t arr =
         (static_cast<std::uint64_t>(p.elems) * elem_bytes + 7) / 8 * 8;
     fp.mramRegions = {
         {"operand A", p.mramA, arr, analysis::Access::Read},
         {"operand B", p.mramB, arr, analysis::Access::Read},
-        {"result", p.mramOut, arr, analysis::Access::Write},
     };
+    if (mram_c)
+        fp.mramRegions.push_back(
+            {"operand C", *mram_c, arr, analysis::Access::Read});
+    fp.mramRegions.push_back(
+        {"result", p.mramOut, arr, analysis::Access::Write});
 
     // Every transfer is min(chunk_elems, tail) elements rounded up to
     // the 8-byte DMA granule; alignedTaskletRange keeps each element
@@ -300,11 +388,24 @@ vecKernelFootprint(const VecKernelParams &p, const pim::DpuConfig &cfg,
     dma.maxBytes = (chunk_elems * elem_bytes + 7) / 8 * 8;
     dma.mramAlign = std::min(
         {analysis::alignmentOf(p.mramA), analysis::alignmentOf(p.mramB),
+         analysis::alignmentOf(mram_c.value_or(0)),
          analysis::alignmentOf(p.mramOut)});
     dma.wramAlign = 8; // chunk is a power of two >= 8
     fp.dmaPatterns = {dma};
-    fp.taskletAccess = detail::elementwiseAccessModel(p, cfg, 3);
+    fp.taskletAccess = elementwiseAccessModel(p, cfg, mram_c);
     return fp;
+}
+
+} // namespace detail
+
+/** Footprint of the add and mul kernels (one memory shape). */
+inline analysis::KernelFootprint
+vecKernelFootprint(const VecKernelParams &p, const pim::DpuConfig &cfg,
+                   unsigned tasklets, bool multiply)
+{
+    return detail::elementwiseFootprint(
+        multiply ? "vec-mul-modq" : "vec-add-modq", p, cfg, tasklets,
+        std::nullopt);
 }
 
 /**
@@ -323,12 +424,9 @@ inline analysis::KernelFootprint
 reduceRoundFootprint(const VecKernelParams &p,
                      const pim::DpuConfig &cfg, unsigned tasklets)
 {
-    analysis::KernelFootprint fp =
-        vecKernelFootprint(p, cfg, tasklets, /*multiply=*/false);
-    fp.kernel = "vec-add-modq-inplace";
-    const std::uint64_t arr =
-        (static_cast<std::uint64_t>(p.elems) * p.elemBytes() + 7) / 8 *
-        8;
+    analysis::KernelFootprint fp = detail::elementwiseFootprint(
+        "vec-add-modq-inplace", p, cfg, tasklets, std::nullopt);
+    const std::uint64_t arr = fp.mramRegions.front().bytes;
     fp.mramRegions = {
         {"accumulator (in-place)", p.mramA, arr,
          analysis::Access::ReadWrite},
@@ -357,97 +455,17 @@ inline pim::Kernel
 makeVecAddMulModQKernel(FusedKernelParams p)
 {
     return [p](pim::TaskletCtx &ctx) {
-        const VecKernelParams &v = p.vec;
-        const std::uint32_t elem_bytes = v.elemBytes();
-        const std::uint32_t chunk_bytes =
-            wramChunkBytes(ctx.config(), ctx.numTasklets(), 4);
-        const std::uint32_t chunk_elems =
-            std::max<std::uint32_t>(1, chunk_bytes / elem_bytes);
-
-        const std::uint32_t wbase = ctx.id() * 4 * chunk_bytes;
-        const std::uint32_t wa = wbase;
-        const std::uint32_t wb = wbase + chunk_bytes;
-        const std::uint32_t wc = wbase + 2 * chunk_bytes;
-        const std::uint32_t wo = wbase + 3 * chunk_bytes;
-
-        const auto [begin, end] = alignedTaskletRange(
-            v.elems, elem_bytes, ctx.id(), ctx.numTasklets());
-
-        for (std::uint32_t e = begin; e < end; e += chunk_elems) {
-            const std::uint32_t count =
-                std::min<std::uint32_t>(chunk_elems, end - e);
-            const std::uint32_t bytes =
-                ((count * elem_bytes + 7) / 8) * 8;
-            const std::uint64_t off = std::uint64_t(e) * elem_bytes;
-            ctx.mramRead(v.mramA + off, wa, bytes);
-            ctx.mramRead(v.mramB + off, wb, bytes);
-            ctx.mramRead(p.mramC + off, wc, bytes);
-            for (std::uint32_t i = 0; i < count; ++i) {
-                std::uint32_t a[pim::kMaxLimbs] = {};
-                std::uint32_t b[pim::kMaxLimbs] = {};
-                std::uint32_t c[pim::kMaxLimbs] = {};
-                std::uint32_t sum[pim::kMaxLimbs] = {};
-                std::uint32_t out[pim::kMaxLimbs] = {};
-                for (std::uint32_t l = 0; l < v.limbs; ++l) {
-                    a[l] = ctx.wramLoad32(wa + i * elem_bytes + 4 * l);
-                    b[l] = ctx.wramLoad32(wb + i * elem_bytes + 4 * l);
-                    c[l] = ctx.wramLoad32(wc + i * elem_bytes + 4 * l);
-                }
-                pim::dpuWideAddModQ(ctx, a, b, v.q.data(), sum,
-                                    v.limbs);
-                pim::dpuWideMulModQ(ctx, sum, c, v.q.data(), v.k, v.c,
-                                    out, v.limbs);
-                for (std::uint32_t l = 0; l < v.limbs; ++l)
-                    ctx.wramStore32(wo + i * elem_bytes + 4 * l,
-                                    out[l]);
-                ctx.charge(3); // loop index/branch overhead
-            }
-            ctx.mramWrite(wo, v.mramOut + off, bytes);
-            ctx.charge(5); // chunk loop overhead
-        }
+        detail::runElementwise(ctx, p.vec, p.mramC, detail::fusedElement);
     };
 }
 
-/** Static resource footprint of the fused add->mul kernel. */
+/** Footprint of the fused add->mul kernel. */
 inline analysis::KernelFootprint
 fusedKernelFootprint(const FusedKernelParams &p,
                      const pim::DpuConfig &cfg, unsigned tasklets)
 {
-    const VecKernelParams &v = p.vec;
-    analysis::KernelFootprint fp;
-    fp.kernel = "vec-add-mul-fused";
-    fp.minTasklets = 1;
-    fp.maxTasklets = cfg.maxTasklets;
-
-    const std::uint32_t elem_bytes = v.elemBytes();
-    const std::uint32_t chunk =
-        wramChunkBytes(cfg, std::max(1u, tasklets), 4);
-    fp.wramBytesPerTasklet = 4 * chunk;
-
-    const std::uint64_t arr =
-        (static_cast<std::uint64_t>(v.elems) * elem_bytes + 7) / 8 * 8;
-    fp.mramRegions = {
-        {"operand A", v.mramA, arr, analysis::Access::Read},
-        {"operand B", v.mramB, arr, analysis::Access::Read},
-        {"operand C", p.mramC, arr, analysis::Access::Read},
-        {"result", v.mramOut, arr, analysis::Access::Write},
-    };
-
-    const std::uint32_t chunk_elems =
-        std::max<std::uint32_t>(1, chunk / elem_bytes);
-    analysis::DmaPattern dma;
-    dma.name = "chunk staging";
-    dma.minBytes = 8;
-    dma.maxBytes = (chunk_elems * elem_bytes + 7) / 8 * 8;
-    dma.mramAlign = std::min(
-        {analysis::alignmentOf(v.mramA), analysis::alignmentOf(v.mramB),
-         analysis::alignmentOf(p.mramC),
-         analysis::alignmentOf(v.mramOut)});
-    dma.wramAlign = 8;
-    fp.dmaPatterns = {dma};
-    fp.taskletAccess =
-        detail::elementwiseAccessModel(v, cfg, 4, p.mramC, true);
-    return fp;
+    return detail::elementwiseFootprint("vec-add-mul-fused", p.vec, cfg,
+                                        tasklets, p.mramC);
 }
 
 /** Parameters of the negacyclic convolution kernel. */
@@ -485,18 +503,79 @@ struct ConvKernelParams
     std::uint32_t rowBegin = 0;
     std::uint32_t rowEnd = 0;
 
-    /**
-     * Two's-complement accumulator limbs: products span 2*limbs,
-     * plus one limb absorbs the sum over n terms, rounded up to an
-     * even count for 8-byte DMA alignment.
-     */
+    /** Two's-complement accumulator limbs (pim::convAccLimbs). */
     std::uint32_t
     accLimbs() const
     {
-        const std::uint32_t raw = 2 * limbs + 1;
-        return raw + (raw & 1);
+        return static_cast<std::uint32_t>(pim::convAccLimbs(limbs));
     }
 };
+
+/**
+ * The convolution parameter block of modulus q at ring degree n: the
+ * q and floor(q/2) limbs, and operands A and B then the accumulators
+ * back to back from offset 0, each operand rounded up to the 8-byte
+ * DMA granule. Unsharded; callers that shard rows or place their own
+ * regions overwrite those fields.
+ */
+template <std::size_t N>
+ConvKernelParams
+makeConvParams(const WideInt<N> &q, std::size_t n)
+{
+    static_assert(N <= 4, "kernels support up to 128-bit widths");
+    ConvKernelParams kp;
+    kp.n = static_cast<std::uint32_t>(n);
+    kp.limbs = N;
+    const WideInt<N> half = q.shr(1);
+    for (std::size_t l = 0; l < N; ++l) {
+        kp.q[l] = q.limb(l);
+        kp.halfQ[l] = half.limb(l);
+    }
+    const std::uint64_t arr = pim::sliceLayout(n, 1, N * 4).stride;
+    kp.mramB = arr;
+    kp.mramOut = 2 * arr;
+    return kp;
+}
+
+namespace detail {
+
+/** make(q) over the standard modulus (standardParams) of a width
+ *  picked at run time. */
+template <typename Make>
+auto
+withStandardModulus(std::size_t limbs, Make make)
+{
+    if (limbs == 1)
+        return make(standardParams<1>().q);
+    if (limbs == 2)
+        return make(standardParams<2>().q);
+    PIMHE_ASSERT(limbs == 4, "no standard modulus is ", limbs,
+                 " limbs wide");
+    return make(standardParams<4>().q);
+}
+
+} // namespace detail
+
+/**
+ * makeVecParams and makeConvParams over the standard modulus of a
+ * width (1, 2 or 4 limbs) chosen at run time, for callers that only
+ * need a kernel of the right shape: the cost model's probes and the
+ * benches.
+ */
+inline VecKernelParams
+standardVecParams(std::size_t limbs, std::size_t elems)
+{
+    return detail::withStandardModulus(limbs, [elems](const auto &q) {
+        return makeVecParams(q, elems);
+    });
+}
+
+inline ConvKernelParams
+standardConvParams(std::size_t limbs, std::size_t n)
+{
+    return detail::withStandardModulus(
+        limbs, [n](const auto &q) { return makeConvParams(q, n); });
+}
 
 /**
  * Centre a reduced coefficient: if v > q/2 the magnitude is q - v and

@@ -48,26 +48,6 @@
 
 namespace pimhe {
 
-/** Pseudo-Mersenne shape (q = 2^k - c) of a modulus. */
-template <std::size_t N>
-struct PseudoMersenne
-{
-    std::size_t k = 0;
-    std::uint32_t c = 0;
-
-    static PseudoMersenne
-    of(const WideInt<N> &q)
-    {
-        PseudoMersenne pm;
-        pm.k = q.bitLength();
-        const WideInt<N> diff = WideInt<N>::oneShl(pm.k) - q;
-        PIMHE_ASSERT(diff.fitsUint64() && diff.toUint64() >> 32 == 0,
-                     "modulus is not pseudo-Mersenne with 32-bit c");
-        pm.c = static_cast<std::uint32_t>(diff.toUint64());
-        return pm;
-    }
-};
-
 /**
  * PIM-backed homomorphic vector operations over a BFV context.
  *
@@ -86,11 +66,9 @@ class PimHeSystem
     PimHeSystem(const BfvContext<N> &ctx, const pim::SystemConfig &cfg,
                 std::size_t num_dpus, unsigned tasklets = 12)
         : ctx_(ctx), dpus_(cfg, num_dpus), tasklets_(tasklets),
-          pm_(PseudoMersenne<N>::of(ctx.ring().modulus())),
+          modulus_(pimhe_kernels::makeVecParams(ctx.ring().modulus(), 0)),
           cache_(ctx, dpus_), costModel_(cfg, tasklets)
-    {
-        static_assert(N <= 4, "kernels support up to 128-bit widths");
-    }
+    {}
 
     const pim::DpuSet &dpuSet() const { return dpus_; }
     pim::DpuSet &dpuSet() { return dpus_; }
@@ -693,20 +671,16 @@ class PimHeSystem
         calib.record(std::move(rec));
     }
 
+    /** modulus_ over `elems` elements at the given regions. */
     pimhe_kernels::VecKernelParams
     vecParams(std::uint64_t a, std::uint64_t b, std::uint64_t out,
               std::uint64_t elems) const
     {
-        pimhe_kernels::VecKernelParams kp;
+        pimhe_kernels::VecKernelParams kp = modulus_;
         kp.mramA = a;
         kp.mramB = b;
         kp.mramOut = out;
         kp.elems = static_cast<std::uint32_t>(elems);
-        kp.limbs = N;
-        kp.k = static_cast<std::uint32_t>(pm_.k);
-        kp.c = pm_.c;
-        for (std::size_t l = 0; l < N; ++l)
-            kp.q[l] = ctx_.ring().modulus().limb(l);
         return kp;
     }
 
@@ -932,7 +906,7 @@ class PimHeSystem
     const BfvContext<N> &ctx_;
     pim::DpuSet dpus_;
     unsigned tasklets_;
-    PseudoMersenne<N> pm_;
+    pimhe_kernels::VecKernelParams modulus_; //!< k, c, q of the ring
     ResidentCache<N> cache_;
     ElementwiseStager stager_; //!< async elementwise staging pair
     PimCostModel costModel_; //!< fit probes for certifyPlan (cached)
@@ -983,19 +957,9 @@ class PimConvolver : public ExactConvolver<N>
         op_span.arg("n", static_cast<double>(n));
         op_span.arg("dpus", static_cast<double>(num_dpus));
         bumpOpCounter("pimhe.ops.convolve");
-        pimhe_kernels::ConvKernelParams kp;
-        kp.n = static_cast<std::uint32_t>(n);
-        kp.limbs = N;
-        for (std::size_t l = 0; l < N; ++l)
-            kp.q[l] = ring_.modulus().limb(l);
-        const WideInt<N> half = ring_.modulus().shr(1);
-        for (std::size_t l = 0; l < N; ++l)
-            kp.halfQ[l] = half.limb(l);
-        const std::size_t elem_bytes = N * 4;
+        pimhe_kernels::ConvKernelParams kp =
+            pimhe_kernels::makeConvParams(ring_.modulus(), n);
         const std::size_t acc_bytes = kp.accLimbs() * 4;
-        kp.mramA = 0;
-        kp.mramB = n * elem_bytes;
-        kp.mramOut = 2 * n * elem_bytes;
         // Rows [rb, re) of DPU d; one DPU owns every row.
         const auto shard = [&](std::size_t d) {
             return analysis::rowShardRange(

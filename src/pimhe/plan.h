@@ -53,12 +53,7 @@ costSpecShape(const pim::SystemConfig &cfg, std::size_t limbs,
     spec.hostToDpuGbps = cfg.hostToDpuGbps;
     spec.dpuToHostGbps = cfg.dpuToHostGbps;
     spec.launchOverheadUs = cfg.launchOverheadUs;
-    // Same clamp the resident cache applies to its arena.
-    spec.residentArenaBytes =
-        cfg.residentCapacityBytes == 0
-            ? cfg.dpu.mramBytes
-            : std::min<std::uint64_t>(cfg.residentCapacityBytes,
-                                      cfg.dpu.mramBytes);
+    spec.residentArenaBytes = cfg.residentArenaBytes();
     const perf::CpuCalibration cal;
     const std::size_t w = perf::widthIndex(limbs);
     spec.hostAddNs = cal.addNs[w];

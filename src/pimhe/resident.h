@@ -157,8 +157,9 @@ struct Geometry
     bool operator==(const Geometry &) const = default;
 };
 
-/** Layout of `cts` (all with the same component count) as `slices`
- *  equal slices spread over `dpus` DPUs. */
+/** Layout of `cts` (all with the same component count, every
+ *  component `degree` coefficients) as `slices` equal slices spread
+ *  over `dpus` DPUs. */
 template <std::size_t N>
 Geometry
 geometryOf(std::span<const Ciphertext<N>> cts, std::size_t slices,
@@ -168,8 +169,14 @@ geometryOf(std::span<const Ciphertext<N>> cts, std::size_t slices,
     static_assert(8 % (N * 4) == 0 || (N * 4) % 8 == 0,
                   "slice strides must hold whole elements");
     const std::size_t comps = cts.front().size();
-    for (const auto &ct : cts)
-        PIMHE_ASSERT(ct.size() == comps, "ragged ciphertext vector");
+    for (std::size_t i = 0; i < cts.size(); ++i) {
+        PIMHE_ASSERT(cts[i].size() == comps, "ragged ciphertext vector");
+        // flattenSlice indexes `degree` coefficients per component.
+        for (std::size_t c = 0; c < comps; ++c)
+            PIMHE_ASSERT(cts[i][c].size() == degree, "ciphertext ", i,
+                         " component ", c, " has ", cts[i][c].size(),
+                         " coefficients, not the ring degree ", degree);
+    }
     const std::size_t per_slice = cts.size() / slices;
     const pim::SliceLayout s =
         pim::sliceLayout(per_slice * comps * degree, dpus, N * 4);
@@ -244,19 +251,9 @@ class ResidentCache
 {
   public:
     ResidentCache(const BfvContext<N> &ctx, pim::DpuSet &dpus)
-        : ctx_(ctx), dpus_(dpus), alloc_(0, arenaBytes(dpus.config()))
+        : ctx_(ctx), dpus_(dpus),
+          alloc_(0, dpus.config().residentArenaBytes())
     {}
-
-    /** MRAM bytes per DPU the cache manages. */
-    static std::uint64_t
-    arenaBytes(const pim::SystemConfig &cfg)
-    {
-        const std::uint64_t mram = cfg.dpu.mramBytes;
-        return cfg.residentCapacityBytes == 0
-                   ? mram
-                   : std::min<std::uint64_t>(cfg.residentCapacityBytes,
-                                             mram);
-    }
 
     /**
      * Register `cts` as one packed region (slice of ciphertext j at

@@ -243,28 +243,6 @@ INSTANTIATE_TEST_SUITE_P(Tasklets, ShippedKernels,
                              return "t" + std::to_string(tpi.param);
                          });
 
-/** Kernel-shape VecKernelParams matching cost_model.h's probes. */
-VecKernelParams
-vecShape(std::uint32_t limbs, std::uint32_t elems)
-{
-    static constexpr std::uint32_t ks[3] = {27, 54, 109};
-    static constexpr std::uint32_t cs[3] = {2047, 77823, 229375};
-    const std::size_t w = limbs == 1 ? 0 : limbs == 2 ? 1 : 2;
-    VecKernelParams p;
-    p.elems = elems;
-    p.limbs = limbs;
-    p.k = ks[w];
-    p.c = cs[w];
-    const U128 q = U128::oneShl(p.k) - U128(cs[w]);
-    for (std::size_t l = 0; l < 4; ++l)
-        p.q[l] = q.limb(l);
-    const std::size_t arr = ((elems * limbs * 4 + 7) / 8) * 8;
-    p.mramA = 0;
-    p.mramB = arr;
-    p.mramOut = 2 * arr;
-    return p;
-}
-
 TEST_P(ShippedKernels, ElementwiseKernelsConflictClean)
 {
     const unsigned tasklets = GetParam();
@@ -276,7 +254,7 @@ TEST_P(ShippedKernels, ElementwiseKernelsConflictClean)
         std::uint32_t elems;
     } shapes[] = {{1, 1000}, {1, 513}, {2, 513}, {4, 129}};
     for (const auto &s : shapes) {
-        const auto p = vecShape(s.limbs, s.elems);
+        const auto p = standardVecParams(s.limbs, s.elems);
         for (const bool multiply : {false, true}) {
             Dpu dpu(checkedCfg());
             const auto stats =
@@ -295,14 +273,7 @@ TEST_P(ShippedKernels, ElementwiseKernelsConflictClean)
 TEST_P(ShippedKernels, ConvolutionKernelConflictClean)
 {
     const unsigned tasklets = GetParam();
-    ConvKernelParams p;
-    p.n = 32;
-    p.limbs = 2;
-    p.q = {0xFFFFFFFFu, 0xFFFFFFFFu, 0, 0};
-    p.halfQ = {0xFFFFFFFFu, 0x7FFFFFFFu, 0, 0};
-    p.mramA = 0;
-    p.mramB = p.n * p.limbs * 4;
-    p.mramOut = 2 * p.n * p.limbs * 4;
+    const ConvKernelParams p = standardConvParams(2, 32);
     Dpu dpu(checkedCfg());
     const auto stats = dpu.run(tasklets, makeNegacyclicConvKernel(p));
     EXPECT_TRUE(stats.conflicts.clean())

@@ -136,26 +136,6 @@ runShadowAndFast(const CompiledKernel &ck, unsigned tasklets,
     }
 }
 
-template <std::size_t L>
-VecKernelParams
-vecParamsFor(std::size_t elems)
-{
-    const auto q = standardParams<L>().q;
-    VecKernelParams p;
-    p.elems = static_cast<std::uint32_t>(elems);
-    p.limbs = L;
-    p.k = static_cast<std::uint32_t>(q.bitLength());
-    p.c = static_cast<std::uint32_t>(
-        (WideInt<L>::oneShl(p.k) - q).toUint64());
-    for (std::size_t i = 0; i < L; ++i)
-        p.q[i] = q.limb(i);
-    const std::size_t arr = ((elems * L * 4 + 7) / 8) * 8;
-    p.mramA = 0;
-    p.mramB = arr;
-    p.mramOut = 2 * arr;
-    return p;
-}
-
 /** elems reduced elements as packed little-endian limb bytes. */
 template <std::size_t L>
 std::vector<std::uint8_t>
@@ -183,7 +163,7 @@ runVecGrid()
             for (const std::size_t threads : kThreadGrid) {
                 Rng rng(kSeed + 1000 * L + 10 * elems + tasklets +
                         threads);
-                const auto p = vecParamsFor<L>(elems);
+                const auto p = standardVecParams(L, elems);
                 const std::size_t dpus = 2;
                 std::vector<std::vector<std::uint8_t>> init(dpus);
                 for (auto &m : init) {
@@ -234,25 +214,6 @@ runVecGrid()
 }
 
 template <std::size_t L>
-ConvKernelParams
-convParamsFor(std::size_t n)
-{
-    const auto q = standardParams<L>().q;
-    ConvKernelParams p;
-    p.n = static_cast<std::uint32_t>(n);
-    p.limbs = L;
-    for (std::size_t i = 0; i < L; ++i)
-        p.q[i] = q.limb(i);
-    const auto half = q.shr(1);
-    for (std::size_t i = 0; i < L; ++i)
-        p.halfQ[i] = half.limb(i);
-    p.mramA = 0;
-    p.mramB = n * L * 4;
-    p.mramOut = 2 * n * L * 4;
-    return p;
-}
-
-template <std::size_t L>
 int
 runConvGrid()
 {
@@ -261,7 +222,7 @@ runConvGrid()
         for (const unsigned tasklets : kTaskletGrid) {
             for (const std::size_t threads : kThreadGrid) {
                 Rng rng(kSeed + 77 * L + 10 * n + tasklets + threads);
-                const auto p = convParamsFor<L>(n);
+                const auto p = standardConvParams(L, n);
                 const std::string tag =
                     "L" + std::to_string(L) + " n" + std::to_string(n) +
                     " t" + std::to_string(tasklets) + " th" +
@@ -414,7 +375,7 @@ smallVecInit(const VecKernelParams &p, std::size_t dpus)
 TEST(FastPathMismatchDeath, OffByOneOutputTailIsCaught)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const auto p = vecParamsFor<2>(65);
+    const auto p = standardVecParams(2, 65);
     CompiledKernel ck = compiledVecAddModQ(p);
     const auto base = ck.fast;
     // Deliberate bug: the fast body mangles the final element's last
@@ -442,7 +403,7 @@ TEST(FastPathMismatchDeath, OffByOneOutputTailIsCaught)
 TEST(FastPathMismatchDeath, StaleCycleFormulaIsCaught)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const auto p = vecParamsFor<2>(64);
+    const auto p = standardVecParams(2, 64);
     CompiledKernel ck = compiledVecMulModQ(p);
     const auto base = ck.fast;
     // Deliberate bug: a stale cost formula over-charges tasklet 0 by
@@ -463,7 +424,7 @@ TEST(FastPathMismatchDeath, StaleCycleFormulaIsCaught)
 TEST(FastPathMismatchDeath, SkippedShardRowIsCaught)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto sp = convParamsFor<2>(16);
+    auto sp = standardConvParams(2, 16);
     const auto [b0, e0] = analysis::rowShardRange(16, 2, 0);
     sp.rowBegin = b0;
     sp.rowEnd = e0;

@@ -79,7 +79,7 @@ TEST(KernelRegistry, EveryPlanCarriesAnAccessModel)
 {
     const pim::DpuConfig cfg;
     for (const auto &family : kernelRegistry()) {
-        const auto plans = family.plans(cfg);
+        const auto plans = family.plans(cfg, 12);
         EXPECT_FALSE(plans.empty())
             << family.factory << " produced no launch plans";
         for (const auto &plan : plans) {

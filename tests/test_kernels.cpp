@@ -24,26 +24,6 @@ using pimhe::testing::kSeed;
 using pimhe::testing::randomBelow;
 
 template <std::size_t L>
-VecKernelParams
-makeVecParams(std::size_t elems)
-{
-    const auto q = standardParams<L>().q;
-    VecKernelParams p;
-    p.elems = static_cast<std::uint32_t>(elems);
-    p.limbs = L;
-    p.k = static_cast<std::uint32_t>(q.bitLength());
-    p.c = static_cast<std::uint32_t>(
-        (WideInt<L>::oneShl(p.k) - q).toUint64());
-    for (std::size_t i = 0; i < L; ++i)
-        p.q[i] = q.limb(i);
-    const std::size_t arr = ((elems * L * 4 + 7) / 8) * 8;
-    p.mramA = 0;
-    p.mramB = arr;
-    p.mramOut = 2 * arr;
-    return p;
-}
-
-template <std::size_t L>
 std::vector<WideInt<L>>
 randomVec(Rng &rng, std::size_t elems)
 {
@@ -117,7 +97,7 @@ TEST_P(VecKernelShapes, AddKernelMatchesBarrett128)
     const auto b = randomVec<L>(rng, elems);
 
     Dpu dpu(DpuConfig{});
-    const auto p = makeVecParams<L>(elems);
+    const auto p = standardVecParams(L, elems);
     storeVec(dpu, p.mramA, a);
     storeVec(dpu, p.mramB, b);
     dpu.run(tasklets, makeVecAddModQKernel(p));
@@ -137,7 +117,7 @@ TEST_P(VecKernelShapes, MulKernelMatchesBarrett128)
     const auto b = randomVec<L>(rng, elems);
 
     Dpu dpu(DpuConfig{});
-    const auto p = makeVecParams<L>(elems);
+    const auto p = standardVecParams(L, elems);
     storeVec(dpu, p.mramA, a);
     storeVec(dpu, p.mramB, b);
     dpu.run(tasklets, makeVecMulModQKernel(p));
@@ -165,7 +145,7 @@ TYPED_TEST(KernelWidths, AddAndMulKernelsAllWidths)
     const auto b = randomVec<L>(rng, elems);
 
     Dpu dpu(DpuConfig{});
-    const auto p = makeVecParams<L>(elems);
+    const auto p = standardVecParams(L, elems);
     storeVec(dpu, p.mramA, a);
     storeVec(dpu, p.mramB, b);
     dpu.run(12, makeVecAddModQKernel(p));
@@ -187,7 +167,7 @@ TYPED_TEST(KernelWidths, KernelInstructionCountIsDataIndependent)
     std::uint64_t expected = 0;
     for (int it = 0; it < 5; ++it) {
         Dpu dpu(DpuConfig{});
-        const auto p = makeVecParams<L>(elems);
+        const auto p = standardVecParams(L, elems);
         storeVec(dpu, p.mramA, randomVec<L>(rng, elems));
         storeVec(dpu, p.mramB, randomVec<L>(rng, elems));
         const auto stats = dpu.run(12, makeVecMulModQKernel(p));
@@ -199,25 +179,6 @@ TYPED_TEST(KernelWidths, KernelInstructionCountIsDataIndependent)
 }
 
 // ----- negacyclic convolution kernel -----
-
-template <std::size_t L>
-ConvKernelParams
-makeConvParams(std::size_t n)
-{
-    const auto q = standardParams<L>().q;
-    ConvKernelParams p;
-    p.n = static_cast<std::uint32_t>(n);
-    p.limbs = L;
-    for (std::size_t i = 0; i < L; ++i)
-        p.q[i] = q.limb(i);
-    const auto half = q.shr(1);
-    for (std::size_t i = 0; i < L; ++i)
-        p.halfQ[i] = half.limb(i);
-    p.mramA = 0;
-    p.mramB = n * L * 4;
-    p.mramOut = 2 * n * L * 4;
-    return p;
-}
 
 TYPED_TEST(KernelWidths, ConvolutionMatchesSchoolbookConvolver)
 {
@@ -231,7 +192,7 @@ TYPED_TEST(KernelWidths, ConvolutionMatchesSchoolbookConvolver)
     const auto b = ring.sampleUniform(rng);
 
     Dpu dpu(DpuConfig{});
-    const auto p = makeConvParams<L>(n);
+    const auto p = standardConvParams(L, n);
     storeVec(dpu, p.mramA, a.coeffs());
     storeVec(dpu, p.mramB, b.coeffs());
     dpu.run(12, makeNegacyclicConvKernel(p));
@@ -269,7 +230,7 @@ TEST(ConvKernel, VariousTaskletCounts)
 
     for (unsigned tasklets : {1u, 3u, 11u, 16u}) {
         Dpu dpu(DpuConfig{});
-        const auto p = makeConvParams<L>(n);
+        const auto p = standardConvParams(L, n);
         storeVec(dpu, p.mramA, a.coeffs());
         storeVec(dpu, p.mramB, b.coeffs());
         dpu.run(tasklets, makeNegacyclicConvKernel(p));
@@ -298,7 +259,7 @@ TEST(ConvKernel, RejectsOversizedPolynomials)
     // 2 polys x 8192 x 16 bytes overflows the 64 KB WRAM.
     constexpr std::size_t L = 4;
     Dpu dpu(DpuConfig{});
-    auto p = makeConvParams<L>(8192);
+    auto p = standardConvParams(L, 8192);
     std::vector<std::uint8_t> zeros(8192 * L * 4, 0);
     dpu.mram().write(p.mramA, zeros.data(), zeros.size());
     dpu.mram().write(p.mramB, zeros.data(), zeros.size());
@@ -331,13 +292,17 @@ TEST(KernelHelpers, TaskletRangePartitionsExactly)
 TEST(KernelHelpers, WramChunkBytesRespectsBudget)
 {
     DpuConfig cfg;
-    for (unsigned t : {1u, 8u, 12u, 16u, 24u}) {
-        const auto bytes = wramChunkBytes(cfg, t);
-        EXPECT_GE(bytes, 8u);
-        EXPECT_LE(bytes, 2048u);
-        EXPECT_LE(3u * t * bytes, cfg.wramBytes)
-            << "three buffers per tasklet must fit WRAM";
-        EXPECT_EQ(bytes & (bytes - 1), 0u) << "power of two";
+    for (unsigned t = 1; t <= cfg.maxTasklets; ++t) {
+        for (unsigned buffers : {3u, 4u}) {
+            const auto bytes = wramChunkBytes(cfg, t, buffers);
+            EXPECT_GE(bytes, 8u);
+            EXPECT_LE(bytes, 2048u);
+            EXPECT_LE(t * (buffers * bytes + analysis::kDefaultStackBytes),
+                      cfg.wramBytes)
+                << buffers << " buffers and the stack per tasklet must "
+                << "fit WRAM at " << t << " tasklets";
+            EXPECT_EQ(bytes & (bytes - 1), 0u) << "power of two";
+        }
     }
 }
 

@@ -224,14 +224,7 @@ TEST(NttKernel, AsymptoticallyBeatsSchoolbookOnDpu)
     const auto ntt_stats = dpu.run(1, makeNttMulKernel(kp));
 
     // Schoolbook convolution kernel at the same degree (32-bit).
-    ConvKernelParams cp;
-    cp.n = n;
-    cp.limbs = 1;
-    cp.q = {p, 0, 0, 0};
-    cp.halfQ = {p / 2, 0, 0, 0};
-    cp.mramA = 0;
-    cp.mramB = n * 4;
-    cp.mramOut = 2 * n * 4;
+    const ConvKernelParams cp = makeConvParams(U32(p), n);
     Dpu dpu2(DpuConfig{});
     std::vector<std::uint8_t> z(n * 4, 0);
     dpu2.mram().write(cp.mramA, z.data(), z.size());

@@ -30,7 +30,9 @@
 // Counting global allocator: the overhead guard asserts the disabled
 // instrumentation hot path performs zero heap allocations. Only the
 // default-aligned forms are replaced; the aligned overloads keep their
-// library pairing.
+// library pairing. The nothrow forms are replaced too, since the
+// library frees what they return (std::stable_sort's buffer) through
+// the replaced operator delete.
 //
 // GCC's -Wmismatched-new-delete cannot see that these replacements
 // pair malloc with free by construction: at -O2 it inlines the
@@ -60,10 +62,35 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace pimhe {
 namespace {
@@ -82,18 +109,8 @@ runVecMulWorkload(std::size_t host_threads, std::size_t dpus = 3,
     cfg.hostThreads = host_threads;
     pim::DpuSet set(cfg, dpus);
 
-    pimhe_kernels::VecKernelParams kp;
-    kp.elems = static_cast<std::uint32_t>(elems);
-    kp.limbs = 2;
-    kp.k = 54;
-    kp.c = 77823;
-    const U128 q = U128::oneShl(kp.k) - U128(kp.c);
-    for (std::size_t l = 0; l < 4; ++l)
-        kp.q[l] = q.limb(l);
-    const std::size_t arr_bytes = ((elems * 2 * 4 + 7) / 8) * 8;
-    kp.mramA = 0;
-    kp.mramB = arr_bytes;
-    kp.mramOut = 2 * arr_bytes;
+    const auto kp = pimhe_kernels::standardVecParams(2, elems);
+    const std::size_t arr_bytes = kp.mramB;
 
     std::vector<std::uint8_t> data(arr_bytes, 1);
     for (std::size_t d = 0; d < dpus; ++d) {
@@ -460,18 +477,8 @@ TEST(Determinism, TotalModeledMsEqualsLaunchSum)
     cfg.numDpus = 2;
     pim::DpuSet set(cfg, 2);
 
-    pimhe_kernels::VecKernelParams kp;
-    kp.elems = 32;
-    kp.limbs = 1;
-    kp.k = 27;
-    kp.c = 2047;
-    const U128 q = U128::oneShl(kp.k) - U128(kp.c);
-    for (std::size_t l = 0; l < 4; ++l)
-        kp.q[l] = q.limb(l);
-    const std::size_t arr_bytes = ((32 * 4 + 7) / 8) * 8;
-    kp.mramA = 0;
-    kp.mramB = arr_bytes;
-    kp.mramOut = 2 * arr_bytes;
+    const auto kp = pimhe_kernels::standardVecParams(1, 32);
+    const std::size_t arr_bytes = kp.mramB;
 
     std::vector<std::uint8_t> buf(arr_bytes, 1);
     // A pre-launch read-back charges preLaunchDownloadMs.

@@ -29,13 +29,16 @@ tinySystem(std::size_t dpus)
 
 TEST(PseudoMersenne, DetectsStandardModuli)
 {
-    const auto pm1 = PseudoMersenne<1>::of(standardParams<1>().q);
+    const auto pm1 =
+        pimhe_kernels::makeVecParams(standardParams<1>().q, 0);
     EXPECT_EQ(pm1.k, 27u);
     EXPECT_EQ(pm1.c, 2047u);
-    const auto pm2 = PseudoMersenne<2>::of(standardParams<2>().q);
+    const auto pm2 =
+        pimhe_kernels::makeVecParams(standardParams<2>().q, 0);
     EXPECT_EQ(pm2.k, 54u);
     EXPECT_EQ(pm2.c, 77823u);
-    const auto pm4 = PseudoMersenne<4>::of(standardParams<4>().q);
+    const auto pm4 =
+        pimhe_kernels::makeVecParams(standardParams<4>().q, 0);
     EXPECT_EQ(pm4.k, 109u);
     EXPECT_EQ(pm4.c, 229375u);
 }
@@ -155,6 +158,54 @@ TEST(Orchestrator, MismatchedVectorsDie)
     std::vector<Ciphertext<4>> as = {h.encryptScalar(1)};
     std::vector<Ciphertext<4>> bs;
     EXPECT_DEATH(pimsys.addCiphertextVectors(as, bs), "equal-length");
+}
+
+TEST(Orchestrator, CiphertextOfTheWrongDegreeDies)
+{
+    // flattenSlice reads `degree` coefficients of every component, so
+    // a short one must be rejected before staging reads past it.
+    BfvHarness<2> h(16);
+    PimHeSystem<2> pimsys(h.ctx, tinySystem(2), 2, 12);
+    std::vector<Ciphertext<2>> as = {h.encryptScalar(1),
+                                     h.encryptScalar(2)};
+    const std::vector<Ciphertext<2>> bs = as;
+    as[1].comps[1] = Polynomial<2>(8);
+    const std::string msg = "ciphertext 1 component 1 has 8 "
+                            "coefficients, not the ring degree 16";
+    EXPECT_DEATH(pimsys.addCiphertextVectors(as, bs), msg);
+    EXPECT_DEATH(pimsys.reduceCiphertexts(as), msg);
+}
+
+TEST(Orchestrator, VerifiedLaunchesAtEveryTaskletCount)
+{
+    // The WRAM chunks leave room for the tasklet stacks the launch
+    // verifier charges, so both the three-buffer and the four-buffer
+    // kernels pass the gate at every hardware tasklet count.
+    BfvHarness<2> h(16);
+    const std::vector<Ciphertext<2>> as = {h.encryptScalar(3),
+                                           h.encryptScalar(4)};
+    const std::vector<Ciphertext<2>> bs = {h.encryptScalar(5),
+                                           h.encryptScalar(6)};
+    const auto &red = h.ctx.ring().reducer();
+    for (unsigned t = 1; t <= 24; ++t) {
+        PimHeSystem<2> pimsys(h.ctx, tinySystem(2), 2, t);
+        const auto sums = pimsys.addCiphertextVectors(as, bs);
+        for (std::size_t i = 0; i < as.size(); ++i) {
+            const auto host = h.eval.add(as[i], bs[i]);
+            for (std::size_t c = 0; c < 2; ++c)
+                EXPECT_TRUE(host[c] == sums[i][c])
+                    << t << " tasklets, ct " << i << " comp " << c;
+        }
+        const auto fused = pimsys.materialize(pimsys.fusedAddMulResident(
+            pimsys.makeResident(as[0]), pimsys.makeResident(bs[0]),
+            pimsys.makeResident(as[1])));
+        const auto host_sum = h.eval.add(as[0], bs[0]);
+        for (std::size_t c = 0; c < 2; ++c)
+            for (std::size_t j = 0; j < h.params.n; ++j)
+                EXPECT_EQ(fused[c][j],
+                          red.mulMod(host_sum[c][j], as[1][c][j]))
+                    << t << " tasklets, comp " << c << " coeff " << j;
+    }
 }
 
 TEST(Orchestrator, ModeledTimeAccumulates)

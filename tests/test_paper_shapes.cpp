@@ -32,19 +32,7 @@ double
 compiledVecCycles(bool multiply, std::size_t elems, unsigned tasklets,
                   pim::ExecMode mode)
 {
-    const auto q = standardParams<L>().q;
-    pimhe_kernels::VecKernelParams kp;
-    kp.elems = static_cast<std::uint32_t>(elems);
-    kp.limbs = L;
-    kp.k = static_cast<std::uint32_t>(q.bitLength());
-    kp.c = static_cast<std::uint32_t>(
-        (WideInt<L>::oneShl(kp.k) - q).toUint64());
-    for (std::size_t i = 0; i < L; ++i)
-        kp.q[i] = q.limb(i);
-    const std::size_t arr = ((elems * L * 4 + 7) / 8) * 8;
-    kp.mramA = 0;
-    kp.mramB = arr;
-    kp.mramOut = 2 * arr;
+    const auto kp = pimhe_kernels::standardVecParams(L, elems);
 
     pim::Dpu dpu(pim::DpuConfig{});
     const std::vector<std::uint8_t> zeros(elems * L * 4, 0);

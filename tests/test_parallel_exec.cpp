@@ -143,18 +143,8 @@ runWorkload(std::size_t host_threads)
     cfg.hostThreads = host_threads;
     cfg.dpu.checker.enabled = true;
 
-    pimhe_kernels::VecKernelParams kp;
-    kp.elems = kElems;
-    kp.limbs = kLimbs;
-    kp.k = 54;
-    kp.c = 77823;
-    const U128 q = U128::oneShl(kp.k) - U128(kp.c);
-    for (std::size_t l = 0; l < 4; ++l)
-        kp.q[l] = q.limb(l);
-    const std::size_t arr_bytes = kElems * kLimbs * 4;
-    kp.mramA = 0;
-    kp.mramB = arr_bytes;
-    kp.mramOut = 2 * arr_bytes;
+    const auto kp = pimhe_kernels::standardVecParams(kLimbs, kElems);
+    const std::size_t arr_bytes = kp.mramB;
 
     DpuSet set(cfg, kDpus);
     Rng rng(kSeed);

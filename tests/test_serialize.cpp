@@ -169,6 +169,31 @@ TEST(Serialize, RejectsClaimLargerThanInputBeforeAllocating)
                  "bytes remain");
 }
 
+TEST(Serialize, RejectsMixedDegreesWithinOneObject)
+{
+    // The wire format carries a degree per polynomial, so a stream can
+    // mix them; the reader requires one degree per object.
+    BfvHarness<2> h(16);
+    Ciphertext<2> ct = h.encryptScalar(1);
+    ct.comps[1] = Polynomial<2>(8);
+    EXPECT_DEATH(deserializeCiphertext<2>(serialize(ct)),
+                 "ciphertext component 1 has 8 coefficients, not the "
+                 "16 of the first");
+
+    PublicKey<2> pk = h.pk;
+    pk.p1 = Polynomial<2>(8);
+    EXPECT_DEATH(deserializePublicKey<2>(serialize(pk)),
+                 "public key polynomial 1 has 8 coefficients, not the "
+                 "16 of the first");
+
+    RelinKey<2> rlk = h.keygen.makeRelinKey();
+    rlk.digits.back().second = Polynomial<2>(8);
+    const std::string last = std::to_string(rlk.digits.size() - 1);
+    EXPECT_DEATH(deserializeRelinKey<2>(serialize(rlk)),
+                 "relin key digit " + last +
+                     " has 8 coefficients, not the 16 of the first");
+}
+
 TEST(Serialize, WireSizeIsCompact)
 {
     // 2 components x n coefficients x N limbs x 4 bytes + headers.

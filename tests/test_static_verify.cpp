@@ -3,7 +3,7 @@
  * Static pre-launch verifier tests, in both directions:
  *
  *  - every shipped kernel footprint x seed parameter set verifies
- *    clean (the grid tools/pim_verify sweeps must be green here too),
+ *    clean (tools/pim_prove sweeps the whole registry the same way),
  *  - seeded violations of each resource budget (WRAM, DMA alignment,
  *    MRAM overlap, tasklet count, MRAM staging, arithmetic parameter
  *    range) are rejected with the exact resource / operation named,
@@ -28,46 +28,6 @@ using namespace pimhe::pim;
 using namespace pimhe::pimhe_kernels;
 using analysis::Resource;
 
-template <std::size_t L>
-VecKernelParams
-makeVecParams(std::size_t elems)
-{
-    const auto q = standardParams<L>().q;
-    VecKernelParams p;
-    p.elems = static_cast<std::uint32_t>(elems);
-    p.limbs = L;
-    p.k = static_cast<std::uint32_t>(q.bitLength());
-    p.c = static_cast<std::uint32_t>(
-        (WideInt<L>::oneShl(p.k) - q).toUint64());
-    for (std::size_t i = 0; i < L; ++i)
-        p.q[i] = q.limb(i);
-    const std::size_t arr = ((elems * L * 4 + 7) / 8) * 8;
-    p.mramA = 0;
-    p.mramB = arr;
-    p.mramOut = 2 * arr;
-    return p;
-}
-
-template <std::size_t L>
-ConvKernelParams
-makeConvParams(std::uint32_t n)
-{
-    const auto q = standardParams<L>().q;
-    ConvKernelParams p;
-    p.n = n;
-    p.limbs = L;
-    const WideInt<L> half = q.shr(1);
-    for (std::size_t l = 0; l < L; ++l) {
-        p.q[l] = q.limb(l);
-        p.halfQ[l] = half.limb(l);
-    }
-    const std::size_t elem_bytes = L * 4;
-    p.mramA = 0;
-    p.mramB = n * elem_bytes;
-    p.mramOut = 2 * n * elem_bytes;
-    return p;
-}
-
 // ---------------------------------------------------------------------
 // Clean direction: everything the library actually launches verifies.
 // ---------------------------------------------------------------------
@@ -81,7 +41,7 @@ expectVecGridClean()
     const auto params = standardParams<L>();
     for (unsigned tasklets : {1u, 8u, 11u, 12u, 16u, 24u})
         for (bool mul : {false, true}) {
-            const auto kp = makeVecParams<L>(params.n);
+            const auto kp = standardVecParams(L, params.n);
             const auto fp = vecKernelFootprint(kp, cfg, tasklets, mul);
             const auto report = verifier.verify(fp, tasklets);
             EXPECT_TRUE(report.ok())
@@ -107,7 +67,7 @@ TEST(StaticVerify, ShippedConvFootprintsVerifyClean)
 
     const auto check = [&](auto limbs_tag, std::uint32_t n) {
         constexpr std::size_t L = decltype(limbs_tag)::value;
-        const auto fp = convKernelFootprint(makeConvParams<L>(n), cfg);
+        const auto fp = convKernelFootprint(standardConvParams(L, n), cfg);
         ASSERT_GE(fp.maxTasklets, 12u)
             << "limbs=" << L << " n=" << n;
         const auto report = verifier.verify(fp, 12);
@@ -178,7 +138,7 @@ TEST(StaticVerify, RejectsWramOverBudget)
     const analysis::LaunchVerifier verifier(cfg);
     // A kernel honestly declaring a deep stack blows the 64 KB WRAM
     // budget at full occupancy: 12 * (buffers + 8 KB stack) >> 64 KB.
-    auto fp = vecKernelFootprint(makeVecParams<1>(4096), cfg, 12,
+    auto fp = vecKernelFootprint(standardVecParams(1, 4096), cfg, 12,
                                  /*multiply=*/false);
     fp.stackBytesPerTasklet = 8192;
     const auto report = verifier.verify(fp, 12);
@@ -202,7 +162,7 @@ TEST(StaticVerify, RejectsUnalignedDma)
     const analysis::LaunchVerifier verifier(cfg);
     // Operand B staged at a 4-byte-aligned MRAM offset: the footprint
     // builder derives the degraded guarantee and the verifier flags it.
-    auto kp = makeVecParams<1>(512);
+    auto kp = standardVecParams(1, 512);
     kp.mramB += 4;
     const auto report = verifier.verify(
         vecKernelFootprint(kp, cfg, 8, /*multiply=*/true), 8);
@@ -219,7 +179,7 @@ TEST(StaticVerify, RejectsMramRegionOverlap)
     const analysis::LaunchVerifier verifier(cfg);
     // Result written over operand A (an in-place launch the kernels
     // do not support): overlap with a writer is a clobber.
-    auto kp = makeVecParams<2>(1024);
+    auto kp = standardVecParams(2, 1024);
     kp.mramOut = kp.mramA;
     const auto report = verifier.verify(
         vecKernelFootprint(kp, cfg, 12, /*multiply=*/false), 12);
@@ -237,7 +197,7 @@ TEST(StaticVerify, RejectsTaskletOverCount)
 
     // Beyond the 24-tasklet hardware cap.
     const auto hw = verifier.verify(
-        vecKernelFootprint(makeVecParams<1>(256), cfg, 25, false), 25);
+        vecKernelFootprint(standardVecParams(1, 256), cfg, 25, false), 25);
     EXPECT_FALSE(hw.ok());
     EXPECT_TRUE(hw.names(Resource::Tasklets)) << hw.summary();
     EXPECT_NE(hw.summary().find("hardware limit"), std::string::npos)
@@ -264,7 +224,7 @@ TEST(StaticVerify, RejectsMramStagingOverflow)
     const analysis::LaunchVerifier verifier(cfg);
     // Three 96 MB operand arrays against 64 MB of MRAM.
     const auto report = verifier.verify(
-        vecKernelFootprint(makeVecParams<4>(6'000'000), cfg, 12, true),
+        vecKernelFootprint(standardVecParams(4, 6'000'000), cfg, 12, true),
         12);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.names(Resource::Staging)) << report.summary();
@@ -359,7 +319,7 @@ TEST(StaticVerify, VerifiedLaunchAcceptsCleanPlanAndKeepsReport)
     SystemConfig cfg;
     cfg.verifyBeforeLaunch = true;
     DpuSet set(cfg, 1);
-    const auto kp = makeVecParams<1>(64);
+    const auto kp = standardVecParams(1, 64);
     set.launch(4, makeVecAddModQKernel(kp),
                vecKernelFootprint(kp, cfg.dpu, 4, false));
     const auto &report = set.lastVerify();
@@ -374,7 +334,7 @@ TEST(StaticVerifyDeath, VerifiedLaunchPanicsOnBadPlan)
     SystemConfig cfg;
     cfg.verifyBeforeLaunch = true;
     DpuSet set(cfg, 1);
-    auto kp = makeVecParams<1>(64);
+    auto kp = standardVecParams(1, 64);
     kp.mramOut = kp.mramA; // in-place clobber, caught statically
     EXPECT_DEATH(set.launch(4, makeVecAddModQKernel(kp),
                             vecKernelFootprint(kp, cfg.dpu, 4, false)),
@@ -385,7 +345,7 @@ TEST(StaticVerifyDeath, VerifyDisabledSkipsGateAndKeepsNoReport)
 {
     SystemConfig cfg; // verifyBeforeLaunch defaults to off
     DpuSet set(cfg, 1);
-    auto kp = makeVecParams<1>(64);
+    auto kp = standardVecParams(1, 64);
     kp.mramOut = kp.mramA;
     // The (bad) footprint is ignored: the kernel itself tolerates the
     // aliasing here, so the launch completes...

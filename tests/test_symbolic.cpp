@@ -27,7 +27,7 @@ TEST(Symbolic, EveryRegisteredKernelProvesRaceFree)
     const DpuConfig cfg;
     const analysis::SymbolicProver prover(cfg.maxTasklets);
     for (const auto &family : kernelRegistry()) {
-        const auto plans = family.plans(cfg);
+        const auto plans = family.plans(cfg, 12);
         ASSERT_FALSE(plans.empty()) << family.factory;
         for (const auto &plan : plans) {
             const auto report = prover.prove(plan.footprint);
@@ -507,20 +507,8 @@ TEST(SuppressionAudit, UnresolvedWhenHitsButNoWitness)
 TEST(SuppressionAudit, ShippedKernelsCarryNoSuppressions)
 {
     Dpu dpu(checkedCfg());
-    const auto p = [] {
-        VecKernelParams kp;
-        kp.elems = 513;
-        kp.limbs = 1;
-        kp.k = 27;
-        kp.c = 2047;
-        kp.q = {(1u << 27) - 2047, 0, 0, 0};
-        const std::uint64_t arr = (513 * 4 + 7) / 8 * 8;
-        kp.mramA = 0;
-        kp.mramB = arr;
-        kp.mramOut = 2 * arr;
-        return kp;
-    }();
-    const auto stats = dpu.run(11, makeVecAddModQKernel(p));
+    const auto stats =
+        dpu.run(11, makeVecAddModQKernel(standardVecParams(1, 513)));
     EXPECT_TRUE(stats.conflicts.clean());
     EXPECT_TRUE(stats.conflicts.suppressions.empty());
     EXPECT_EQ(stats.conflicts.suppressedConflicts, 0u);

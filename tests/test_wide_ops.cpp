@@ -9,6 +9,7 @@
 #include "bfv/params.h"
 #include "modular/barrett.h"
 #include "pim/wide_ops.h"
+#include "pimhe/kernels.h"
 #include "test_util.h"
 
 namespace pimhe {
@@ -51,10 +52,8 @@ template <std::size_t L>
 std::pair<std::size_t, std::uint32_t>
 pmShape()
 {
-    const auto q = standardParams<L>().q;
-    const std::size_t k = q.bitLength();
-    const auto c = WideInt<L>::oneShl(k) - q;
-    return {k, static_cast<std::uint32_t>(c.toUint64())};
+    const auto kp = pimhe_kernels::standardVecParams(L, 0);
+    return {kp.k, kp.c};
 }
 
 template <typename T>

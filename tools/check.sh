@@ -16,13 +16,14 @@
 #      fast kernel double-checked against the interpreter under
 #      memory sanitizing) and under PIMHE_EXEC_MODE=fast on the plain
 #      build (the mode the scaling benches ship with),
-#   5. the pim_verify static sweep: the kernel x parameter grid must
-#      verify clean, and an injected violation must exit nonzero,
-#   6. the pim_prove symbolic sweep: every registered kernel family
-#      must prove race-free for all tasklet counts 1..24, the plan
-#      scenarios must pass, and every declared checker suppression
-#      must be discharged, while seeded races/lifetime violations and
-#      unresolved suppressions must exit nonzero,
+#   5. the pim_prove static sweep: every kernel registry plan must
+#      pass the launch verifier's budgets and the symbolic race prover
+#      at every tasklet count it admits, the parameter sets and NTT
+#      primes must meet their interval obligations, the plan scenarios
+#      must pass, and every declared checker suppression must be
+#      discharged, while every seeded violation class (budgets,
+#      parameters, races, lifetimes, unresolved suppressions) must
+#      exit nonzero,
 #   6b. the pim_certify plan-certification sweep: the shipped kernel x
 #      parameter grid must certify (noise budget + capacity + cost)
 #      and every injected violation class must be rejected,
@@ -51,27 +52,10 @@ QUICK=0
 # Every compiled leg is warning-clean and exports compile_commands.json.
 COMMON_FLAGS=(-DPIMHE_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)
 
-# Static pre-launch verification: the shipped kernel x parameter grid
-# must verify clean (exit 0), and the injected-violation path must
-# stay live (exit nonzero), so the gate notices if either direction
-# of the verifier rots.
-run_pim_verify() {
-    local dir=$1
-    local bin="${dir}/tools-build/pim_verify"
-    echo "=== [${dir}] pim_verify sweep ==="
-    "${bin}"
-    echo "=== [${dir}] pim_verify --inject all (must fail) ==="
-    if "${bin}" --inject all > /dev/null; then
-        echo "pim_verify did not flag injected violations" >&2
-        return 1
-    fi
-    echo "injected violations correctly rejected"
-}
-
-# Symbolic prover + plan verifier: the registry sweep must prove every
-# kernel race-free at every tasklet count (exit 0) and the seeded
-# race/lifetime violations must be caught (exit nonzero), keeping both
-# directions of the prover honest.
+# Static pre-launch verification: the registry sweep must pass the
+# launch gate's budgets and race proof at every tasklet count (exit 0)
+# and the seeded violations must be caught (exit nonzero), keeping
+# both directions of the verifier and the prover honest.
 run_pim_prove() {
     local dir=$1
     local bin="${dir}/tools-build/pim_prove"
@@ -144,12 +128,10 @@ if [[ "${QUICK}" == "1" ]]; then
     cmake --build "${dir}" -j "${JOBS}"
     echo "=== [plain] ctest -L unit ==="
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L unit
-    run_pim_verify "${dir}"
     run_pim_prove "${dir}"
     run_pim_certify "${dir}"
 else
     run_config plain
-    run_pim_verify build-check-plain
     run_pim_prove build-check-plain
     run_pim_certify build-check-plain
     # Fast-path leg, part 1: rerun the differential suites in pure
@@ -193,15 +175,14 @@ else
     }
     echo "=== [tsan] build ==="
     cmake --build "${dir}" -j "${JOBS}" \
-        --target test_parallel_exec test_differential test_noise_fuzz \
-        test_async_pipeline test_resident
-    # The async-pipeline differential suite (label unit_differential)
-    # matches the 'stress|differential' regex, so the pipelined
-    # engine's caller-thread/worker handoff runs under TSan with the
-    # host pool forced wide; the resident suite (unit_stress) does the
-    # same for the host-pool stage/collect behind every cache upload
-    # and download. A suite missing from the target list is skipped
-    # silently, not failed.
+        --target stress_differential_suites
+    # tests/CMakeLists.txt makes that target depend on every suite
+    # whose label matches 'stress|differential': the async-pipeline
+    # suite (unit_differential) runs the pipelined engine's
+    # caller-thread/worker handoff under TSan with the host pool
+    # forced wide, and the resident suite (unit_stress) does the same
+    # for the host-pool stage/collect behind every cache upload and
+    # download.
     echo "=== [tsan] ctest -L 'stress|differential' (16 threads) ==="
     PIMHE_HOST_THREADS=16 ctest --test-dir "${dir}" \
         --output-on-failure -j "${JOBS}" -L 'stress|differential'
