@@ -95,6 +95,8 @@ class RnsPolyMultiplier
     {
         const std::size_t n = ring_.degree();
         const std::size_t k = basis_.size();
+        requireRingDegree(a, n, "a");
+        requireRingDegree(b, n, "b");
 
         // Per-prime negacyclic convolutions.
         std::vector<std::vector<std::uint64_t>> residue_products(k);
@@ -178,6 +180,8 @@ class RnsNttConvolver : public ExactConvolver<N>
     {
         const std::size_t n = ring_.degree();
         const std::size_t k = basis_.size();
+        requireRingDegree(a, n, "a");
+        requireRingDegree(b, n, "b");
 
         std::vector<std::vector<std::uint64_t>> residue_products(k);
         for (std::size_t pi = 0; pi < k; ++pi) {

@@ -13,6 +13,8 @@
  *  - functional: vectorized host loops mirroring the DPU arithmetic
  *    limb for limb (branch-free selects become ternaries, carry
  *    chains become uint64 accumulators), applied straight to MRAM;
+ *    the convolution alone mirrors the arithmetic's value instead of
+ *    its steps (runFastConv says why that is still bit-exact);
  *  - timing: per-tasklet instruction/DMA counters composed from the
  *    kernel's loop structure times probed unit costs. Every kernel
  *    is branch-free with respect to data, so the cost of one element
@@ -30,6 +32,7 @@
 #ifndef PIMHE_PIMHE_FAST_KERNELS_H
 #define PIMHE_PIMHE_FAST_KERNELS_H
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -424,36 +427,134 @@ runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
 // Negacyclic convolution.
 // ---------------------------------------------------------------------
 
-/** Mirror of centreMagnitude (borrow trick + selects). */
-inline std::uint32_t
-hostCentreMagnitude(const ConvKernelParams &p, const std::uint32_t *v,
-                    std::uint32_t *mag)
+/**
+ * Centred coefficients as signed radix-2^54 digits: lift = sum over u
+ * of digit[u] * 2^(54u), every digit carrying the lift's sign. Three
+ * digits hold any magnitude below 2^128; the standard moduli's
+ * reduced magnitudes (below 2^26, 2^53 and 2^108) need one, one and
+ * two. Two digits multiply to less than 2^108, so a column sum of
+ * n < 2^17 terms of at most three products each stays below 2^127.
+ */
+constexpr unsigned kConvDigitBits = 54;
+constexpr unsigned kConvMaxDigits = 3;
+using ConvDigits = std::array<std::int64_t, kConvMaxDigits>;
+
+/**
+ * Centre every coefficient of an n-coefficient operand once, with
+ * centreMagnitude's sign (v > floor(q/2)) and magnitude (q - v, taken
+ * mod 2^(32 * limbs) like the DPU's limb subtraction, so unreduced
+ * input centres the same way), and write its digits to out. Returns
+ * the digits the widest magnitude needs.
+ */
+inline unsigned
+hostCentreDigits(const ConvKernelParams &p, const std::uint32_t *poly,
+                 ConvDigits *out)
 {
-    std::uint32_t scratch[pim::kMaxLimbs];
-    const std::uint32_t is_neg =
-        hostWideSub(p.halfQ.data(), v, scratch, p.limbs);
-    std::uint32_t qmv[pim::kMaxLimbs];
-    hostWideSub(p.q.data(), v, qmv, p.limbs);
-    for (std::uint32_t l = 0; l < p.limbs; ++l)
-        mag[l] = is_neg != 0 ? qmv[l] : v[l];
-    return is_neg;
+    using u128 = unsigned __int128;
+    const auto value = [&p](const std::uint32_t *limbs) {
+        u128 v = 0;
+        for (std::uint32_t l = p.limbs; l-- > 0;)
+            v = (v << 32) | limbs[l];
+        return v;
+    };
+    const u128 q = value(p.q.data());
+    const u128 half = value(p.halfQ.data());
+    const u128 mod_mask =
+        p.limbs * 32 >= 128 ? ~u128{0} : (u128{1} << (p.limbs * 32)) - 1;
+    constexpr std::uint64_t digit_mask =
+        (std::uint64_t{1} << kConvDigitBits) - 1;
+    u128 widest = 0;
+    for (std::uint32_t i = 0; i < p.n; ++i) {
+        const u128 v = value(poly + static_cast<std::size_t>(i) * p.limbs);
+        const bool neg = v > half;
+        const u128 m = neg ? (q - v) & mod_mask : v;
+        widest |= m;
+        const std::uint64_t sign = neg ? ~std::uint64_t{0} : 0;
+        for (unsigned u = 0; u < kConvMaxDigits; ++u) {
+            const std::uint64_t d =
+                static_cast<std::uint64_t>(m >> (u * kConvDigitBits)) &
+                digit_mask;
+            out[i][u] = static_cast<std::int64_t>((d ^ sign) - sign);
+        }
+    }
+    unsigned digits = 1;
+    while (digits < kConvMaxDigits &&
+           (widest >> (digits * kConvDigitBits)) != 0)
+        ++digits;
+    return digits;
 }
 
-/** Mirror of accumulateSigned (two's-complement addc chain). */
+/** acc += v * 2^shift modulo 2^(64 * words), with v the two's-
+ *  complement reading of its 128 bits. */
 inline void
-hostAccumulateSigned(std::uint32_t *acc, const std::uint32_t *prod,
-                     std::uint32_t prod_limbs, std::uint32_t acc_limbs,
-                     std::uint32_t negate)
+hostAddShifted(std::uint64_t *acc, std::uint32_t words,
+               unsigned __int128 v, unsigned shift)
 {
-    const std::uint32_t mask = 0u - negate;
-    std::uint32_t carry = negate & 1u;
-    for (std::uint32_t l = 0; l < acc_limbs; ++l) {
-        const std::uint32_t pv = l < prod_limbs ? prod[l] : 0;
-        const std::uint64_t s =
-            static_cast<std::uint64_t>(acc[l]) + (pv ^ mask) + carry;
-        acc[l] = static_cast<std::uint32_t>(s);
-        carry = static_cast<std::uint32_t>(s >> 32);
+    const std::uint64_t ext = (v >> 127) != 0 ? ~std::uint64_t{0} : 0;
+    std::uint64_t w[4] = {static_cast<std::uint64_t>(v),
+                          static_cast<std::uint64_t>(v >> 64), ext, ext};
+    const unsigned bits = shift % 64;
+    if (bits != 0) {
+        for (unsigned k = 3; k > 0; --k)
+            w[k] = (w[k] << bits) | (w[k - 1] >> (64 - bits));
+        w[0] <<= bits;
     }
+    std::uint64_t carry = 0;
+    for (std::uint32_t k = shift / 64; k < words; ++k) {
+        const std::uint32_t s = k - shift / 64;
+        const unsigned __int128 sum =
+            static_cast<unsigned __int128>(acc[k]) + (s < 4 ? w[s] : ext) +
+            carry;
+        acc[k] = static_cast<std::uint64_t>(sum);
+        carry = static_cast<std::uint64_t>(sum >> 64);
+    }
+}
+
+/**
+ * Output row m of the convolution from Da-digit A and Db-digit B
+ * coefficients. Column k sums the digit products of weight 2^(54k):
+ * the terms i + j == m add, the wrapped terms i + j == m + n
+ * subtract, each in its own loop. The exact columns then fold into
+ * the row's accumulator words.
+ */
+template <unsigned Da, unsigned Db>
+void
+hostConvRow(const ConvDigits *a, const ConvDigits *b, std::uint32_t n,
+            std::uint32_t m, std::uint64_t *acc, std::uint32_t words)
+{
+    using u128 = unsigned __int128;
+    constexpr unsigned cols = Da + Db - 1;
+    u128 add[cols] = {};
+    u128 sub[cols] = {};
+    const auto mac = [](u128 *col, const ConvDigits &x,
+                        const ConvDigits &y) {
+        for (unsigned u = 0; u < Da; ++u)
+            for (unsigned v = 0; v < Db; ++v)
+                col[u + v] += static_cast<u128>(
+                    static_cast<__int128>(x[u]) * y[v]);
+    };
+    for (std::uint32_t i = 0; i <= m; ++i)
+        mac(add, a[i], b[m - i]);
+    for (std::uint32_t i = m + 1; i < n; ++i)
+        mac(sub, a[i], b[m + n - i]);
+    for (unsigned k = 0; k < cols; ++k)
+        hostAddShifted(acc, words, add[k] - sub[k], k * kConvDigitBits);
+}
+
+using ConvRowFn = void (*)(const ConvDigits *, const ConvDigits *,
+                           std::uint32_t, std::uint32_t, std::uint64_t *,
+                           std::uint32_t);
+
+/** The row loop for operands of da and db digits. */
+inline ConvRowFn
+hostConvRowFor(unsigned da, unsigned db)
+{
+    static constexpr ConvRowFn rows[kConvMaxDigits][kConvMaxDigits] = {
+        {hostConvRow<1, 1>, hostConvRow<1, 2>, hostConvRow<1, 3>},
+        {hostConvRow<2, 1>, hostConvRow<2, 2>, hostConvRow<2, 3>},
+        {hostConvRow<3, 1>, hostConvRow<3, 2>, hostConvRow<3, 3>},
+    };
+    return rows[da - 1][db - 1];
 }
 
 /** Probe one inner term of the convolution row loop: coefficient
@@ -483,8 +584,18 @@ probeConvInner(const pim::DpuConfig &cfg, const ConvKernelParams &p)
     });
 }
 
-/** Fast body of the negacyclic convolution kernel (plain and
- *  row-sharded), mirroring makeNegacyclicConvKernel. */
+/**
+ * Fast body of the negacyclic convolution kernel (plain and
+ * row-sharded), mirroring makeNegacyclicConvKernel's tasklet split,
+ * DMA transfers and instruction charges. Its arithmetic is not a
+ * structural mirror: each coefficient is centred once per run, and
+ * rows are exact signed sums of 64x64->128-bit digit products. The
+ * interpreter's accumulator is the two's-complement sum of
+ * +-mag(a) * mag(b) mod 2^(32 * accLimbs()), with the magnitudes
+ * taken mod 2^(32 * limbs); the digits carry the same magnitudes and
+ * signs, and the exact sum reduced mod 2^(64 * accLimbs() / 2) is the
+ * same value, so the output matches bit for bit on any input.
+ */
 inline void
 runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
             std::uint64_t inner_cost)
@@ -525,6 +636,15 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
         row_end = meta[1];
     }
 
+    PIMHE_ASSERT(p.n < (1u << 17), "n = ", p.n,
+                 " overflows the convolution's 128-bit column sums");
+    std::vector<ConvDigits> ad(p.n);
+    std::vector<ConvDigits> bd(p.n);
+    const ConvRowFn row = hostConvRowFor(
+        hostCentreDigits(p, A.data(), ad.data()),
+        hostCentreDigits(p, B.data(), bd.data()));
+    const std::uint32_t words = p.accLimbs() / 2;
+
     for (unsigned t = 0; t < f.numTasklets; ++t) {
         pim::TaskletStats &ts = f.stats.tasklets[t];
         ts.instructions += 1; // barrier
@@ -534,23 +654,12 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
             taskletRange(row_end - row_begin, t, f.numTasklets);
         for (std::uint32_t m = row_begin + tb; m < row_begin + te;
              ++m) {
-            std::uint32_t acc[2 * pim::kMaxLimbs] = {};
-            for (std::uint32_t i = 0; i < p.n; ++i) {
-                const bool wraps = i > m;
-                const std::uint32_t j =
-                    wraps ? m + p.n - i : m - i;
-                std::uint32_t am[pim::kMaxLimbs];
-                std::uint32_t bm[pim::kMaxLimbs];
-                const std::uint32_t sa = hostCentreMagnitude(
-                    p, A.data() + std::size_t(i) * p.limbs, am);
-                const std::uint32_t sb = hostCentreMagnitude(
-                    p, B.data() + std::size_t(j) * p.limbs, bm);
-                std::uint32_t prod[2 * pim::kMaxLimbs] = {};
-                hostWideMul(am, bm, prod, p.limbs);
-                const std::uint32_t negate =
-                    (sa ^ sb) ^ (wraps ? 1u : 0u);
-                hostAccumulateSigned(acc, prod, 2 * p.limbs,
-                                     p.accLimbs(), negate);
+            std::uint64_t acc[pim::kMaxLimbs] = {};
+            row(ad.data(), bd.data(), p.n, m, acc, words);
+            std::uint32_t limbs[2 * pim::kMaxLimbs];
+            for (std::uint32_t w = 0; w < words; ++w) {
+                limbs[2 * w] = static_cast<std::uint32_t>(acc[w]);
+                limbs[2 * w + 1] = static_cast<std::uint32_t>(acc[w] >> 32);
             }
             ts.instructions +=
                 static_cast<std::uint64_t>(p.n) * inner_cost +
@@ -558,7 +667,7 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
             f.mram.write(p.mramOut + static_cast<std::uint64_t>(
                                          m - row_begin) *
                                          acc_bytes,
-                         reinterpret_cast<std::uint8_t *>(acc),
+                         reinterpret_cast<std::uint8_t *>(limbs),
                          acc_bytes);
             f.chargeDma(t, acc_bytes);
         }

@@ -952,6 +952,8 @@ class PimConvolver : public ExactConvolver<N>
     {
         const std::size_t n = ring_.degree();
         const std::size_t num_dpus = dpus_.size();
+        requireRingDegree(a, n, "a");
+        requireRingDegree(b, n, "b");
         obs::ScopedSpan op_span(obs::Tracer::global(), 0,
                                 "pimhe.convolve");
         op_span.arg("n", static_cast<double>(n));

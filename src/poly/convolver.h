@@ -68,6 +68,20 @@ struct ConvolverUsage
 };
 
 /**
+ * Panics unless convolution operand `name` holds the ring degree's n
+ * coefficients. Every engine reads n coefficients of each operand, and
+ * a ciphertext from outside the library (deserializeCiphertext) can
+ * carry any degree.
+ */
+template <std::size_t N>
+void
+requireRingDegree(const Polynomial<N> &p, std::size_t n, const char *name)
+{
+    PIMHE_ASSERT(p.size() == n, "convolution operand ", name, " has ",
+                 p.size(), " coefficients, not the ring degree ", n);
+}
+
+/**
  * Strategy interface: exact negacyclic convolution over Z of the
  * centred lifts of two reduced polynomials.
  */
@@ -115,6 +129,8 @@ class SchoolbookConvolver : public ExactConvolver<N>
                      const Polynomial<N> &b) const override
     {
         const std::size_t n = ring_.degree();
+        requireRingDegree(a, n, "a");
+        requireRingDegree(b, n, "b");
         std::vector<U256> la(n), lb(n);
         for (std::size_t i = 0; i < n; ++i) {
             la[i] = centeredLift(a[i]);

@@ -29,9 +29,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "ntt/rns.h"
 #include "pimhe/fast_kernels.h"
 #include "pimhe/kernels.h"
 #include "pimhe/ntt_kernel.h"
@@ -213,55 +215,91 @@ runVecGrid()
     return iterations;
 }
 
+/** elems coefficients drawn from the centring edge cases: 0,
+ *  floor(q/2), floor(q/2) + 1, q - 1, and the unreduced q and
+ *  all-ones limbs. */
+template <std::size_t L>
+std::vector<std::uint8_t>
+packedEdgeVec(Rng &rng, std::size_t elems)
+{
+    const auto q = standardParams<L>().q;
+    const WideInt<L> one(1ULL);
+    const WideInt<L> edges[] = {WideInt<L>(), q.shr(1), q.shr(1) + one,
+                                q - one, q, WideInt<L>() - one};
+    std::vector<std::uint8_t> buf(elems * L * 4);
+    for (std::size_t i = 0; i < elems; ++i) {
+        const auto &v = edges[rng.uniform(std::size(edges))];
+        for (std::size_t l = 0; l < L; ++l) {
+            const std::uint32_t limb = v.limb(l);
+            std::memcpy(buf.data() + (i * L + l) * 4, &limb, 4);
+        }
+    }
+    return buf;
+}
+
 template <std::size_t L>
 int
 runConvGrid()
 {
     int iterations = 0;
-    for (const std::size_t n : {16u, 32u}) {
+    for (const std::size_t n : {16u, 32u, 64u}) {
         for (const unsigned tasklets : kTaskletGrid) {
             for (const std::size_t threads : kThreadGrid) {
-                Rng rng(kSeed + 77 * L + 10 * n + tasklets + threads);
-                const auto p = standardConvParams(L, n);
-                const std::string tag =
-                    "L" + std::to_string(L) + " n" + std::to_string(n) +
-                    " t" + std::to_string(tasklets) + " th" +
-                    std::to_string(threads);
+                for (const bool edge : {false, true}) {
+                    Rng rng(kSeed + 77 * L + 10 * n + tasklets + threads +
+                            (edge ? 5000 : 0));
+                    const auto p = standardConvParams(L, n);
+                    const std::string tag =
+                        std::string(edge ? "edge " : "") + "L" +
+                        std::to_string(L) + " n" + std::to_string(n) +
+                        " t" + std::to_string(tasklets) + " th" +
+                        std::to_string(threads);
+                    const auto operand = [&] {
+                        return edge ? packedEdgeVec<L>(rng, n)
+                                    : packedVec<L>(rng, n);
+                    };
 
-                std::vector<std::vector<std::uint8_t>> init(1);
-                init[0] = packedVec<L>(rng, n);
-                const auto b = packedVec<L>(rng, n);
-                init[0].resize(p.mramB + b.size());
-                std::memcpy(init[0].data() + p.mramB, b.data(),
-                            b.size());
-                runShadowAndFast(compiledNegacyclicConv(p), tasklets, 1,
-                                 threads, init, 0, "conv " + tag);
+                    std::vector<std::vector<std::uint8_t>> init(1);
+                    init[0] = operand();
+                    const auto b = operand();
+                    init[0].resize(p.mramB + b.size());
+                    std::memcpy(init[0].data() + p.mramB, b.data(),
+                                b.size());
+                    runShadowAndFast(compiledNegacyclicConv(p), tasklets,
+                                     1, threads, init, 0, "conv " + tag);
 
-                // 2-DPU row-sharded variant: per-DPU metadata blocks
-                // select disjoint row ranges of the same operands.
-                ConvKernelParams sp = p;
-                const auto [b0, e0] = analysis::rowShardRange(
-                    static_cast<std::uint32_t>(n), 2, 0);
-                sp.rowBegin = b0;
-                sp.rowEnd = e0;
-                sp.mramMeta =
-                    sp.mramOut +
-                    static_cast<std::uint64_t>(e0 - b0) *
-                        sp.accLimbs() * 4;
-                std::vector<std::vector<std::uint8_t>> sinit(2);
-                for (std::size_t d = 0; d < 2; ++d) {
-                    const auto [rb, re] = analysis::rowShardRange(
-                        static_cast<std::uint32_t>(n), 2,
-                        static_cast<std::uint32_t>(d));
-                    sinit[d] = init[0];
-                    sinit[d].resize(sp.mramMeta + 8);
-                    const std::uint32_t meta[2] = {rb, re};
-                    std::memcpy(sinit[d].data() + sp.mramMeta, meta, 8);
+                    // Row-sharded variants: per-DPU metadata blocks
+                    // select disjoint row ranges of the same operands;
+                    // 3 DPUs leave shards of unequal length.
+                    for (const std::uint32_t dpus : {2u, 3u}) {
+                        ConvKernelParams sp = p;
+                        const auto [b0, e0] = analysis::rowShardRange(
+                            static_cast<std::uint32_t>(n), dpus, 0);
+                        sp.rowBegin = b0;
+                        sp.rowEnd = e0;
+                        sp.mramMeta =
+                            sp.mramOut +
+                            static_cast<std::uint64_t>(e0 - b0) *
+                                sp.accLimbs() * 4;
+                        std::vector<std::vector<std::uint8_t>> sinit(
+                            dpus);
+                        for (std::uint32_t d = 0; d < dpus; ++d) {
+                            const auto [rb, re] = analysis::rowShardRange(
+                                static_cast<std::uint32_t>(n), dpus, d);
+                            sinit[d] = init[0];
+                            sinit[d].resize(sp.mramMeta + 8);
+                            const std::uint32_t meta[2] = {rb, re};
+                            std::memcpy(sinit[d].data() + sp.mramMeta,
+                                        meta, 8);
+                        }
+                        runShadowAndFast(
+                            compiledNegacyclicConv(sp), tasklets, dpus,
+                            threads, sinit, 0,
+                            "conv-sharded d" + std::to_string(dpus) +
+                                " " + tag);
+                    }
+                    iterations += 3;
                 }
-                runShadowAndFast(compiledNegacyclicConv(sp), tasklets,
-                                 2, threads, sinit, 0,
-                                 "conv-sharded " + tag);
-                iterations += 2;
             }
         }
     }
@@ -338,9 +376,11 @@ runNttGrid()
 /**
  * The full fuzz grid in one test so the iteration budget is counted
  * where it runs: every registered kernel family, across widths,
- * shapes, tasklet counts 1/11/16/24 and host threads 1/8. Each
- * iteration is a shadow launch (self-checking oracle) plus a pure
- * fast launch compared bit for bit against the interpreter.
+ * shapes, tasklet counts 1/11/16/24 and host threads 1/8; the
+ * convolution also on edge-value operands (unreduced ones included)
+ * and on 2- and 3-DPU row shards. Each iteration is a shadow launch
+ * (self-checking oracle) plus a pure fast launch compared bit for bit
+ * against the interpreter.
  */
 TEST(FastPathDifferential, FullGridIsBitExact)
 {
@@ -556,6 +596,43 @@ TEST(FastPathEndToEnd, FastModeMatchesHostEvaluator)
         for (std::size_t c = 0; c < host.size(); ++c)
             ASSERT_TRUE(host[c] == sums[i][c]) << "fast add ct " << i;
     }
+}
+
+TEST(FastPathEndToEnd, BenchmarkShapeConvolutionMatchesRnsNtt)
+{
+    // The variance benchmark's convolution: n = 512, 109-bit q, rows
+    // sharded over 16 DPUs, fast body only.
+    constexpr std::size_t N = 4;
+    const auto params = standardParams<N>().withDegree(512);
+    RingContext<N> ring(params.n, params.q);
+    const PimConvolver<N> pim(ring, gridSystem(16, 4, ExecMode::Fast),
+                              12, 16);
+    const RnsNttConvolver<N> ref(ring);
+    Rng rng(kSeed + 512);
+    const auto edge = [&] {
+        const auto bytes = packedEdgeVec<N>(rng, params.n);
+        Polynomial<N> poly(params.n);
+        for (std::size_t i = 0; i < params.n; ++i)
+            for (std::size_t l = 0; l < N; ++l) {
+                std::uint32_t limb = 0;
+                std::memcpy(&limb, bytes.data() + (i * N + l) * 4, 4);
+                poly[i].setLimb(l, limb);
+            }
+        return poly;
+    };
+    const auto a = ring.sampleUniform(rng);
+    const auto b = ring.sampleUniform(rng);
+    const auto ea = edge();
+    const auto eb = edge();
+    for (const auto &[x, y, what] :
+         {std::tuple(&a, &b, "uniform"), std::tuple(&ea, &eb, "edge")}) {
+        const auto got = pim.convolveCentered(*x, *y);
+        const auto want = ref.convolveCentered(*x, *y);
+        ASSERT_EQ(got.size(), want.size()) << what;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], want[i]) << what << " coeff " << i;
+    }
+    EXPECT_EQ(pim.dpuSet().launches().back().execMode, ExecMode::Fast);
 }
 
 } // namespace

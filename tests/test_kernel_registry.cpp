@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,17 +25,39 @@ namespace {
 
 using namespace pimhe::pimhe_kernels;
 
+/**
+ * The factory a line defines, or "" when it defines none: a line that
+ * starts with `make`, continues with identifier characters ending in
+ * `Kernel`, then optional whitespace and `(`. That is a definition,
+ * not a call site: the headers put the return type on the preceding
+ * line, so a defined name is at column 0.
+ */
+std::string
+factoryDefinedBy(const std::string &line)
+{
+    if (line.rfind("make", 0) != 0)
+        return "";
+    std::size_t end = 4;
+    while (end < line.size() &&
+           (std::isalnum(static_cast<unsigned char>(line[end])) ||
+            line[end] == '_'))
+        ++end;
+    const std::string name = line.substr(0, end);
+    if (!name.ends_with("Kernel"))
+        return "";
+    std::size_t open = end;
+    while (open < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[open])))
+        ++open;
+    return open < line.size() && line[open] == '(' ? name : "";
+}
+
 /** All make*Kernel factory names defined in src/pimhe headers. */
 std::set<std::string>
 factoriesInSources()
 {
     const std::filesystem::path dir =
         std::filesystem::path(PIMHE_SOURCE_DIR) / "src" / "pimhe";
-    // A definition, not a call site: the factory name followed by its
-    // parameter list on a line that starts a function (the headers
-    // put the return type on the preceding line, so the name is at
-    // column 0).
-    const std::regex def(R"(^(make\w*Kernel)\s*\()");
     std::set<std::string> out;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir)) {
@@ -44,9 +66,9 @@ factoriesInSources()
         std::ifstream f(entry.path());
         std::string line;
         while (std::getline(f, line)) {
-            std::smatch m;
-            if (std::regex_search(line, m, def))
-                out.insert(m[1].str());
+            const std::string name = factoryDefinedBy(line);
+            if (!name.empty())
+                out.insert(name);
         }
     }
     return out;

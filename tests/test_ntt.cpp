@@ -188,6 +188,36 @@ TYPED_TEST(RnsConvWidths, RnsMultiplierMatchesSchoolbookModQ)
     }
 }
 
+TEST(RnsConv, NttConvolverRejectsOperandOfTheWrongDegree)
+{
+    const auto params = standardParams<2>().withDegree(64);
+    RingContext<2> ring(params.n, params.q);
+    const RnsNttConvolver<2> conv(ring);
+    Rng rng(kSeed + 34);
+    const auto full = ring.sampleUniform(rng);
+    EXPECT_DEATH(conv.convolveCentered(Polynomial<2>(32), full),
+                 "convolution operand a has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(conv.convolveCentered(full, Polynomial<2>(128)),
+                 "convolution operand b has 128 coefficients, not the "
+                 "ring degree 64");
+}
+
+TEST(RnsConv, MultiplierRejectsOperandOfTheWrongDegree)
+{
+    const auto params = standardParams<2>().withDegree(64);
+    RingContext<2> ring(params.n, params.q);
+    const RnsPolyMultiplier<2> mult(ring);
+    Rng rng(kSeed + 35);
+    const auto full = ring.sampleUniform(rng);
+    EXPECT_DEATH(mult.multiply(Polynomial<2>(32), full),
+                 "convolution operand a has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(mult.multiply(full, Polynomial<2>(128)),
+                 "convolution operand b has 128 coefficients, not the "
+                 "ring degree 64");
+}
+
 TEST(RnsConv, FullDegreeSpotCheck)
 {
     // One full-size (n=4096, 128-bit) product through the NTT engine,

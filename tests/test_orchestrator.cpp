@@ -176,6 +176,25 @@ TEST(Orchestrator, CiphertextOfTheWrongDegreeDies)
     EXPECT_DEATH(pimsys.reduceCiphertexts(as), msg);
 }
 
+TEST(Orchestrator, PimConvolverRejectsCiphertextOfTheWrongDegree)
+{
+    // A degree-32 ciphertext in a degree-64 context, as
+    // deserializeCiphertext can produce: the convolver must reject it
+    // rather than convolve whatever MRAM holds past its coefficients.
+    BfvHarness<2> h(64);
+    BfvHarness<2> small(32);
+    h.ctx.setConvolver(std::make_unique<PimConvolver<2>>(
+        h.ctx.ring(), tinySystem(2), 12, 2));
+    const auto a = small.encryptScalar(3);
+    const auto b = h.encryptScalar(4);
+    EXPECT_DEATH(h.eval.multiply(a, b),
+                 "convolution operand a has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(h.eval.multiply(b, a),
+                 "convolution operand b has 32 coefficients, not the "
+                 "ring degree 64");
+}
+
 TEST(Orchestrator, VerifiedLaunchesAtEveryTaskletCount)
 {
     // The WRAM chunks leave room for the tasklet stacks the launch

@@ -199,6 +199,20 @@ TYPED_TEST(RingWidths, SchoolbookConvolverMatchesRingProduct)
     }
 }
 
+TEST(Convolver, SchoolbookRejectsOperandOfTheWrongDegree)
+{
+    auto ring = makeRing<2>(64);
+    const SchoolbookConvolver<2> conv(ring);
+    Rng rng(kSeed + 41);
+    const auto full = ring.sampleUniform(rng);
+    EXPECT_DEATH(conv.convolveCentered(Polynomial<2>(32), full),
+                 "convolution operand a has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(conv.convolveCentered(full, Polynomial<2>(128)),
+                 "convolution operand b has 128 coefficients, not the "
+                 "ring degree 64");
+}
+
 TEST(Signed256, Helpers)
 {
     const U256 five(5ULL);
