@@ -184,5 +184,23 @@ auditSuppressions(const pim::ConflictReport &dynamic_report,
     return findings;
 }
 
+KernelGateReport
+checkKernelLaunch(const pim::DpuConfig &cfg, const KernelFootprint &fp,
+                  unsigned tasklets)
+{
+    KernelGateReport gate{LaunchVerifier(cfg).verify(fp, tasklets), {}};
+    if (!fp.taskletAccess)
+        return gate;
+    gate.proof = SymbolicProver(cfg.maxTasklets).proveAt(fp, tasklets);
+    for (const auto &w : gate.proof->witnesses)
+        gate.report.violations.push_back(
+            Violation{Resource::Race, 0, w.end - w.begin, w.describe()});
+    if (gate.proof->ok())
+        gate.report.notes.push_back(
+            "symbolic: tasklet write sets disjoint at N=" +
+            std::to_string(tasklets));
+    return gate;
+}
+
 } // namespace analysis
 } // namespace pimhe

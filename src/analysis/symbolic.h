@@ -33,10 +33,12 @@
 #define PIMHE_ANALYSIS_SYMBOLIC_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "analysis/verifier.h"
 #include "pim/checker.h"
 
 namespace pimhe {
@@ -156,6 +158,24 @@ struct SuppressionFinding
 std::vector<SuppressionFinding>
 auditSuppressions(const pim::ConflictReport &dynamic_report,
                   const SymbolicReport &proof);
+
+/** Outcome of checkKernelLaunch for one launch. */
+struct KernelGateReport
+{
+    VerifyReport report; //!< budgets, plus one Race violation per witness
+    std::optional<SymbolicReport> proof; //!< iff fp has an access model
+};
+
+/**
+ * The kernel check of DpuSet's verifyBeforeLaunch gate: the
+ * LaunchVerifier budgets, then SymbolicProver::proveAt when the
+ * footprint carries an access model, each witness folded in as a Race
+ * violation and a clean proof noted. pim_prove sweeps the registry
+ * through it, so the sweep checks the gate as shipped.
+ */
+KernelGateReport checkKernelLaunch(const pim::DpuConfig &cfg,
+                                   const KernelFootprint &fp,
+                                   unsigned tasklets);
 
 } // namespace analysis
 } // namespace pimhe

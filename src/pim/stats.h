@@ -130,23 +130,13 @@ struct TransferTotals
      *  resident in MRAM (reported by the resident ciphertext cache). */
     std::uint64_t residentBytesReused = 0;
 
-    double uploadModeledMs = 0;   //!< sum of launches' hostToDpuMs
-    double downloadModeledMs = 0; //!< post-launch download time
-    double preLaunchDownloadMs = 0;
+    double preLaunchDownloadMs = 0; //!< downloads before any launch
 
     /** Total bytes that actually crossed the host<->DPU bus. */
     std::uint64_t
     busBytes() const
     {
         return uploadedBytes + downloadedBytes;
-    }
-
-    /** Total modelled transfer time across all buckets. */
-    double
-    totalModeledMs() const
-    {
-        return uploadModeledMs + downloadModeledMs +
-               preLaunchDownloadMs;
     }
 };
 

@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -374,11 +375,11 @@ class DpuSet
      * panic — before any simulated cycle or modelled transfer — if
      * the plan is unsafe:
      *
-     *  1. LaunchVerifier budget checks (WRAM/MRAM/DMA/tasklets);
-     *  2. the symbolic race prover at the planned tasklet count, when
-     *     the footprint carries a parametric access model (witnesses
-     *     surface as Resource::Race violations);
-     *  3. the plan-level lifetime verifier against the resident-arena
+     *  1. analysis::checkKernelLaunch: the LaunchVerifier budgets
+     *     (WRAM/MRAM/DMA/tasklets), then the symbolic race prover at
+     *     the planned tasklet count when the footprint carries an
+     *     access model (witnesses surface as Resource::Race);
+     *  2. the plan-level lifetime verifier against the resident-arena
      *     state fed through plan() (violations surface as
      *     Resource::Lifetime).
      *
@@ -459,25 +460,12 @@ class DpuSet
                             const analysis::KernelFootprint &footprint)
     {
         if (cfg_.verifyBeforeLaunch) {
-            const analysis::LaunchVerifier verifier(cfg_.dpu);
-            lastVerify_ = verifier.verify(footprint, num_tasklets);
+            analysis::KernelGateReport gate = analysis::checkKernelLaunch(
+                cfg_.dpu, footprint, num_tasklets);
+            lastVerify_ = std::move(gate.report);
             hasVerify_ = true;
-
-            if (footprint.taskletAccess) {
-                const analysis::SymbolicProver prover(
-                    cfg_.dpu.maxTasklets);
-                lastSymbolic_ = prover.proveAt(footprint, num_tasklets);
-                hasSymbolic_ = true;
-                for (const auto &w : lastSymbolic_.witnesses)
-                    lastVerify_.violations.push_back(
-                        analysis::Violation{analysis::Resource::Race,
-                                            0, w.end - w.begin,
-                                            w.describe()});
-                if (lastSymbolic_.ok())
-                    lastVerify_.notes.push_back(
-                        "symbolic: tasklet write sets disjoint at N=" +
-                        std::to_string(num_tasklets));
-            }
+            if (gate.proof)
+                lastSymbolic_ = std::move(gate.proof);
 
             lastPlan_ = plan_.checkLaunch(footprint);
             hasPlan_ = true;
@@ -563,10 +551,10 @@ class DpuSet
     const analysis::SymbolicReport &
     lastSymbolic() const
     {
-        PIMHE_ASSERT(hasSymbolic_,
+        PIMHE_ASSERT(lastSymbolic_.has_value(),
                      "no symbolic proof recorded (verifyBeforeLaunch "
                      "off or footprint without an access model)");
-        return lastSymbolic_;
+        return *lastSymbolic_;
     }
 
     /** Plan-level lifetime report of the most recent verified launch. */
@@ -770,7 +758,6 @@ class DpuSet
             pendingUploadBytes_,
             uploadDpusTouched_ == 0 ? 1 : uploadDpusTouched_,
             cfg_.hostToDpuGbps);
-        xfer_.uploadModeledMs += stats.hostToDpuMs;
         pendingUploadBytes_ = 0;
         uploadDpusTouched_ = 0;
         stats.dpus.resize(dpus_.size());
@@ -935,7 +922,6 @@ class DpuSet
         } else {
             launches_[static_cast<std::size_t>(launch_index)]
                 .dpuToHostMs += ms;
-            xfer_.downloadModeledMs += ms;
         }
 
         obs::Registry &reg = obs::Registry::global();
@@ -1065,8 +1051,7 @@ class DpuSet
     double modelCursorUs_ = 0;
     analysis::VerifyReport lastVerify_;
     bool hasVerify_ = false;
-    analysis::SymbolicReport lastSymbolic_;
-    bool hasSymbolic_ = false;
+    std::optional<analysis::SymbolicReport> lastSymbolic_;
     analysis::PlanVerifier plan_;
     analysis::PlanReport lastPlan_;
     bool hasPlan_ = false;

@@ -4,14 +4,17 @@
  * race-free over the whole (tasklet count x parameter) grid, seeded
  * races must be flagged with their exact symbolic witness, the static
  * proof must subsume what the dynamic checker catches on racy kernels
- * (and flag configurations no test executes), and the suppression
- * audit must produce all three verdicts.
+ * (and flag configurations no test executes), the suppression
+ * audit must produce all three verdicts, and the launch gate's kernel
+ * check (checkKernelLaunch) must be exactly what DpuSet's gate
+ * reports.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/symbolic.h"
 #include "pim/dpu.h"
+#include "pim/system.h"
 #include "pimhe/kernel_registry.h"
 
 namespace pimhe {
@@ -512,6 +515,74 @@ TEST(SuppressionAudit, ShippedKernelsCarryNoSuppressions)
     EXPECT_TRUE(stats.conflicts.clean());
     EXPECT_TRUE(stats.conflicts.suppressions.empty());
     EXPECT_EQ(stats.conflicts.suppressedConflicts, 0u);
+}
+
+// ----- the launch gate's kernel check -----
+
+TEST(LaunchGate, BudgetAndRaceViolationsShareOneReport)
+{
+    const DpuConfig cfg;
+    analysis::KernelFootprint fp;
+    fp.kernel = "wram-and-dma-tail";
+    fp.maxTasklets = cfg.maxTasklets;
+    fp.wramBytesPerTasklet = 8192; // 12 x (8K + stack) > 64 KB
+    fp.taskletAccess = [](unsigned t, unsigned) {
+        return std::vector<analysis::SymAccess>{
+            {analysis::Space::Mram, 0, t * 8ull, t * 8ull + 16, true,
+             "dma tail"}};
+    };
+    const auto gate = analysis::checkKernelLaunch(cfg, fp, 12);
+    EXPECT_TRUE(gate.report.names(analysis::Resource::Wram))
+        << gate.report.summary();
+    EXPECT_TRUE(gate.report.names(analysis::Resource::Race))
+        << gate.report.summary();
+    ASSERT_TRUE(gate.proof.has_value());
+    EXPECT_FALSE(gate.proof->ok());
+    // One Race violation per witness, carrying the witness text.
+    std::vector<std::string> races;
+    for (const auto &v : gate.report.violations)
+        if (v.resource == analysis::Resource::Race)
+            races.push_back(v.what);
+    ASSERT_EQ(races.size(), gate.proof->witnesses.size());
+    for (std::size_t i = 0; i < races.size(); ++i)
+        EXPECT_EQ(races[i], gate.proof->witnesses[i].describe());
+}
+
+TEST(LaunchGate, FootprintWithoutAccessModelGetsNoProof)
+{
+    const DpuConfig cfg;
+    analysis::KernelFootprint fp;
+    fp.kernel = "no-model";
+    fp.maxTasklets = cfg.maxTasklets;
+    const auto gate = analysis::checkKernelLaunch(cfg, fp, 4);
+    EXPECT_FALSE(gate.proof.has_value());
+    EXPECT_FALSE(gate.report.names(analysis::Resource::Race));
+    EXPECT_TRUE(gate.report.ok()) << gate.report.summary();
+    for (const auto &note : gate.report.notes)
+        EXPECT_EQ(note.find("symbolic"), std::string::npos) << note;
+}
+
+TEST(LaunchGate, DpuSetReportsTheKernelCheckPlusTheLifetimeNote)
+{
+    SystemConfig cfg;
+    cfg.verifyBeforeLaunch = true;
+    DpuSet set(cfg, 1);
+    // Plan 1 of the add family is the 54-bit block compiled() builds.
+    const KernelFamily &family = kernelRegistry().front();
+    const KernelPlan plan = family.plans(cfg.dpu, 12).at(1);
+    ASSERT_NE(plan.params.find("54-bit"), std::string::npos);
+    set.launch(12, family.compiled(), plan.footprint);
+
+    const auto gate = analysis::checkKernelLaunch(cfg.dpu, plan.footprint, 12);
+    analysis::VerifyReport want = gate.report;
+    want.notes.push_back(
+        "plan: region lifetimes consistent with the resident arena");
+    const analysis::VerifyReport &got = set.lastVerify();
+    EXPECT_EQ(got.violations.size(), want.violations.size());
+    EXPECT_EQ(got.notes, want.notes);
+    EXPECT_EQ(got.summary(), want.summary());
+    ASSERT_TRUE(gate.proof.has_value());
+    EXPECT_EQ(set.lastSymbolic().summary(), gate.proof->summary());
 }
 
 } // namespace

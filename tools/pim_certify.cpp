@@ -17,10 +17,9 @@
  *   pim_certify [--verbose] [--inject KIND] [--out FILE]
  *               [--calibrate] [--band F] [--calib-out FILE]
  *
- * --inject seeds deliberately broken plans (KIND: over-deep,
- * boundary, bad-t, reduce-wide, stale-fit, or all); every class must
- * be rejected with its exact witness, driving the exit code nonzero
- * so CI can assert the rejection paths stay live.
+ * --inject seeds deliberately broken plans so the rejection paths
+ * stay live: KIND is one entry of the table in injections() below,
+ * or all. Every entry must be rejected with its exact witness.
  * --out writes a schema-versioned JSON artifact ("pimhe-certify/v1").
  *
  * --calibrate additionally EXECUTES a certified BFV add / reduce /
@@ -33,11 +32,14 @@
  * stale-fit injection scales the probed cycle fits by 100x before
  * the same sweep and demands the gate trips — the negative test that
  * proves the calibration gate is alive.
+ *
+ * Exit status (tools/gate_cli.h): 0 clean, 1 a plan was rejected,
+ * 2 the run cannot vouch for its result (unknown KIND, an unwritable
+ * artifact, or a seeded violation that did not fire).
  */
 
 #include <cstdint>
 #include <iomanip>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -59,23 +61,12 @@
 #include "pimhe/orchestrator.h"
 #include "pimhe/plan.h"
 
+#include "gate_cli.h"
+
 namespace {
 
 using namespace pimhe;
-
-struct Outcome
-{
-    int checked = 0;
-    int failed = 0;
-    std::ostringstream log;
-
-    void
-    emit(const std::string &line)
-    {
-        std::cout << line;
-        log << line;
-    }
-};
+using gate::GateCli;
 
 // ----- plan shapes (the kernel grid) -----
 
@@ -155,20 +146,13 @@ maxCertifiedMulDepth(const analysis::NoiseSpec &spec,
 
 // ----- sweep -----
 
+/** A noise check: the verdict line, then the interval trace that a
+ *  rejection or --verbose prints in full. */
 void
-takeNoise(const analysis::NoiseReport &noise, bool verbose,
-          Outcome &out)
+checkNoise(const analysis::NoiseReport &noise, GateCli &run)
 {
-    ++out.checked;
-    if (!noise.ok()) {
-        ++out.failed;
-        out.emit("FAIL " + noise.summary() + "\n");
-    } else if (verbose) {
-        out.emit("ok   " + noise.summary() + "\n  " +
-                 noise.trace.describe() + "\n");
-    } else {
-        out.emit("ok   " + noise.summary() + "\n");
-    }
+    run.check(noise.ok(), noise.summary() + "\n  " +
+                              noise.trace.describe() + "\n");
 }
 
 obs::JsonValue
@@ -187,7 +171,7 @@ costJson(const analysis::CostReport &cost)
 
 template <std::size_t N>
 void
-sweepLevel(const PimCostModel &model, bool verbose, Outcome &out,
+sweepLevel(const PimCostModel &model, GateCli &run,
            obs::JsonValue &sweeps, obs::JsonValue &depth_map)
 {
     const BfvParams<N> params = standardParams<N>();
@@ -195,14 +179,14 @@ sweepLevel(const PimCostModel &model, bool verbose, Outcome &out,
         levelName(N == 1   ? SecurityLevel::Bits27
                   : N == 2 ? SecurityLevel::Bits54
                            : SecurityLevel::Bits109);
-    out.emit("== " + level + "\n");
+    run.emit("== " + level + "\n");
     const analysis::NoiseSpec nspec =
         analysis::specOfBfv<N>(params, level);
     const std::size_t max_depth = maxCertifiedMulDepth(nspec);
     depth_map.set(level,
                   obs::JsonValue(
                       static_cast<std::uint64_t>(max_depth)));
-    out.emit("     max certified mul depth: " +
+    run.emit("     max certified mul depth: " +
              std::to_string(max_depth) + "\n");
 
     // The shipped grid: every plan listed here must certify. Plans a
@@ -228,18 +212,12 @@ sweepLevel(const PimCostModel &model, bool verbose, Outcome &out,
         analysis::NoiseSpec tagged = nspec;
         tagged.name = level + " / " + plan;
         const auto noise = analysis::analyzeNoise(dag, tagged);
-        takeNoise(noise, verbose, out);
+        checkNoise(noise, run);
 
         analysis::CostSpec ctagged = cspec;
         ctagged.name = tagged.name;
         const auto cost = analysis::estimateCost(dag, ctagged);
-        ++out.checked;
-        if (!cost.ok()) {
-            ++out.failed;
-            out.emit("FAIL " + cost.summary() + "\n");
-        } else {
-            out.emit("     " + cost.summary() + "\n");
-        }
+        run.check(cost.ok(), cost.summary() + "\n", /*pass=*/"     ");
 
         obs::JsonValue row = obs::JsonValue::makeObject();
         row.set("level", obs::JsonValue(level));
@@ -257,85 +235,6 @@ sweepLevel(const PimCostModel &model, bool verbose, Outcome &out,
     }
 }
 
-// ----- injections -----
-
-/** Every injected plan must be REJECTED with an exact witness; a
- *  rejection is reported as FAIL (driving the exit nonzero, which CI
- *  asserts), and an injection that certifies leaves the exit at 0 so
- *  a dead rejection path is caught too. */
-void
-inject(const std::string &kind, bool verbose, Outcome &out)
-{
-    const bool all = kind == "all";
-    out.emit("== injected violations (" + kind + ")\n");
-    const BfvParams<2> p2 = standardParams<2>();
-    const analysis::NoiseSpec s2 =
-        analysis::specOfBfv<2>(p2, "injected/Bits54");
-
-    if (all || kind == "over-deep") {
-        // A mul chain far beyond the certified depth: must be
-        // rejected at the exact node where the budget dies.
-        analysis::NoiseSpec s = s2;
-        s.name = "injected/over-deep";
-        takeNoise(analysis::analyzeNoise(
-                      mulChain(maxCertifiedMulDepth(s2) + 3), s),
-                  verbose, out);
-    }
-    if (all || kind == "boundary") {
-        // Budget-exact boundary: depth d certifies, depth d+1 is
-        // rejected. Both directions checked so the boundary is tight.
-        const std::size_t d = maxCertifiedMulDepth(s2);
-        analysis::NoiseSpec pass = s2;
-        pass.name = "injected/boundary-depth-" + std::to_string(d);
-        const auto ok_side =
-            analysis::analyzeNoise(mulChain(d), pass);
-        ++out.checked;
-        out.emit(std::string(ok_side.ok() ? "ok   " : "BAD  ") +
-                 ok_side.summary() + "\n");
-        analysis::NoiseSpec fail = s2;
-        fail.name =
-            "injected/boundary-depth-" + std::to_string(d + 1);
-        takeNoise(analysis::analyzeNoise(mulChain(d + 1), fail),
-                  verbose, out);
-    }
-    if (all || kind == "bad-t") {
-        // Plaintext modulus at q: Delta = floor(q/t) vanishes; the
-        // params obligation must reject before any transfer function.
-        analysis::NoiseSpec s = s2;
-        s.name = "injected/bad-plain-modulus";
-        s.t = ~0ULL; // 2^64 - 1 >= q for the 54-bit set
-        takeNoise(analysis::analyzeNoise(addChain(1), s), verbose,
-                  out);
-    }
-    if (all || kind == "stale-fit") {
-        // Cost model probed on kernels that have since doubled in
-        // speed: every prediction is ~2x the measurement, so the
-        // calibration gate must trip. Declared here, executed by the
-        // caller (it needs the full sweep machinery).
-        out.emit("     stale-fit: executed via calibration sweep\n");
-    }
-    if (all || kind == "reduce-wide") {
-        // Reduce fan-in too wide for the resident arena: a 512-way
-        // reduction on one DPU with a 1 MB arena must produce an
-        // exact Staging violation — from arithmetic alone.
-        analysis::CostSpec c;
-        c.name = "injected/reduce-wide";
-        c.limbs = 2;
-        c.n = p2.n;
-        c.numDpus = 1;
-        c.residentArenaBytes = 1ULL << 20;
-        const auto cost =
-            analysis::estimateCost(treeReduce(512), c);
-        ++out.checked;
-        if (!cost.ok()) {
-            ++out.failed;
-            out.emit("FAIL " + cost.summary() + "\n");
-        } else {
-            out.emit("BAD  " + cost.summary() + "\n");
-        }
-    }
-}
-
 // ----- calibration sweep (predicted vs measured attribution) -----
 
 /**
@@ -344,33 +243,24 @@ inject(const std::string &kind, bool verbose, Outcome &out)
  * armed, then judge the per-kernel relative-error distributions
  * against `band`.
  *
- * staleScale == 1: honest run — drift outside the band is a FAIL.
- * staleScale != 1: the negative test — the probed fits are scaled so
- * predictions are genuinely stale, and the gate MUST trip (reported
- * FAIL, driving the exit nonzero, which CI asserts); a silent gate is
- * reported BAD and leaves the exit untouched so CI catches the dead
- * path.
- *
- * Returns false only on an artifact IO/validation error.
+ * Drift outside the band is a FAIL. staleScale != 1 is the negative
+ * test: the probed fits are scaled so predictions are genuinely
+ * stale, and the gate must trip.
  */
-bool
+void
 calibrateSweep(double band, double staleScale,
-               const std::string &calib_out, bool verbose,
-               Outcome &out)
+               const std::string &calib_out, GateCli &run)
 {
     constexpr std::size_t kLimbs = 2;
     constexpr std::size_t kDegree = 32;
     constexpr std::size_t kDpus = 2;
     constexpr unsigned kTasklets = 8;
 
-    {
-        std::ostringstream head;
-        head << "== calibration sweep (band " << band;
-        if (staleScale != 1.0)
-            head << ", injected stale fits x" << staleScale;
-        head << ")\n";
-        out.emit(head.str());
-    }
+    std::ostringstream head;
+    head << "== calibration sweep (band " << band;
+    if (staleScale != 1.0)
+        head << ", injected stale fits x" << staleScale;
+    run.emit(head.str() + ")\n");
 
     obs::Calibration &calib = obs::Calibration::global();
     calib.setEnabled(true);
@@ -398,8 +288,7 @@ calibrateSweep(double band, double staleScale,
     const RelinKey<kLimbs> rlk = keygen.makeRelinKey();
 
     PimHeSystem<kLimbs> sys(ctx, cfg, kDpus, kTasklets);
-    if (staleScale != 1.0)
-        sys.injectStaleFits(staleScale);
+    sys.injectStaleFits(staleScale);
 
     std::vector<std::pair<std::string, analysis::HeDag>> sweep;
     sweep.emplace_back("add-chain-4", addChain(4));
@@ -414,8 +303,8 @@ calibrateSweep(double band, double staleScale,
         for (std::size_t i = 0; i < dag.inputs().size(); ++i)
             ins.push_back(enc.encrypt(encoder.encodeScalar(i + 1)));
         (void)sys.runPlan(dag, ins, plains, &rlk);
-        if (verbose)
-            out.emit("     ran " + plan + "\n");
+        if (run.verbose())
+            run.emit("     ran " + plan + "\n");
     }
 
     // Pipelined stream leg: the planner's overlap-aware forecast
@@ -428,13 +317,10 @@ calibrateSweep(double band, double staleScale,
     {
         constexpr std::size_t kStreamOps = 8;
         PimHeSystem<kLimbs> psys(ctx, cfg, kDpus, kTasklets);
-        if (staleScale != 1.0)
-            psys.injectStaleFits(staleScale);
+        psys.injectStaleFits(staleScale);
         if (!psys.certifyPlan(addChain(kStreamOps),
                               "pipeline-stream")) {
-            ++out.checked;
-            ++out.failed;
-            out.emit("FAIL pipeline stream plan rejected\n");
+            run.check(false, "pipeline stream plan rejected\n");
         } else {
             const analysis::PipelineForecast fc =
                 psys.lastCostEstimate().pipelined;
@@ -457,14 +343,14 @@ calibrateSweep(double band, double staleScale,
             rec.measuredLaunches =
                 static_cast<double>(ps.spans.size());
             calib.record(std::move(rec));
-            if (verbose) {
+            if (run.verbose()) {
                 std::ostringstream line;
                 line << "     ran pipeline-stream (measured "
                      << std::fixed << std::setprecision(2)
                      << ps.speedup() << "x overlap, "
                      << ps.overlappingPairs()
                      << " overlapping pair(s))\n";
-                out.emit(line.str());
+                run.emit(line.str());
             }
         }
     }
@@ -478,45 +364,92 @@ calibrateSweep(double band, double staleScale,
              << " / max " << k.msRelErr.max << ", bytes max "
              << k.bytesRelErrMax
              << (k.pass ? "  [in band]" : "  [DRIFT]") << "\n";
-        out.emit(line.str());
+        run.emit(line.str());
     }
 
-    ++out.checked;
     const bool gate_ok = verdict.records > 0 && verdict.pass;
-    if (staleScale == 1.0) {
-        if (gate_ok) {
-            out.emit("ok   calibration: " +
-                     std::to_string(verdict.records) +
-                     " record(s), every kernel inside the band\n");
-        } else {
-            ++out.failed;
-            out.emit("FAIL calibration: model drift outside band "
-                     "(or zero records)\n");
-        }
-    } else {
-        // Negative test: stale predictions MUST trip the gate.
-        if (verdict.records > 0 && !verdict.pass) {
-            ++out.failed;
-            out.emit("FAIL calibration gate tripped on stale fits "
-                     "(expected)\n");
-        } else {
-            out.emit("BAD  calibration gate silent on stale fits\n");
-        }
-    }
+    run.check(gate_ok,
+              gate_ok ? "calibration: " + std::to_string(verdict.records) +
+                            " record(s), every kernel inside the band\n"
+                      : "calibration: model drift outside band (or zero "
+                        "records)\n");
 
-    if (!calib_out.empty()) {
-        const std::string subject =
-            staleScale == 1.0 ? "calibrate-sweep"
-                              : "calibrate-sweep-stale-fit";
-        std::string err;
-        if (!obs::emitArtifact(calib_out, calib.toJson(subject, band),
-                               &obs::validateCalibJson, &err)) {
-            std::cerr << "pim_certify: " << err << "\n";
-            return false;
-        }
-        out.emit("     wrote " + calib_out + "\n");
-    }
-    return true;
+    if (!calib_out.empty() &&
+        run.write(calib_out,
+                  calib.toJson(staleScale == 1.0
+                                   ? "calibrate-sweep"
+                                   : "calibrate-sweep-stale-fit",
+                               band),
+                  &obs::validateCalibJson))
+        run.emit("     wrote " + calib_out + "\n");
+}
+
+// ----- injections -----
+
+/** The --inject table: every seeded plan must be rejected with its
+ *  exact witness. */
+std::vector<gate::Injection>
+injections(double band, const std::string &calib_out, GateCli &run)
+{
+    const BfvParams<2> p2 = standardParams<2>();
+    const analysis::NoiseSpec s2 =
+        analysis::specOfBfv<2>(p2, "injected/Bits54");
+    const auto named = [s2](const std::string &name) {
+        analysis::NoiseSpec s = s2;
+        s.name = "injected/" + name;
+        return s;
+    };
+    return {
+        {"over-deep", [=, &run] {
+             // A mul chain far beyond the certified depth: rejected at
+             // the exact node where the budget dies.
+             checkNoise(analysis::analyzeNoise(
+                            mulChain(maxCertifiedMulDepth(s2) + 3),
+                            named("over-deep")),
+                        run);
+         }},
+        {"boundary", [=, &run] {
+             // Budget-exact boundary: depth d must certify and depth
+             // d+1 must be rejected, so the boundary is tight.
+             const std::size_t d = maxCertifiedMulDepth(s2);
+             const auto pass = analysis::analyzeNoise(
+                 mulChain(d), named("boundary-depth-" + std::to_string(d)));
+             run.vouch(pass.ok(), pass.summary() + "\n");
+             checkNoise(analysis::analyzeNoise(
+                            mulChain(d + 1),
+                            named("boundary-depth-" +
+                                  std::to_string(d + 1))),
+                        run);
+         }},
+        {"bad-t", [=, &run] {
+             // Plaintext modulus at q: Delta = floor(q/t) vanishes; the
+             // params obligation rejects before any transfer function.
+             analysis::NoiseSpec s = named("bad-plain-modulus");
+             s.t = ~0ULL; // 2^64 - 1 >= q for the 54-bit set
+             checkNoise(analysis::analyzeNoise(addChain(1), s), run);
+         }},
+        {"reduce-wide", [=, &run] {
+             // A 512-way reduction on one DPU with a 1 MB resident
+             // arena: an exact Staging violation from arithmetic alone.
+             analysis::CostSpec c;
+             c.name = "injected/reduce-wide";
+             c.limbs = 2;
+             c.n = p2.n;
+             c.numDpus = 1;
+             c.residentArenaBytes = 1ULL << 20;
+             const auto cost = analysis::estimateCost(treeReduce(512), c);
+             run.check(cost.ok(), cost.summary() + "\n");
+         }},
+        {"stale-fit", [=, &run] {
+             // Fits 100x stale: every prediction misses the
+             // measurement, so the calibration gate must trip. Its
+             // artifact never clobbers the honest run's.
+             calibrateSweep(band, 100.0,
+                            calib_out.empty() ? ""
+                                              : calib_out + ".stale.json",
+                            run);
+         }},
+    };
 }
 
 } // namespace
@@ -526,58 +459,32 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv, {"verbose", "inject", "out", "calibrate",
                               "band", "calib-out"});
-    const bool verbose = args.getBool("verbose", false);
-    const std::string injected = args.getString("inject", "");
-    const std::string out_path = args.getString("out", "");
-    const bool calibrate = args.getBool("calibrate", false);
+    GateCli run("pim_certify", args, "certifications checked",
+                "rejection(s)");
     const double band =
         args.getDouble("band", obs::Calibration::kDefaultBand);
     const std::string calib_out = args.getString("calib-out", "");
 
-    Outcome out;
     obs::JsonValue sweeps = obs::JsonValue::makeArray();
     obs::JsonValue depth_map = obs::JsonValue::makeObject();
-
     const PimCostModel model; // the paper's system, probe-backed fits
-    sweepLevel<1>(model, verbose, out, sweeps, depth_map);
-    sweepLevel<2>(model, verbose, out, sweeps, depth_map);
-    sweepLevel<4>(model, verbose, out, sweeps, depth_map);
-    if (!injected.empty())
-        inject(injected, verbose, out);
-    if (calibrate &&
-        !calibrateSweep(band, /*staleScale=*/1.0, calib_out, verbose,
-                        out))
-        return 2;
-    if (injected == "stale-fit" || injected == "all") {
-        // Negative test: same sweep, deliberately stale fits. The
-        // artifact (when requested) gets its own path so it never
-        // clobbers the honest run's report.
-        const std::string stale_out =
-            calib_out.empty() ? "" : calib_out + ".stale.json";
-        if (!calibrateSweep(band, /*staleScale=*/100.0, stale_out,
-                            verbose, out))
-            return 2;
-    }
-
-    std::ostringstream tail;
-    tail << out.checked << " certifications checked, " << out.failed
-         << " rejection(s)\n";
-    out.emit(tail.str());
-
-    if (!out_path.empty()) {
-        obs::JsonValue doc = obs::JsonValue::makeObject();
-        doc.set("schema", obs::JsonValue("pimhe-certify/v1"));
-        doc.set("maxCertifiedMulDepth", std::move(depth_map));
-        doc.set("sweeps", std::move(sweeps));
-        doc.set("checked", obs::JsonValue(out.checked));
-        doc.set("failed", obs::JsonValue(out.failed));
-        doc.set("log", obs::JsonValue(out.log.str()));
-        std::string err;
-        if (!obs::emitArtifact(out_path, doc.dump(2) + "\n",
-                               /*validate=*/nullptr, &err)) {
-            std::cerr << "pim_certify: " << err << "\n";
-            return 2;
-        }
-    }
-    return out.failed == 0 ? 0 : 1;
+    return run.run(
+        [&] {
+            sweepLevel<1>(model, run, sweeps, depth_map);
+            sweepLevel<2>(model, run, sweeps, depth_map);
+            sweepLevel<4>(model, run, sweeps, depth_map);
+            if (args.getBool("calibrate", false))
+                calibrateSweep(band, 1.0, calib_out, run);
+        },
+        injections(band, calib_out, run),
+        [&] {
+            obs::JsonValue doc = obs::JsonValue::makeObject();
+            doc.set("schema", obs::JsonValue("pimhe-certify/v1"));
+            doc.set("maxCertifiedMulDepth", std::move(depth_map));
+            doc.set("sweeps", std::move(sweeps));
+            doc.set("checked", obs::JsonValue(run.checked()));
+            doc.set("failed", obs::JsonValue(run.failed()));
+            doc.set("log", obs::JsonValue(run.log()));
+            return doc.dump(2) + "\n";
+        });
 }

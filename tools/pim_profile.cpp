@@ -67,37 +67,48 @@ emit(const std::string &path, const std::string &content,
     return true;
 }
 
+/** What both modes run on: BFV keys at the requested (reduced) ring
+ *  degree, `cts` encrypted operand pairs, and one verified system. */
+struct Fixture
+{
+    explicit Fixture(const ProfileConfig &pc)
+        : params(standardParams<kLimbs>().withDegree(pc.degree)),
+          ctx(params), rng(0xC0FFEE5EED), keygen(ctx, rng),
+          pk(keygen.makePublicKey()), enc(ctx, pk, rng),
+          encoder(params.t, params.n),
+          pimsys(ctx, systemFor(pc), pc.dpus, pc.tasklets)
+    {
+        for (std::size_t i = 0; i < pc.cts; ++i) {
+            as.push_back(enc.encrypt(encoder.encodeScalar(i + 1)));
+            bs.push_back(enc.encrypt(encoder.encodeScalar(2 * i + 1)));
+        }
+    }
+
+    static pim::SystemConfig
+    systemFor(const ProfileConfig &pc)
+    {
+        pim::SystemConfig cfg = pim::paperSystem();
+        cfg.numDpus = pc.dpus;
+        cfg.verifyBeforeLaunch = true;
+        return cfg;
+    }
+
+    const BfvParams<kLimbs> params;
+    const BfvContext<kLimbs> ctx;
+    Rng rng;
+    KeyGenerator<kLimbs> keygen;
+    const PublicKey<kLimbs> pk;
+    Encryptor<kLimbs> enc;
+    IntegerEncoder encoder;
+    PimHeSystem<kLimbs> pimsys;
+    std::vector<Ciphertext<kLimbs>> as, bs;
+};
+
 int
-runProfile(const ProfileConfig &pc)
+runProfile(const ProfileConfig &pc, Fixture &fx)
 {
     obs::Registry &reg = obs::Registry::global();
     obs::Tracer &tracer = obs::Tracer::global();
-    reg.setEnabled(true);
-    tracer.setEnabled(true);
-    tracer.captureLogging();
-    reg.reset();
-    tracer.clear();
-
-    // BFV setup at the requested (reduced) ring degree.
-    const BfvParams<kLimbs> params =
-        standardParams<kLimbs>().withDegree(pc.degree);
-    const BfvContext<kLimbs> ctx(params);
-    Rng rng(0xC0FFEE5EED);
-    KeyGenerator<kLimbs> keygen(ctx, rng);
-    const PublicKey<kLimbs> pk = keygen.makePublicKey();
-    Encryptor<kLimbs> enc(ctx, pk, rng);
-    IntegerEncoder encoder(params.t, params.n);
-
-    pim::SystemConfig cfg = pim::paperSystem();
-    cfg.numDpus = pc.dpus;
-    cfg.verifyBeforeLaunch = true;
-    PimHeSystem<kLimbs> pimsys(ctx, cfg, pc.dpus, pc.tasklets);
-
-    std::vector<Ciphertext<kLimbs>> as, bs;
-    for (std::size_t i = 0; i < pc.cts; ++i) {
-        as.push_back(enc.encrypt(encoder.encodeScalar(i + 1)));
-        bs.push_back(enc.encrypt(encoder.encodeScalar(2 * i + 1)));
-    }
 
     std::cout << "profiling BFV " << pc.op << ": " << pc.cts
               << " ciphertexts, degree " << pc.degree << ", "
@@ -105,11 +116,11 @@ runProfile(const ProfileConfig &pc)
               << " tasklets\n\n";
 
     if (pc.op == "add" || pc.op == "both")
-        (void)pimsys.addCiphertextVectors(as, bs);
+        (void)fx.pimsys.addCiphertextVectors(fx.as, fx.bs);
     if (pc.op == "mul" || pc.op == "both")
-        (void)pimsys.mulCoefficientwise(as, bs);
+        (void)fx.pimsys.mulCoefficientwise(fx.as, fx.bs);
 
-    const pim::DpuSet &set = pimsys.dpuSet();
+    const pim::DpuSet &set = fx.pimsys.dpuSet();
     std::cout << "modelled time: " << set.totalModeledMs()
               << " ms across " << set.launches().size()
               << " launch(es)\n\n";
@@ -151,28 +162,9 @@ runProfile(const ProfileConfig &pc)
  * emitted chrome trace. Exit nonzero when either is missing.
  */
 int
-runPipelineProfile(const ProfileConfig &pc)
+runPipelineProfile(const ProfileConfig &pc, Fixture &fx)
 {
-    obs::Registry &reg = obs::Registry::global();
     obs::Tracer &tracer = obs::Tracer::global();
-    reg.setEnabled(true);
-    tracer.setEnabled(true);
-    reg.reset();
-    tracer.clear();
-
-    const BfvParams<kLimbs> params =
-        standardParams<kLimbs>().withDegree(pc.degree);
-    const BfvContext<kLimbs> ctx(params);
-    Rng rng(0xC0FFEE5EED);
-    KeyGenerator<kLimbs> keygen(ctx, rng);
-    const PublicKey<kLimbs> pk = keygen.makePublicKey();
-    Encryptor<kLimbs> enc(ctx, pk, rng);
-    IntegerEncoder encoder(params.t, params.n);
-
-    pim::SystemConfig cfg = pim::paperSystem();
-    cfg.numDpus = pc.dpus;
-    cfg.verifyBeforeLaunch = true;
-    PimHeSystem<kLimbs> pimsys(ctx, cfg, pc.dpus, pc.tasklets);
 
     std::cout << "profiling async pipeline: " << pc.cts
               << " streamed adds, degree " << pc.degree << ", "
@@ -180,18 +172,13 @@ runPipelineProfile(const ProfileConfig &pc)
               << " tasklets\n\n";
 
     std::vector<PimHeSystem<kLimbs>::AsyncOp> ops;
-    for (std::size_t i = 0; i < pc.cts; ++i) {
-        const std::vector<Ciphertext<kLimbs>> a{
-            enc.encrypt(encoder.encodeScalar(i + 1))};
-        const std::vector<Ciphertext<kLimbs>> b{
-            enc.encrypt(encoder.encodeScalar(2 * i + 1))};
-        ops.push_back(pimsys.addAsync(a, b));
-    }
+    for (std::size_t i = 0; i < pc.cts; ++i)
+        ops.push_back(fx.pimsys.addAsync({fx.as[i]}, {fx.bs[i]}));
     for (auto &op : ops)
         (void)op.get();
-    pimsys.finishAsync();
+    fx.pimsys.finishAsync();
 
-    const pim::PipelineStats &ps = pimsys.dpuSet().pipelineStats();
+    const pim::PipelineStats &ps = fx.pimsys.dpuSet().pipelineStats();
     std::cout << "pipelined makespan " << ps.makespanMs()
               << " ms vs serial " << ps.serialMs() << " ms ("
               << ps.speedup() << "x, " << ps.overlappingPairs()
@@ -273,7 +260,16 @@ main(int argc, char **argv)
         std::cerr << "pim_profile: --op must be add, mul or both\n";
         return 2;
     }
+
+    obs::Registry &reg = obs::Registry::global();
+    obs::Tracer &tracer = obs::Tracer::global();
+    reg.setEnabled(true);
+    tracer.setEnabled(true);
+    tracer.captureLogging();
+    reg.reset();
+    tracer.clear();
+    Fixture fx(pc); // built with the recorders armed, as the setup ran
     if (args.getBool("pipeline", false))
-        return runPipelineProfile(pc);
-    return runProfile(pc);
+        return runPipelineProfile(pc, fx);
+    return runProfile(pc, fx);
 }
