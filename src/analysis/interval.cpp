@@ -1,8 +1,8 @@
 /**
  * @file
  * Transfer functions of the interval analyzer: pseudo-Mersenne fold
- * chain, Karatsuba intermediates, convolution accumulator, Barrett
- * and Montgomery remainder bounds.
+ * chain, Karatsuba intermediates, convolution accumulator, Barrett,
+ * Montgomery and Shoup remainder bounds.
  */
 
 #include "analysis/interval.h"
@@ -381,6 +381,101 @@ analyzeMontgomeryPrime(std::uint64_t p)
     tr.require("redc output",
                "u < 2p so one conditional subtraction reduces fully",
                umax, umax < P + P);
+
+    return report;
+}
+
+IntervalReport
+analyzeHostNttPrime(std::uint64_t p, std::size_t n)
+{
+    IntervalReport report;
+    {
+        std::ostringstream s;
+        s << "host ntt prime p=" << p << " n=" << n;
+        report.subject = s.str();
+    }
+    IntervalTrace &tr = report.trace;
+    const AbsVal P(p);
+    const AbsVal one(1ULL);
+    const AbsVal two_p = P + P;
+    const AbsVal four_p = two_p + two_p;
+
+    if (!tr.require("modulus odd", "p odd and >= 3 so the Montgomery "
+                                   "and Shoup constants exist",
+                    P, p >= 3 && (p & 1) == 1))
+        return report;
+    {
+        const bool pow2 = n >= 2 && (n & (n - 1)) == 0;
+        std::ostringstream d;
+        d << "n = " << n << " a power of two and p == 1 mod 2n for "
+          << "negacyclic roots";
+        if (!tr.require("ntt-friendly", d.str(), P,
+                        pow2 && (p - 1) % (2 * n) == 0))
+            return report;
+    }
+    if (!tr.requireWidth("lazy range width",
+                         "4p fits a 64-bit word (p < 2^62)", four_p,
+                         64))
+        return report;
+
+    // Shoup: w' = floor(w*2^64/p) leaves e = w*2^64 - w'*p in [0, p),
+    // and q = floor(x*w'/2^64) >= (x*w' - 2^64 + 1)/2^64, so
+    //   r*2^64 = x*w*2^64 - q*p*2^64 <= x*e + (2^64 - 1)*p
+    // (relational, like the Barrett bounds). q <= x*w/p keeps r >= 0.
+    const AbsVal xmax = AbsVal::oneShl(64) - one;
+    const AbsVal rmax =
+        (mulChecked(tr, "shoup product", xmax, P - one) +
+         mulChecked(tr, "shoup product", xmax, P))
+            .shr(64);
+    if (!tr.require("shoup product",
+                    "x*w - floor(x*w'/2^64)*p < 2p for every x < 2^64 "
+                    "and w < p",
+                    rmax, rmax < two_p))
+        return report;
+
+    // Forward (Cooley-Tukey): X, Y < 4p; X' = X - 2p if X >= 2p, so
+    // X' < 2p; T = shoup(Y) <= rmax. Outputs X' + T and X' - T + 2p.
+    const AbsVal fwd_sum = two_p - one + rmax;
+    const AbsVal fwd_diff = two_p - one + two_p;
+    tr.require("forward butterfly",
+               "X' + T < 4p (next stage's input range)", fwd_sum,
+               fwd_sum < four_p);
+    tr.require("forward butterfly",
+               "X' - T + 2p in [1, 4p) since T < 2p", fwd_diff,
+               fwd_diff < four_p);
+    tr.info("forward canonicalisation",
+            "< 4p: conditional subtractions of 2p then p give [0, p)",
+            P - one);
+
+    // Inverse (Gentleman-Sande): X, Y < 2p; X + Y < 4p, one
+    // conditional subtraction of 2p; X - Y + 2p < 4p feeds a Shoup
+    // product (< 2p). The closing scale is a Shoup product plus one
+    // conditional subtraction.
+    const AbsVal inv_sum = two_p - one + two_p - one;
+    tr.require("inverse butterfly",
+               "X + Y < 4p, one subtraction of 2p leaves < 2p", inv_sum,
+               inv_sum < four_p);
+    tr.require("inverse butterfly",
+               "X - Y + 2p < 4p fits a word for the Shoup product",
+               fwd_diff, fwd_diff < four_p);
+
+    // Residues: r*2^64 + word mod p as two Shoup terms.
+    const AbsVal residue_sum = rmax + rmax;
+    tr.require("residue step",
+               "two Shoup terms sum below 4p: conditional subtractions "
+               "of 2p then p give [0, p)",
+               residue_sum, residue_sum < four_p);
+
+    // CRT: each term w*(P/p) with w < p is below P < 2^256 (RnsBasis
+    // asserts the product's width), and a basis has at most 128 primes
+    // (each at least 2 bits wide), so the sum fits five words and at
+    // most k - 1 subtractions of P reduce it.
+    const AbsVal crt_sum = mulChecked(tr, "crt accumulator",
+                                      AbsVal(128ULL),
+                                      AbsVal::oneShl(256) - one);
+    tr.requireWidth("crt accumulator",
+                    "k * P < 128 * 2^256 in the five-word accumulator",
+                    crt_sum, 320);
 
     return report;
 }

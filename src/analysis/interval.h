@@ -6,8 +6,9 @@
  * The gen1 DPU has no native wide multiply, so every modular
  * operation is built from 32-bit limbs whose intermediate widths must
  * never overflow (wide_ops.h), and the host mirrors the same limb
- * discipline through BarrettReducer (modular/barrett.h) and
- * MontgomeryReducer (modular/montgomery.h). Each helper's correctness
+ * discipline through BarrettReducer (modular/barrett.h),
+ * MontgomeryReducer (modular/montgomery.h) and the Shoup products of
+ * the host NTT (ntt/ntt.h). Each helper's correctness
  * rests on range side-conditions ("x < 2^(2k)", "the fold's carry
  * never leaves 32 bits", "r < 3q after one Barrett pass") that the
  * code can only assert dynamically — on values a given run happens to
@@ -195,6 +196,18 @@ IntervalReport analyzeNttPrime(std::uint32_t p, std::uint32_t n);
  * conditional subtraction suffices.
  */
 IntervalReport analyzeMontgomeryPrime(std::uint64_t p);
+
+/**
+ * Prove the host NTT and RNS arithmetic safe for a word-sized prime p
+ * at transform length n (ntt/ntt.h, ntt/rns.h): p is odd, NTT-friendly
+ * and below 2^62; a Shoup product x*w - floor(x*w'/2^64)*p lies in
+ * [0, 2p) for every x < 2^64 and w < p; the lazy forward values stay
+ * below 4p and the inverse ones below 2p; the residue step's two Shoup
+ * terms sum below 4p; and the CRT sum of k terms below P fits the
+ * five-word accumulator. The pointwise product's REDC bound is
+ * analyzeMontgomeryPrime's.
+ */
+IntervalReport analyzeHostNttPrime(std::uint64_t p, std::size_t n);
 
 /** Build a ParamsSpec from a concrete BfvParams instantiation. */
 template <std::size_t N, typename ParamsT>

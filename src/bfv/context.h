@@ -62,15 +62,33 @@ class BfvContext
     Poly
     mulModQ(const Poly &a, const Poly &b) const
     {
+        using u128 = unsigned __int128;
+        const auto low128 = [](const U256 &v) {
+            u128 w = 0;
+            for (std::size_t l = 4; l-- > 0;)
+                w = (w << 32) | v.limb(l);
+            return w;
+        };
         const auto tensor = convolver_->convolveCentered(a, b);
         const U256 q_wide = ring_.modulus().template convert<8>();
+        const u128 q = low128(q_wide);
+        const bool q_fits = q_wide.bitLength() <= 128;
         Poly out(ring_.degree());
         for (std::size_t i = 0; i < tensor.size(); ++i) {
             const bool neg = signed256::isNegative(tensor[i]);
             const U256 mag = signed256::magnitude(tensor[i]);
-            const U256 r = mod(mag, q_wide);
-            const Coeff rr = r.convert<N>();
-            out[i] = neg ? ring_.reducer().negMod(rr) : rr;
+            // A magnitude below 2^128 (every product with a ternary
+            // operand: encryption's u, decryption's s) takes the
+            // native 128-bit remainder, a wider one long division.
+            Coeff r;
+            if (q_fits && mag.bitLength() <= 128) {
+                u128 rem = low128(mag) % q;
+                for (std::size_t l = 0; l < N; ++l, rem >>= 32)
+                    r.setLimb(l, static_cast<std::uint32_t>(rem));
+            } else {
+                r = mod(mag, q_wide).template convert<N>();
+            }
+            out[i] = neg ? ring_.reducer().negMod(r) : r;
         }
         return out;
     }

@@ -37,12 +37,12 @@ class Encryptor
         const auto e1 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
         const auto e2 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
 
-        // Delta * m, coefficientwise.
+        // Delta * m, coefficientwise: m < t gives Delta * m < q, so the
+        // wrapping N-limb product is exact and already reduced.
         Polynomial<N> dm(ring.degree());
         for (std::size_t i = 0; i < ring.degree(); ++i) {
-            dm[i] = ring.reducer().mulMod(
-                ctx_.delta(),
-                WideInt<N>(pt.coeffs[i] % ctx_.plainModulus()));
+            dm[i] = ctx_.delta() *
+                    WideInt<N>(pt.coeffs[i] % ctx_.plainModulus());
         }
 
         Ciphertext<N> ct;

@@ -32,6 +32,45 @@ subMod64(std::uint64_t a, std::uint64_t b, std::uint64_t m)
     return a >= b ? a - b : a + (m - b);
 }
 
+/**
+ * A fixed multiplicand w < p with Shoup's precomputed quotient
+ * floor(w * 2^64 / p), which turns every later product by w into two
+ * multiplies and no division (mulShoupLazy).
+ */
+struct ShoupOperand
+{
+    std::uint64_t w = 0;
+    std::uint64_t quotient = 0;
+
+    ShoupOperand() = default;
+
+    ShoupOperand(std::uint64_t w_, std::uint64_t p)
+        : w(w_), quotient(static_cast<std::uint64_t>(
+                     (static_cast<unsigned __int128>(w_) << 64) / p))
+    {}
+};
+
+/**
+ * x * w mod p up to one extra p: the result lies in [0, 2p) for every
+ * x < 2^64, given w < p < 2^63 (Harvey 2014; the bound is proved by
+ * analysis::analyzeHostNttPrime).
+ */
+inline std::uint64_t
+mulShoupLazy(std::uint64_t x, const ShoupOperand &w, std::uint64_t p)
+{
+    const auto q = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(x) * w.quotient) >> 64);
+    return x * w.w - q * p;
+}
+
+/** x * w mod p in [0, p), for every x < 2^64. */
+inline std::uint64_t
+mulShoup(std::uint64_t x, const ShoupOperand &w, std::uint64_t p)
+{
+    const std::uint64_t r = mulShoupLazy(x, w, p);
+    return r >= p ? r - p : r;
+}
+
 /** (base ^ exp) mod m via square-and-multiply. */
 std::uint64_t powMod64(std::uint64_t base, std::uint64_t exp,
                        std::uint64_t m);

@@ -2,11 +2,10 @@
  * @file
  * Montgomery arithmetic on word-sized odd moduli.
  *
- * The NTT engine's hot loop is a modular multiply; Montgomery form
- * replaces the per-product division with shifts and multiplies. The
- * reducer here handles moduli below 2^62 (everything the RNS bases
- * use) and is the drop-in faster alternative to mulMod64 for code
- * that can amortise the to/from-Montgomery conversions.
+ * Montgomery form replaces the per-product division with shifts and
+ * multiplies. The reducer here handles moduli below 2^62 (everything
+ * the RNS bases use); the host NTT's pointwise product runs on it,
+ * with REDC's 2^-64 folded into the inverse transform's n^-1.
  */
 
 #ifndef PIMHE_MODULAR_MONTGOMERY_H

@@ -1,7 +1,6 @@
 #include "ntt.h"
 
 #include "common/logging.h"
-#include "modular/mod64.h"
 
 namespace pimhe {
 
@@ -18,19 +17,26 @@ bitReverse(std::size_t x, int bits)
     return r;
 }
 
-} // namespace
-
-NttTable::NttTable(std::uint64_t p, std::size_t n)
-    : p_(p), n_(n)
+/** The constructor's checks, run before any member uses p. */
+std::uint64_t
+checkedNttPrime(std::uint64_t p, std::size_t n)
 {
     PIMHE_ASSERT(n >= 2 && (n & (n - 1)) == 0,
                  "NTT length must be a power of two");
-    PIMHE_ASSERT(p < (1ULL << 62), "prime too wide for mulMod64 path");
+    PIMHE_ASSERT(p < (1ULL << 62),
+                 "prime too wide for the lazy butterflies (4p >= 2^64)");
     PIMHE_ASSERT((p - 1) % (2 * n) == 0,
                  "prime does not support negacyclic NTT of length ", n);
+    return p;
+}
 
-    const std::uint64_t psi = primitiveRoot(p, 2 * n);
-    const std::uint64_t psi_inv = invMod64(psi, p);
+} // namespace
+
+NttTable::NttTable(std::uint64_t p, std::size_t n)
+    : p_(checkedNttPrime(p, n)), n_(n), mont_(p)
+{
+    const ShoupOperand psi(primitiveRoot(p, 2 * n), p);
+    const ShoupOperand psi_inv(invMod64(psi.w, p), p);
 
     int log_n = 0;
     while ((1ULL << log_n) < n)
@@ -40,63 +46,82 @@ NttTable::NttTable(std::uint64_t p, std::size_t n)
     psiInvRev_.resize(n);
     std::uint64_t power = 1;
     std::uint64_t power_inv = 1;
-    std::vector<std::uint64_t> psi_pow(n), psi_inv_pow(n);
     for (std::size_t i = 0; i < n; ++i) {
-        psi_pow[i] = power;
-        psi_inv_pow[i] = power_inv;
-        power = mulMod64(power, psi, p);
-        power_inv = mulMod64(power_inv, psi_inv, p);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        psiRev_[i] = psi_pow[bitReverse(i, log_n)];
-        psiInvRev_[i] = psi_inv_pow[bitReverse(i, log_n)];
+        const std::size_t r = bitReverse(i, log_n);
+        psiRev_[r] = ShoupOperand(power, p);
+        psiInvRev_[r] = ShoupOperand(power_inv, p);
+        power = mulShoup(power, psi, p);
+        power_inv = mulShoup(power_inv, psi_inv, p);
     }
 
-    nInv_ = invMod64(n, p);
+    const std::uint64_t n_inv = invMod64(n, p);
+    nInv_ = ShoupOperand(n_inv, p);
+    nInvMont_ = ShoupOperand(mulShoup(mont_.toMont(1), nInv_, p), p);
 }
 
 void
 NttTable::forward(std::vector<std::uint64_t> &a) const
 {
     PIMHE_ASSERT(a.size() == n_, "operand length mismatch");
+    const std::uint64_t p = p_;
+    const std::uint64_t two_p = 2 * p;
     std::size_t t = n_;
     for (std::size_t m = 1; m < n_; m <<= 1) {
         t >>= 1;
         for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
-            const std::uint64_t s = psiRev_[m + i];
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                const std::uint64_t u = a[j];
-                const std::uint64_t v = mulMod64(a[j + t], s, p_);
-                a[j] = addMod64(u, v, p_);
-                a[j + t] = subMod64(u, v, p_);
+            const ShoupOperand s = psiRev_[m + i];
+            std::uint64_t *x = a.data() + 2 * i * t;
+            std::uint64_t *y = x + t;
+            for (std::size_t j = 0; j < t; ++j) {
+                // x, y in [0, 4p) -> x', y' in [0, 4p).
+                const std::uint64_t u = x[j] >= two_p ? x[j] - two_p : x[j];
+                const std::uint64_t v = mulShoupLazy(y[j], s, p);
+                x[j] = u + v;
+                y[j] = u - v + two_p;
             }
         }
+    }
+    for (auto &x : a) {
+        if (x >= two_p)
+            x -= two_p;
+        if (x >= p)
+            x -= p;
     }
 }
 
 void
 NttTable::inverse(std::vector<std::uint64_t> &a) const
 {
+    inverseScaled(a, nInv_);
+}
+
+void
+NttTable::inverseScaled(std::vector<std::uint64_t> &a,
+                        const ShoupOperand &scale) const
+{
     PIMHE_ASSERT(a.size() == n_, "operand length mismatch");
+    const std::uint64_t p = p_;
+    const std::uint64_t two_p = 2 * p;
     std::size_t t = 1;
     for (std::size_t m = n_; m > 1; m >>= 1) {
-        std::size_t j1 = 0;
         const std::size_t h = m >> 1;
         for (std::size_t i = 0; i < h; ++i) {
-            const std::uint64_t s = psiInvRev_[h + i];
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                const std::uint64_t u = a[j];
-                const std::uint64_t v = a[j + t];
-                a[j] = addMod64(u, v, p_);
-                a[j + t] = mulMod64(subMod64(u, v, p_), s, p_);
+            const ShoupOperand s = psiInvRev_[h + i];
+            std::uint64_t *x = a.data() + 2 * i * t;
+            std::uint64_t *y = x + t;
+            for (std::size_t j = 0; j < t; ++j) {
+                // x, y in [0, 2p) -> x', y' in [0, 2p).
+                const std::uint64_t u = x[j];
+                const std::uint64_t v = y[j];
+                const std::uint64_t sum = u + v;
+                x[j] = sum >= two_p ? sum - two_p : sum;
+                y[j] = mulShoupLazy(u - v + two_p, s, p);
             }
-            j1 += 2 * t;
         }
         t <<= 1;
     }
     for (auto &x : a)
-        x = mulMod64(x, nInv_, p_);
+        x = mulShoup(x, scale, p);
 }
 
 std::vector<std::uint64_t>
@@ -105,9 +130,10 @@ NttTable::multiply(std::vector<std::uint64_t> a,
 {
     forward(a);
     forward(b);
+    // REDC leaves a_i * b_i * 2^-64; nInvMont_ scales it back.
     for (std::size_t i = 0; i < n_; ++i)
-        a[i] = mulMod64(a[i], b[i], p_);
-    inverse(a);
+        a[i] = mont_.mulMont(a[i], b[i]);
+    inverseScaled(a, nInvMont_);
     return a;
 }
 

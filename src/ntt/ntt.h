@@ -14,6 +14,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "modular/mod64.h"
+#include "modular/montgomery.h"
+
 namespace pimhe {
 
 /**
@@ -22,7 +25,11 @@ namespace pimhe {
  *
  * Uses the Longa-Naehrig formulation where the psi twisting factors are
  * merged into the butterflies, so forward followed by inverse is an
- * exact negacyclic identity.
+ * exact negacyclic identity. The butterflies are Harvey's lazy ones
+ * ("Faster arithmetic for number-theoretic transforms", 2014): every
+ * twiddle carries its Shoup quotient, forward values stay in [0, 4p)
+ * and inverse values in [0, 2p) (both fit a word since p < 2^62), and
+ * one pass at the end of each transform returns canonical residues.
  */
 class NttTable
 {
@@ -51,11 +58,18 @@ class NttTable
              std::vector<std::uint64_t> b) const;
 
   private:
+    /** Inverse butterflies, then every value times `scale`. */
+    void inverseScaled(std::vector<std::uint64_t> &a,
+                       const ShoupOperand &scale) const;
+
     std::uint64_t p_;
     std::size_t n_;
-    std::vector<std::uint64_t> psiRev_;    //!< psi^bitrev(i)
-    std::vector<std::uint64_t> psiInvRev_; //!< psi^-bitrev(i)
-    std::uint64_t nInv_;                   //!< n^-1 mod p
+    MontgomeryReducer mont_;              //!< multiply's pointwise product
+    std::vector<ShoupOperand> psiRev_;    //!< psi^bitrev(i)
+    std::vector<ShoupOperand> psiInvRev_; //!< psi^-bitrev(i)
+    ShoupOperand nInv_;                   //!< n^-1 mod p
+    /** n^-1 * 2^64 mod p: also cancels the 2^-64 of mulMont. */
+    ShoupOperand nInvMont_;
 };
 
 } // namespace pimhe

@@ -3,9 +3,22 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "modular/mod64.h"
 
 namespace pimhe {
+
+namespace {
+
+std::array<std::uint64_t, 4>
+toWords(const U256 &x)
+{
+    std::array<std::uint64_t, 4> w{};
+    for (std::size_t l = 0; l < w.size(); ++l)
+        w[l] = x.limb(2 * l) |
+               static_cast<std::uint64_t>(x.limb(2 * l + 1)) << 32;
+    return w;
+}
+
+} // namespace
 
 RnsBasis::RnsBasis(std::vector<std::uint64_t> primes)
     : primes_(std::move(primes))
@@ -14,6 +27,8 @@ RnsBasis::RnsBasis(std::vector<std::uint64_t> primes)
     std::size_t product_bits = 0;
     for (const std::uint64_t p : primes_) {
         PIMHE_ASSERT(isPrime64(p), "basis element ", p, " is not prime");
+        PIMHE_ASSERT(p < (1ULL << 62), "basis prime ", p,
+                     " is wider than 62 bits");
         std::uint64_t v = p;
         while (v) {
             ++product_bits;
@@ -30,20 +45,19 @@ RnsBasis::RnsBasis(std::vector<std::uint64_t> primes)
     product_ = U256(1ULL);
     for (const std::uint64_t p : primes_)
         product_ = product_.mulFull(U256(p)).convert<8>();
+    productWords_ = toWords(product_);
 
-    hat_.resize(primes_.size());
-    hatInv_.resize(primes_.size());
+    consts_.resize(primes_.size());
     for (std::size_t i = 0; i < primes_.size(); ++i) {
-        hat_[i] = divmod(product_, U256(primes_[i])).first;
-        // hat_i mod p_i via limb folding.
-        std::uint64_t rem = 0;
-        for (std::size_t l = 8; l-- > 0;) {
-            const unsigned __int128 cur =
-                (static_cast<unsigned __int128>(rem) << 32) |
-                hat_[i].limb(l);
-            rem = static_cast<std::uint64_t>(cur % primes_[i]);
-        }
-        hatInv_[i] = invMod64(rem, primes_[i]);
+        const std::uint64_t p = primes_[i];
+        PrimeConstants &c = consts_[i];
+        c.wordShift = ShoupOperand(
+            static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(1) << 64) % p),
+            p);
+        c.one = ShoupOperand(1, p);
+        c.hat = toWords(divmod(product_, U256(p)).first);
+        c.hatInv = ShoupOperand(invMod64(residue(c.hat, i), p), p);
     }
 }
 
@@ -61,16 +75,10 @@ RnsBasis::forExactConvolution(std::size_t n, std::size_t min_product_bits,
 std::vector<std::uint64_t>
 RnsBasis::decompose(const U256 &x) const
 {
+    const auto words = toWords(x);
     std::vector<std::uint64_t> out(primes_.size());
-    for (std::size_t i = 0; i < primes_.size(); ++i) {
-        std::uint64_t rem = 0;
-        for (std::size_t l = 8; l-- > 0;) {
-            const unsigned __int128 cur =
-                (static_cast<unsigned __int128>(rem) << 32) | x.limb(l);
-            rem = static_cast<std::uint64_t>(cur % primes_[i]);
-        }
-        out[i] = rem;
-    }
+    for (std::size_t i = 0; i < primes_.size(); ++i)
+        out[i] = residue(words, i);
     return out;
 }
 
@@ -79,17 +87,48 @@ RnsBasis::recombine(std::span<const std::uint64_t> residues) const
 {
     PIMHE_ASSERT(residues.size() == primes_.size(),
                  "residue count mismatch");
-    U256 acc;
+    // acc = sum of w_i * (P / p_i) with w_i < p_i, so acc < k * P,
+    // which fits five words; at most k - 1 subtractions of P then
+    // leave the unique value below P.
+    std::array<std::uint64_t, 5> acc{};
     for (std::size_t i = 0; i < primes_.size(); ++i) {
+        const PrimeConstants &c = consts_[i];
         const std::uint64_t w =
-            mulMod64(residues[i] % primes_[i], hatInv_[i], primes_[i]);
-        // term = w * hat_i  (< p_i * P / p_i = P, fits 256 bits)
-        const U256 term = hat_[i].mulFull(U256(w)).convert<8>();
-        acc += term;
-        if (acc >= product_ || acc < term) // wrapped or exceeded P
-            acc -= product_;
+            mulShoup(residues[i], c.hatInv, primes_[i]);
+        std::uint64_t carry = 0;
+        for (std::size_t l = 0; l < 4; ++l) {
+            const unsigned __int128 cur =
+                static_cast<unsigned __int128>(w) * c.hat[l] + acc[l] +
+                carry;
+            acc[l] = static_cast<std::uint64_t>(cur);
+            carry = static_cast<std::uint64_t>(cur >> 64);
+        }
+        acc[4] += carry;
     }
-    return acc;
+    const auto below_p = [&] {
+        if (acc[4] != 0)
+            return false;
+        for (std::size_t l = 4; l-- > 0;)
+            if (acc[l] != productWords_[l])
+                return acc[l] < productWords_[l];
+        return false;
+    };
+    while (!below_p()) {
+        std::uint64_t borrow = 0;
+        for (std::size_t l = 0; l < 4; ++l) {
+            const std::uint64_t d = acc[l] - productWords_[l];
+            const std::uint64_t b1 = acc[l] < productWords_[l];
+            acc[l] = d - borrow;
+            borrow = b1 | (d < borrow);
+        }
+        acc[4] -= borrow;
+    }
+    U256 out;
+    for (std::size_t l = 0; l < 4; ++l) {
+        out.setLimb(2 * l, static_cast<std::uint32_t>(acc[l]));
+        out.setLimb(2 * l + 1, static_cast<std::uint32_t>(acc[l] >> 32));
+    }
+    return out;
 }
 
 } // namespace pimhe

@@ -217,15 +217,21 @@ class RingContext
         return r;
     }
 
-    /** Map a small signed value into [0, q). */
+    /**
+     * v mod q in [0, q), for every int64 v. The samplers' small values
+     * take the |v| < q path: |v| or q - |v|, with no reduction.
+     */
     Coeff
     centeredToModQ(std::int64_t v) const
     {
-        if (v >= 0)
-            return reducer_.reduceSingle(
-                Coeff(static_cast<std::uint64_t>(v)));
-        return reducer_.subMod(
-            Coeff(), Coeff(static_cast<std::uint64_t>(-v)));
+        // |v| in unsigned arithmetic, defined for INT64_MIN too.
+        std::uint64_t mag = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                                  : static_cast<std::uint64_t>(v);
+        // A modulus wider than 64 bits exceeds every |v|.
+        if (modulus().fitsUint64() && mag >= modulus().toUint64())
+            mag %= modulus().toUint64();
+        const Coeff r(mag);
+        return v < 0 ? reducer_.negMod(r) : r;
     }
 
     /**

@@ -279,6 +279,57 @@ TEST(Bfv, NttConvolverGivesBitIdenticalCiphertexts)
         EXPECT_TRUE(slow[i] == fast[i]) << "component " << i;
 }
 
+/** FNV-1a over every limb of every component, low byte first. */
+template <std::size_t N>
+std::uint64_t
+ciphertextDigest(const Ciphertext<N> &ct)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t c = 0; c < ct.size(); ++c)
+        for (std::size_t i = 0; i < ct[c].size(); ++i)
+            for (std::size_t l = 0; l < N; ++l)
+                for (int byte = 0; byte < 4; ++byte) {
+                    h ^= (ct[c][i].limb(l) >> (8 * byte)) & 0xFFu;
+                    h *= 0x100000001b3ULL;
+                }
+    return h;
+}
+
+/**
+ * Keygen and one encryption of a fixed plaintext at a fixed seed,
+ * digested, then decrypted.
+ */
+template <std::size_t N>
+std::uint64_t
+pinnedEncryptionDigest(std::size_t n, bool rns_ntt)
+{
+    BfvContext<N> ctx(standardParams<N>().withDegree(n));
+    if (rns_ntt)
+        ctx.setConvolver(std::make_unique<RnsNttConvolver<N>>(ctx.ring()));
+    Rng rng(kSeed + 200 + N);
+    KeyGenerator<N> keygen(ctx, rng);
+    const Encryptor<N> enc(ctx, keygen.makePublicKey(), rng);
+    Plaintext pt(n);
+    for (std::size_t i = 0; i < n; ++i)
+        pt.coeffs[i] = (i * 7919 + 13) % ctx.plainModulus();
+    const auto ct = enc.encrypt(pt);
+    const Decryptor<N> dec(ctx, keygen.secretKey());
+    EXPECT_EQ(dec.decrypt(ct), pt) << "N=" << N << " n=" << n;
+    return ciphertextDigest(ct);
+}
+
+TEST(Bfv, EncryptionMatchesPinnedDigests)
+{
+    // Client encryption (keygen, samplers, Delta * m, both products)
+    // must not change a bit when its arithmetic does: the benchmark's
+    // shape (n = 4096, 109-bit q, RNS+NTT) and the default schoolbook
+    // context at n = 64, at every width.
+    EXPECT_EQ(pinnedEncryptionDigest<4>(4096, true), 0x5c3dd93db08669b1ULL);
+    EXPECT_EQ(pinnedEncryptionDigest<1>(64, false), 0xb998017962cd80e9ULL);
+    EXPECT_EQ(pinnedEncryptionDigest<2>(64, false), 0x5d8e7164134ff10eULL);
+    EXPECT_EQ(pinnedEncryptionDigest<4>(64, false), 0xd68ffc206c51c6e6ULL);
+}
+
 TEST(Bfv, FullDegreeRoundTripAllLevels)
 {
     // Full paper-scale ring degrees with the fast convolver: encrypt,

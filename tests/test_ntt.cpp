@@ -22,19 +22,51 @@ makeTable(std::size_t n, int bits = 40)
     return NttTable(findNttPrimes(bits, 2 * n, 1)[0], n);
 }
 
+/**
+ * Operands that push the lazy butterflies to the ends of their ranges:
+ * a uniform one, every coefficient cycling through 0, 1 and p - 1, and
+ * the constants 1 and p - 1.
+ */
+std::vector<std::vector<std::uint64_t>>
+nttOperands(std::size_t n, std::uint64_t p, Rng &rng)
+{
+    std::vector<std::uint64_t> uniform(n), cycling(n);
+    const std::uint64_t edges[] = {0, 1, p - 1};
+    for (std::size_t i = 0; i < n; ++i) {
+        uniform[i] = rng.uniform(p);
+        cycling[i] = edges[i % 3];
+    }
+    return {uniform, cycling, std::vector<std::uint64_t>(n, 1),
+            std::vector<std::uint64_t>(n, p - 1)};
+}
+
 TEST(Ntt, ForwardInverseRoundTrip)
 {
-    for (const std::size_t n : {4ul, 16ul, 64ul, 256ul, 1024ul}) {
-        auto table = makeTable(n);
-        Rng rng(kSeed + n);
-        std::vector<std::uint64_t> v(n);
-        for (auto &x : v)
-            x = rng.uniform(table.prime());
-        auto w = v;
-        table.forward(w);
-        EXPECT_NE(w, v) << "transform should not be identity";
-        table.inverse(w);
-        EXPECT_EQ(w, v) << "n=" << n;
+    // 62 bits is the widest prime the table accepts (4p < 2^64).
+    for (const int bits : {40, 62}) {
+        for (const std::size_t n :
+             {4ul, 16ul, 64ul, 256ul, 1024ul, 4096ul}) {
+            auto table = makeTable(n, bits);
+            const std::uint64_t p = table.prime();
+            Rng rng(kSeed + n);
+            const auto operands = nttOperands(n, p, rng);
+            for (std::size_t op = 0; op < operands.size(); ++op) {
+                const auto &v = operands[op];
+                auto w = v;
+                table.forward(w);
+                if (op == 0) {
+                    EXPECT_NE(w, v) << "transform should not be identity";
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_LT(w[i], p) << "forward output not canonical: "
+                                       << "bits=" << bits << " n=" << n
+                                       << " operand " << op << " i=" << i;
+                }
+                table.inverse(w);
+                EXPECT_EQ(w, v) << "bits=" << bits << " n=" << n
+                                << " operand " << op;
+            }
+        }
     }
 }
 
@@ -58,17 +90,11 @@ TEST(Ntt, TransformIsLinear)
 
 TEST(Ntt, MultiplyMatchesSchoolbookConvolution)
 {
-    const std::size_t n = 32;
-    auto table = makeTable(n);
-    const std::uint64_t p = table.prime();
-    Rng rng(kSeed + 5);
-    for (int it = 0; it < 20; ++it) {
-        std::vector<std::uint64_t> a(n), b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = rng.uniform(p);
-            b[i] = rng.uniform(p);
-        }
-        // Reference negacyclic schoolbook over Z_p.
+    // Reference negacyclic schoolbook over Z_p.
+    const auto schoolbook = [](const std::vector<std::uint64_t> &a,
+                               const std::vector<std::uint64_t> &b,
+                               std::uint64_t p) {
+        const std::size_t n = a.size();
         std::vector<std::uint64_t> expect(n, 0);
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = 0; j < n; ++j) {
@@ -80,7 +106,39 @@ TEST(Ntt, MultiplyMatchesSchoolbookConvolution)
                     expect[k - n] = subMod64(expect[k - n], prod, p);
             }
         }
-        EXPECT_EQ(table.multiply(a, b), expect) << "iter " << it;
+        return expect;
+    };
+    {
+        const std::size_t n = 32;
+        auto table = makeTable(n);
+        const std::uint64_t p = table.prime();
+        Rng rng(kSeed + 5);
+        for (int it = 0; it < 20; ++it) {
+            std::vector<std::uint64_t> a(n), b(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                a[i] = rng.uniform(p);
+                b[i] = rng.uniform(p);
+            }
+            EXPECT_EQ(table.multiply(a, b), schoolbook(a, b, p))
+                << "iter " << it;
+        }
+    }
+    // The 40-bit and the widest (62-bit) prime at n = 4096, on edge
+    // operands: uniform x uniform, cycling {0, 1, p - 1} x constant
+    // p - 1, and constant p - 1 squared.
+    for (const int bits : {40, 62}) {
+        const std::size_t n = 4096;
+        auto table = makeTable(n, bits);
+        const std::uint64_t p = table.prime();
+        Rng rng(kSeed + 6 + bits);
+        const auto operands = nttOperands(n, p, rng);
+        for (const auto &[ia, ib] : {std::pair{0, 0}, std::pair{1, 3},
+                                     std::pair{3, 3}}) {
+            const auto &a = operands[ia];
+            const auto &b = operands[ib];
+            EXPECT_EQ(table.multiply(a, b), schoolbook(a, b, p))
+                << "bits=" << bits << " operands " << ia << ", " << ib;
+        }
     }
 }
 
@@ -124,11 +182,35 @@ TEST(RnsBasis, DecomposeRecombineRoundTrip)
 
 TEST(RnsBasis, RecombineEdges)
 {
-    RnsBasis basis(findNttPrimes(35, 16, 3));
-    const U256 zero;
-    EXPECT_EQ(basis.recombine(basis.decompose(zero)), zero);
-    const U256 pm1 = basis.product() - U256(1ULL);
-    EXPECT_EQ(basis.recombine(basis.decompose(pm1)), pm1);
+    // A small basis, the benchmark's (n = 4096, 109-bit q), and the
+    // eight largest 32-bit primes, whose product is just below 2^256:
+    // there the CRT sums of these values reach 2^258, so they need the
+    // accumulator's fifth word and three or four subtractions of P.
+    const RnsBasis bases[] = {RnsBasis(findNttPrimes(35, 16, 3)),
+                              RnsBasis::forExactConvolution(4096, 232),
+                              RnsBasis(findNttPrimes(32, 2, 8))};
+    EXPECT_EQ(bases[2].product().bitLength(), 256u);
+    for (const RnsBasis &basis : bases) {
+        const U256 &big_p = basis.product();
+        const U256 half = big_p.shr(1);
+        for (const U256 &v : {U256(), U256(1ULL), big_p - U256(1ULL), half,
+                              half + U256(1ULL)}) {
+            auto residues = basis.decompose(v);
+            for (std::size_t i = 0; i < residues.size(); ++i)
+                ASSERT_LT(residues[i], basis.primes()[i]);
+            EXPECT_EQ(basis.recombine(residues), v)
+                << "k=" << basis.size() << " v=" << v.toDecimalString();
+            // Residues >= p_i are read mod p_i: lift each to its
+            // largest representative below 2^64.
+            for (std::size_t i = 0; i < residues.size(); ++i) {
+                const std::uint64_t p = basis.primes()[i];
+                residues[i] += (~0ULL - residues[i]) / p * p;
+            }
+            EXPECT_EQ(basis.recombine(residues), v)
+                << "k=" << basis.size() << " lifted v="
+                << v.toDecimalString();
+        }
+    }
 }
 
 TEST(RnsBasis, RejectsBadBases)
@@ -157,33 +239,58 @@ TYPED_TEST_SUITE(RnsConvWidths, ConvTypes);
 TYPED_TEST(RnsConvWidths, MatchesSchoolbookConvolver)
 {
     constexpr std::size_t N = TypeParam::numLimbs;
+    using Coeff = WideInt<N>;
     const auto params = standardParams<N>().withDegree(32);
     RingContext<N> ring(params.n, params.q);
     const SchoolbookConvolver<N> ref(ring);
     const RnsNttConvolver<N> fast(ring);
-    Rng rng(kSeed + 21 + N);
-    for (int it = 0; it < 10; ++it) {
-        const auto a = ring.sampleUniform(rng);
-        const auto b = ring.sampleUniform(rng);
+    const auto check = [&](const Polynomial<N> &a, const Polynomial<N> &b,
+                           const std::string &what) {
         const auto r1 = ref.convolveCentered(a, b);
         const auto r2 = fast.convolveCentered(a, b);
         ASSERT_EQ(r1.size(), r2.size());
         for (std::size_t i = 0; i < r1.size(); ++i)
-            EXPECT_EQ(r1[i], r2[i]) << "coeff " << i << " iter " << it;
+            EXPECT_EQ(r1[i], r2[i]) << "coeff " << i << " " << what;
+    };
+    Rng rng(kSeed + 21 + N);
+    for (int it = 0; it < 10; ++it)
+        check(ring.sampleUniform(rng), ring.sampleUniform(rng),
+              "iter " + std::to_string(it));
+
+    // Edge values: 0, 1, the largest positive lift floor(q/2), the
+    // most negative floor(q/2) + 1, and q - 1 (= -1).
+    const Coeff q = ring.modulus();
+    const Coeff half = q.shr(1);
+    const Coeff edges[] = {Coeff(), Coeff(1ULL), half, half + Coeff(1ULL),
+                           q - Coeff(1ULL)};
+    Polynomial<N> cycling(params.n), shifted(params.n);
+    for (std::size_t i = 0; i < params.n; ++i) {
+        cycling[i] = edges[i % 5];
+        shifted[i] = edges[(3 * i + 1) % 5];
+    }
+    const auto uniform = ring.sampleUniform(rng);
+    check(cycling, shifted, "cycling x shifted");
+    check(cycling, uniform, "cycling x uniform");
+    for (const Coeff &e : edges) {
+        const Polynomial<N> constant(std::vector<Coeff>(params.n, e));
+        check(constant, constant, "constant " + e.toDecimalString());
+        check(constant, cycling, "constant x cycling");
     }
 }
 
 TYPED_TEST(RnsConvWidths, RnsMultiplierMatchesSchoolbookModQ)
 {
+    // The RNS+NTT product reduced mod q: mulModQ with the engine
+    // installed.
     constexpr std::size_t N = TypeParam::numLimbs;
-    const auto params = standardParams<N>().withDegree(64);
-    RingContext<N> ring(params.n, params.q);
-    const RnsPolyMultiplier<N> mult(ring);
+    BfvContext<N> ctx(standardParams<N>().withDegree(64));
+    ctx.setConvolver(std::make_unique<RnsNttConvolver<N>>(ctx.ring()));
+    const auto &ring = ctx.ring();
     Rng rng(kSeed + 33 + N);
     for (int it = 0; it < 5; ++it) {
         const auto a = ring.sampleUniform(rng);
         const auto b = ring.sampleUniform(rng);
-        EXPECT_EQ(mult.multiply(a, b), ring.mulSchoolbook(a, b))
+        EXPECT_EQ(ctx.mulModQ(a, b), ring.mulSchoolbook(a, b))
             << "iter " << it;
     }
 }
@@ -205,38 +312,60 @@ TEST(RnsConv, NttConvolverRejectsOperandOfTheWrongDegree)
 
 TEST(RnsConv, MultiplierRejectsOperandOfTheWrongDegree)
 {
-    const auto params = standardParams<2>().withDegree(64);
-    RingContext<2> ring(params.n, params.q);
-    const RnsPolyMultiplier<2> mult(ring);
+    BfvContext<2> ctx(standardParams<2>().withDegree(64));
+    ctx.setConvolver(std::make_unique<RnsNttConvolver<2>>(ctx.ring()));
     Rng rng(kSeed + 35);
-    const auto full = ring.sampleUniform(rng);
-    EXPECT_DEATH(mult.multiply(Polynomial<2>(32), full),
+    const auto full = ctx.ring().sampleUniform(rng);
+    EXPECT_DEATH(ctx.mulModQ(Polynomial<2>(32), full),
                  "convolution operand a has 32 coefficients, not the "
                  "ring degree 64");
-    EXPECT_DEATH(mult.multiply(full, Polynomial<2>(128)),
+    EXPECT_DEATH(ctx.mulModQ(full, Polynomial<2>(128)),
                  "convolution operand b has 128 coefficients, not the "
                  "ring degree 64");
 }
 
 TEST(RnsConv, FullDegreeSpotCheck)
 {
-    // One full-size (n=4096, 128-bit) product through the NTT engine,
-    // spot-checked against schoolbook on a few coefficients via the
-    // mod-q identity with x = delta polynomial products.
+    // One full-size (n = 4096, 109-bit q) product through the NTT
+    // engine: a uniform operand times a sparse one carrying edge
+    // values, every coefficient checked against a direct O(8n)
+    // negacyclic sum of the centred lifts.
     const auto params = standardParams<4>();
-    RingContext<4> ring(params.n, params.q);
+    const std::size_t n = params.n;
+    RingContext<4> ring(n, params.q);
     const RnsNttConvolver<4> fast(ring);
     Rng rng(kSeed + 55);
-    auto a = ring.sampleUniform(rng);
-    Polynomial<4> delta(params.n);
-    delta[0] = U128(1ULL);
-    const auto conv = fast.convolveCentered(a, delta);
-    for (std::size_t i = 0; i < params.n; i += 257) {
-        const auto [mag, neg] = ring.toCentered(a[i]);
-        const U256 expect = signed256::fromSignMagnitude(
-            mag.convert<8>(), neg);
-        EXPECT_EQ(conv[i], expect) << "coeff " << i;
+    const auto a = ring.sampleUniform(rng);
+    const U128 q = ring.modulus();
+    const U128 half = q.shr(1);
+    Polynomial<4> sparse(n);
+    const std::pair<std::size_t, U128> terms[] = {
+        {0, U128(1ULL)},        {1, q - U128(1ULL)},
+        {2, half},              {3, half + U128(1ULL)},
+        {n / 2 - 1, half},      {n / 2, q - U128(1ULL)},
+        {n - 2, half + U128(1ULL)}, {n - 1, half}};
+    for (const auto &[j, v] : terms)
+        sparse[j] = v;
+
+    const auto lift = [&](const U128 &c) {
+        const auto [mag, neg] = ring.toCentered(c);
+        return signed256::fromSignMagnitude(mag.convert<8>(), neg);
+    };
+    std::vector<U256> expect(n);
+    for (const auto &[j, v] : terms) {
+        const U256 lb = lift(v);
+        for (std::size_t i = 0; i < n; ++i) {
+            const U256 prod = lift(a[i]) * lb;
+            if (i + j < n)
+                expect[i + j] += prod;
+            else
+                expect[i + j - n] -= prod;
+        }
     }
+    const auto conv = fast.convolveCentered(a, sparse);
+    ASSERT_EQ(conv.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(conv[i], expect[i]) << "coeff " << i;
 }
 
 } // namespace

@@ -144,17 +144,55 @@ TYPED_TEST(RingWidths, SamplersProduceReducedCoefficients)
     }
 }
 
+/**
+ * centeredToModQ(v) equals v mod q for every int64 v: checked against
+ * a 128-bit reference on small values, on +-(q - 1), +-q, +-(q + 1)
+ * where they fit an int64, and on INT64_MAX and INT64_MIN. Values
+ * inside (-q/2, q/2] also round-trip through toCentered.
+ */
+template <std::size_t N>
+void
+checkCenteredConversion()
+{
+    using u128 = unsigned __int128;
+    auto ring = makeRing<N>();
+    u128 q = 0;
+    for (std::size_t l = N; l-- > 0;)
+        q = (q << 32) | ring.modulus().limb(l);
+    std::vector<std::int64_t> values = {0,     1,     -1,   5,
+                                        -5,    1000,  -1000,
+                                        INT64_MAX, INT64_MIN};
+    for (const u128 near : {q - 1, q, q + 1}) {
+        if (near <= static_cast<u128>(INT64_MAX)) {
+            values.push_back(static_cast<std::int64_t>(near));
+            values.push_back(-static_cast<std::int64_t>(near));
+        }
+    }
+    for (const std::int64_t v : values) {
+        const u128 mag = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                               : static_cast<std::uint64_t>(v);
+        const u128 rem = mag % q;
+        const u128 expect = (v < 0 && rem != 0) ? q - rem : rem;
+        const auto c = ring.centeredToModQ(v);
+        u128 got = 0;
+        for (std::size_t l = N; l-- > 0;)
+            got = (got << 32) | c.limb(l);
+        EXPECT_TRUE(got == expect) << "N=" << N << " v=" << v;
+
+        if (mag <= q / 2) {
+            const auto [back_mag, neg] = ring.toCentered(c);
+            EXPECT_TRUE(back_mag.toUint64() == mag) << "N=" << N
+                                                    << " v=" << v;
+            EXPECT_EQ(neg, v < 0) << "N=" << N << " v=" << v;
+        }
+    }
+}
+
 TEST(Ring, CenteredConversionRoundTrip)
 {
-    auto ring = makeRing<4>();
-    for (std::int64_t v : {0L, 1L, -1L, 5L, -5L, 1000L, -1000L}) {
-        const auto c = ring.centeredToModQ(v);
-        const auto [mag, neg] = ring.toCentered(c);
-        const std::int64_t back =
-            neg ? -static_cast<std::int64_t>(mag.toUint64())
-                : static_cast<std::int64_t>(mag.toUint64());
-        EXPECT_EQ(back, v);
-    }
+    checkCenteredConversion<1>();
+    checkCenteredConversion<2>();
+    checkCenteredConversion<4>();
 }
 
 TEST(Ring, UniformSamplingCoversRange)

@@ -17,6 +17,7 @@
 #include "analysis/verifier.h"
 #include "bfv/params.h"
 #include "ntt/ntt.h"
+#include "ntt/rns.h"
 #include "pim/system.h"
 #include "pimhe/kernels.h"
 #include "pimhe/ntt_kernel.h"
@@ -116,6 +117,22 @@ TEST(StaticVerify, IntervalAcceptsShippedParams)
     EXPECT_GT(r4.trace.steps().size(), 5u);
 }
 
+/** Host NTT and REDC obligations of every prime of an RNS basis. */
+template <std::size_t N>
+void
+expectHostRnsPrimesProved()
+{
+    const auto params = standardParams<N>();
+    const RingContext<N> ring(params.n, params.q);
+    const RnsNttConvolver<N> conv(ring);
+    for (const std::uint64_t p : conv.basis().primes()) {
+        const auto host = analysis::analyzeHostNttPrime(p, params.n);
+        EXPECT_TRUE(host.ok()) << host.summary();
+        const auto mont = analysis::analyzeMontgomeryPrime(p);
+        EXPECT_TRUE(mont.ok()) << mont.summary();
+    }
+}
+
 TEST(StaticVerify, IntervalAcceptsShippedNttAndMontgomeryPrimes)
 {
     for (std::uint32_t n : {64u, 1024u, 2048u}) {
@@ -126,6 +143,14 @@ TEST(StaticVerify, IntervalAcceptsShippedNttAndMontgomeryPrimes)
         const auto mont = analysis::analyzeMontgomeryPrime(p);
         EXPECT_TRUE(mont.ok()) << mont.summary();
     }
+    // The host RNS-NTT bases at each parameter set's degree, and the
+    // widest prime the NTT table accepts.
+    expectHostRnsPrimesProved<1>();
+    expectHostRnsPrimesProved<2>();
+    expectHostRnsPrimesProved<4>();
+    const std::uint64_t widest = findNttPrimes(62, 2 * 4096, 1)[0];
+    const auto host = analysis::analyzeHostNttPrime(widest, 4096);
+    EXPECT_TRUE(host.ok()) << host.summary();
 }
 
 // ---------------------------------------------------------------------
@@ -308,6 +333,19 @@ TEST(StaticVerify, RejectsBadNttAndMontgomeryPrimes)
         analysis::analyzeMontgomeryPrime((1ULL << 62) + 1);
     ASSERT_FALSE(wide.ok());
     EXPECT_EQ(wide.trace.firstViolation().op, "modulus width");
+
+    // Host NTT: p >= 2^62 (here 1 mod 2n, so only the width fails)
+    // puts the lazy forward range 4p past a word, and 97 supports no
+    // negacyclic transform of length 64.
+    const auto host_wide =
+        analysis::analyzeHostNttPrime((1ULL << 62) + 1, 2);
+    ASSERT_FALSE(host_wide.ok());
+    EXPECT_EQ(host_wide.trace.firstViolation().op, "lazy range width")
+        << host_wide.summary();
+    const auto host_unfriendly = analysis::analyzeHostNttPrime(97, 64);
+    ASSERT_FALSE(host_unfriendly.ok());
+    EXPECT_EQ(host_unfriendly.trace.firstViolation().op, "ntt-friendly")
+        << host_unfriendly.summary();
 }
 
 // ---------------------------------------------------------------------

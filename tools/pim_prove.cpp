@@ -9,8 +9,9 @@
  *    kernel check of DpuSet's launch gate, analysis::checkKernelLaunch:
  *    the LaunchVerifier budgets (WRAM, MRAM, DMA, tasklets) and the
  *    symbolic race prover at that count (analysis/symbolic.h);
- *  - the interval obligations of the three parameter sets and of the
- *    NTT and Montgomery primes the NTT plans use (analysis/interval.h);
+ *  - the interval obligations of the three parameter sets, of the
+ *    host RNS-NTT primes at their degrees, and of the NTT and
+ *    Montgomery primes the NTT plans use (analysis/interval.h);
  *  - scripted arena-lifetime scenarios of the orchestrated launch
  *    sequences (analysis/plan_verify.h);
  *  - the checkerAllowRange audit: every registered kernel family is
@@ -50,6 +51,7 @@
 #include "bfv/params.h"
 #include "common/cli.h"
 #include "modular/mod64.h"
+#include "ntt/rns.h"
 #include "pim/config.h"
 #include "pim/dpu.h"
 #include "pimhe/kernel_registry.h"
@@ -128,9 +130,27 @@ analyzeStandardParams()
 }
 
 /**
+ * The host RNS-NTT product at a parameter set's degree: the lazy
+ * Shoup and the REDC bounds of every prime of the basis an
+ * RnsNttConvolver multiplies in.
+ */
+template <std::size_t N>
+void
+checkHostRnsPrimes(GateCli &run)
+{
+    const auto params = standardParams<N>();
+    const RingContext<N> ring(params.n, params.q);
+    const RnsNttConvolver<N> conv(ring);
+    for (const std::uint64_t p : conv.basis().primes()) {
+        run.check(analysis::analyzeHostNttPrime(p, params.n));
+        run.check(analysis::analyzeMontgomeryPrime(p));
+    }
+}
+
+/**
  * Interval obligations: the modulus arithmetic of the three parameter
- * sets, and the NTT and Montgomery bounds of the prime each NTT plan
- * runs on.
+ * sets, the host RNS-NTT primes at their degrees, and the NTT and
+ * Montgomery bounds of the prime each NTT plan runs on.
  */
 void
 sweepIntervals(GateCli &run)
@@ -139,6 +159,9 @@ sweepIntervals(GateCli &run)
     run.check(analyzeStandardParams<1>());
     run.check(analyzeStandardParams<2>());
     run.check(analyzeStandardParams<4>());
+    checkHostRnsPrimes<1>(run);
+    checkHostRnsPrimes<2>(run);
+    checkHostRnsPrimes<4>(run);
     for (const std::uint32_t n : pimhe_kernels::kNttLengths) {
         const auto primes = findNttPrimes(30, 2ULL * n, 1);
         if (primes.empty()) {
