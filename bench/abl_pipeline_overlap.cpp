@@ -1,15 +1,16 @@
 /**
  * @file
  * Ablation — async pipelined launches: how much transfer time the
- * double-buffered staging pipeline hides under DPU compute on a
+ * async pipeline's window of two hides under DPU compute on a
  * multi-launch streaming workload, with the determinism contract
  * checked alongside.
  *
  * One experiment, a full simulation with the pre-launch static
  * verifier armed: a streaming elementwise op sequence (the
  * ciphertext-batch shape). The same 16 launches run synchronously and
- * through launchAsync with double-buffered MRAM staging. The
- * two-track clock's serial track reproduces the synchronous
+ * through launchAsync, each op staged into its own MRAM slot with at
+ * most two ops in flight (the same staged-op body as the sync run).
+ * The two-track clock's serial track reproduces the synchronous
  * accounting; the makespan is the max of the bus and DPU tracks, and
  * the ratio is exactly the transfer time the pipeline hides.
  *
@@ -17,7 +18,8 @@
  * itself (>= 1.5x modelled throughput on the op stream, overlapping
  * transfer/kernel span pairs present, results AND per-launch modelled
  * stats bit-identical to the synchronous path), so the process exits
- * nonzero when any fails.
+ * nonzero when any fails. The bench runs as a ctest
+ * (bench/CMakeLists.txt).
  */
 
 #include "bench_util.h"

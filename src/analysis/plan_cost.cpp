@@ -114,14 +114,15 @@ struct CostCtx
 /**
  * Replays the staged backend's launch charges through the SAME
  * two-track clock DpuSet drives for its measured pipelineStats(),
- * with the depth-2 double-buffered schedule the async engine runs:
- * uploads accumulate until the launch consumes them (exactly like
- * pendingUploadBytes_) and are charged onto the bus at SUBMIT time,
- * while a launch's kernel half and its result download are deferred
- * until its staging slot is reused two launches later (the harvest)
- * — so launch N+1's upload overlaps launch N's kernel, exactly as in
- * PimHeSystem's async op stream. The resulting makespan is the
- * model's forecast of running the staged plan pipelined.
+ * with the depth-2 schedule the async engine runs: uploads accumulate
+ * until the launch consumes them (exactly like pendingUploadBytes_)
+ * and are charged onto the bus at SUBMIT time, while a launch's
+ * kernel half and its result download are deferred until a third
+ * launch is submitted behind it (the harvest of the oldest op in
+ * PimHeSystem's window of two) — so launch N+1's upload overlaps
+ * launch N's kernel, exactly as in the async op stream. The resulting
+ * makespan is the model's forecast of running the staged plan
+ * pipelined.
  */
 struct PipelineReplay
 {
@@ -136,14 +137,14 @@ struct PipelineReplay
     pim::TwoTrackClock clock;
     double pendingUploadMs = 0;
     std::size_t launches = 0;
-    std::deque<InFlight> inFlight; //!< at most 2 (double buffer)
+    std::deque<InFlight> inFlight; //!< at most 2 (the async window)
 
     void upload(double ms) { pendingUploadMs += ms; }
 
     void
     kernel(double kernel_plus_overhead_ms)
     {
-        // Slot reuse: harvest the oldest in-flight launch BEFORE
+        // A full window: harvest the oldest in-flight launch BEFORE
         // staging this one — the engine's submission-order merge.
         if (inFlight.size() == 2)
             retire();

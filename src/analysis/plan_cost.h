@@ -172,7 +172,7 @@ struct OpCostRow
 
 /**
  * Overlap-aware forecast of the pim-staged backend run through the
- * double-buffered async pipeline (pim/pipeline.h): the same launch
+ * async pipeline's window of two (pim/pipeline.h): the same launch
  * sequence, but with launch N+1's upload overlapping launch N's
  * kernel on separate bus/DPU tracks. Computed by replaying the staged
  * walk's per-launch (upload, kernel+overhead, download) charges

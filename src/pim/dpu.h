@@ -79,7 +79,7 @@ class Wram
  * 64 MB DRAM bank. Only reachable from kernels through DMA transfers;
  * the host reads/writes it directly between launches — or, with the
  * pipelined launch engine, WHILE a kernel runs against a disjoint
- * region (double-buffered staging).
+ * region (each in-flight op stages into its own slot).
  *
  * Backing storage is a fixed table of lazily-installed 1 MB chunks so
  * thousands of mostly-idle DPUs stay cheap to model, and so growth is
@@ -92,8 +92,8 @@ class Wram
  * lazy-zero semantics), and concurrent accesses to disjoint byte
  * ranges touch disjoint memory. Accesses to OVERLAPPING ranges remain
  * the caller's responsibility — the pipeline engine guarantees
- * disjointness via double-buffered staging regions, and the plan
- * verifier proves it statically per launch.
+ * disjointness by giving every in-flight op its own staging slot, and
+ * the plan verifier proves it statically per launch.
  */
 class Mram
 {

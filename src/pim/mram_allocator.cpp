@@ -74,32 +74,6 @@ MramAllocator::release(std::uint64_t addr)
     }
 }
 
-std::optional<DoubleBuffer>
-MramAllocator::allocateDouble(std::uint64_t bytes)
-{
-    const auto first = allocate(bytes);
-    if (!first)
-        return std::nullopt;
-    const auto second = allocate(bytes);
-    if (!second) {
-        release(*first);
-        return std::nullopt;
-    }
-    DoubleBuffer buf;
-    buf.slot[0] = *first;
-    buf.slot[1] = *second;
-    buf.bytes = roundUp(bytes, kAlign);
-    buf.turn = 0;
-    return buf;
-}
-
-void
-MramAllocator::releaseDouble(const DoubleBuffer &buf)
-{
-    release(buf.slot[0]);
-    release(buf.slot[1]);
-}
-
 std::string
 MramAllocator::exhaustionReport(std::uint64_t requestBytes) const
 {

@@ -27,25 +27,6 @@ namespace pimhe {
 namespace pim {
 
 /**
- * A pair of equally-sized staging regions for pipelined launches:
- * while a kernel reads slot `front()`, the host stages the next
- * launch's operands into the other slot. flip() swaps the roles.
- * The two regions are ordinary allocator regions (released with
- * releaseDouble); their disjointness is what makes overlapped
- * host staging race-free against an in-flight kernel.
- */
-struct DoubleBuffer
-{
-    std::uint64_t slot[2] = {0, 0}; //!< region base addresses
-    std::uint64_t bytes = 0;        //!< size of EACH slot
-    unsigned turn = 0;              //!< parity of the active slot
-
-    std::uint64_t front() const { return slot[turn & 1]; }
-    std::uint64_t back() const { return slot[(turn + 1) & 1]; }
-    void flip() { turn ^= 1u; }
-};
-
-/**
  * Deterministic first-fit allocator with coalescing free lists.
  * Addresses and sizes are always multiples of the 8-byte DMA
  * granularity, so every region a kernel receives is DMA-aligned.
@@ -73,23 +54,10 @@ class MramAllocator
      *  or double free (allocator state corruption is never silent). */
     void release(std::uint64_t addr);
 
-    /**
-     * Reserve two equal regions of `bytes` each for double-buffered
-     * pipeline staging. All-or-nothing: when the second slot does not
-     * fit, the first is released again and nullopt comes back with the
-     * allocator state unchanged. Placement is the same deterministic
-     * first-fit as two consecutive allocate() calls.
-     */
-    std::optional<DoubleBuffer> allocateDouble(std::uint64_t bytes);
-
-    /** Release both slots of a double buffer. */
-    void releaseDouble(const DoubleBuffer &buf);
-
     std::uint64_t arenaBase() const { return base_; }
     std::uint64_t capacity() const { return capacity_; }
     std::uint64_t bytesInUse() const { return inUse_; }
     std::uint64_t bytesFree() const { return capacity_ - inUse_; }
-    std::size_t regionCount() const { return allocated_.size(); }
     std::size_t freeBlockCount() const { return free_.size(); }
 
     /** Largest single allocation that would currently succeed. */

@@ -94,7 +94,7 @@ class LaunchTicket
  * the caller thread and merges at once; launchAsync() hands the
  * compute phase to a single-worker FIFO pipeline (pim/pipeline.h) and
  * returns a LaunchTicket immediately, so the caller can stage launch
- * N+1's operands (copyToMramAsync into a disjoint double-buffered region)
+ * N+1's operands (copyToMramAsync into its own disjoint staging slot)
  * while launch N simulates. Determinism is preserved by construction:
  * every modelled charge — upload consumption, verification, post-join
  * conflict/shadow scan in DPU index order, observability, the
@@ -135,12 +135,26 @@ class DpuSet
     std::size_t size() const { return dpus_.size(); }
     const SystemConfig &config() const { return cfg_; }
 
-    /** Resolved execution mode of this set (never Auto). */
-    ExecMode execMode() const { return execMode_; }
-
     /** The host thread pool launches run on; callers staging per-DPU
      *  data may reuse it for their own index-sliced parallel work. */
     ThreadPool &hostPool() { return *pool_; }
+
+    /**
+     * Host bytes to flatten per-DPU data into before an upload, or to
+     * read a download back into. The memory is kept across calls, so
+     * staged ops reuse it instead of allocating, zero-filling and
+     * freeing a multi-megabyte buffer each time, which with glibc's
+     * malloc eventually turns into trimming the heap and re-faulting
+     * those pages on every op. Contents are unspecified; the span is
+     * valid until the next call. Caller thread only.
+     */
+    std::span<std::uint8_t>
+    hostStagingBuffer(std::size_t bytes)
+    {
+        if (hostStaging_.size() < bytes)
+            hostStaging_.resize(bytes);
+        return {hostStaging_.data(), bytes};
+    }
 
     /** Host upload into one DPU's MRAM. Drains the async pipeline
      *  first: a plain copy makes no disjointness promise against
@@ -157,7 +171,7 @@ class DpuSet
      * Pipelined upload: identical accounting to copyToMram, but does
      * NOT drain the async pipeline — the caller promises the target
      * range is disjoint from every in-flight launch's footprint
-     * (the double-buffered staging contract, which the plan verifier
+     * (each op stages into its own slot, which the plan verifier
      * checks per launch). This is what lets launch N+1's staging
      * overlap launch N's compute.
      */
@@ -287,8 +301,8 @@ class DpuSet
      * at the same program point), enqueue the compute phase on the
      * pipeline worker, and return a ticket. The caller may then stage
      * the NEXT launch's operands with copyToMramAsync into a disjoint
-     * double-buffered region while this one simulates — the host
-     * overlap the two-track model charges.
+     * staging slot while this one simulates — the host overlap the
+     * two-track model charges.
      *
      * All failure modes are deferred into the merge (ticket wait or
      * the next drain point) and panic there with the synchronous
@@ -734,6 +748,7 @@ class DpuSet
     struct PendingAsync
     {
         LaunchStats stats;
+        PipelineSpan span; //!< upload half charged, kernel half pending
         unsigned tasklets = 0;
         std::size_t launchIndex = 0;
         std::size_t engineSeq = 0;
@@ -749,10 +764,10 @@ class DpuSet
      *  charged onto the pipeline's bus track HERE, at submission: in
      *  an async stream launch N+1's upload lands on the bus while
      *  launch N's kernel is still in flight — the modelled overlap. */
-    LaunchStats
-    beginLaunchStats(const CompiledKernel &kernel, bool async)
+    void
+    beginLaunchStats(const CompiledKernel &kernel, PendingAsync &rec)
     {
-        LaunchStats stats;
+        LaunchStats &stats = rec.stats;
         stats.launchOverheadMs = cfg_.launchOverheadUs / 1e3;
         stats.hostToDpuMs = busMs(
             pendingUploadBytes_,
@@ -765,25 +780,23 @@ class DpuSet
         stats.execMode =
             kernel.fast ? execMode_ : ExecMode::Interpret;
 
-        const PipelineSpan span = pipeStats_.clock.chargeUpload(
-            stats.hostToDpuMs, /*synchronous=*/!async,
-            launches_.size() + pendingAsync_.size());
+        rec.span = pipeStats_.clock.chargeUpload(
+            stats.hostToDpuMs, /*synchronous=*/!rec.async, rec.launchIndex);
+        const PipelineSpan &span = rec.span;
         obs::Tracer &tracer = obs::Tracer::global();
         if (tracer.enabled() && span.uploadEndMs > span.uploadBeginMs)
             tracer.recordSpan(pipelineTraceSpan(
                 "pipe.h2d", obs::Tracer::kPipelineBusTid,
                 span.uploadBeginMs, span.uploadEndMs,
-                span.launchIndex, async));
-        pendingPipeSpans_.push_back(span);
-        return stats;
+                span.launchIndex, rec.async));
     }
 
     /** Post-join aggregation shared by both engines: conflict/shadow
      *  scan in DPU index order, cycle maximum, observability and the
      *  pipeline clock — all on the caller thread. */
     const LaunchStats &
-    finalizeLaunch(LaunchStats stats, unsigned num_tasklets,
-                   bool async)
+    finalizeLaunch(LaunchStats stats, const PipelineSpan &span,
+                   unsigned num_tasklets, bool async)
     {
         for (std::size_t i = 0; i < stats.dpus.size(); ++i) {
             if (!stats.dpus[i].shadowDivergence.empty())
@@ -799,7 +812,7 @@ class DpuSet
         kernelCycles_ += stats.maxCycles;
 
         recordLaunchObservability(stats, num_tasklets);
-        recordPipelineLaunch(stats, async);
+        recordPipelineLaunch(stats, span, async);
         launches_.push_back(std::move(stats));
         return launches_.back();
     }
@@ -821,7 +834,7 @@ class DpuSet
         pending.launchIndex = launches_.size() + pendingAsync_.size();
         pending.async = async;
         pending.verifyFailure = std::move(verify_failure);
-        pending.stats = beginLaunchStats(kernel, async);
+        beginLaunchStats(kernel, pending);
         pendingAsync_.push_back(std::move(pending));
         // std::deque never invalidates references on push/pop at the
         // other end, so the worker's pointer into this record stays
@@ -875,11 +888,10 @@ class DpuSet
             panic(front.verifyFailure);
         if (front.async)
             pipeline().waitFor(front.engineSeq);
-        LaunchStats stats = std::move(front.stats);
-        const unsigned tasklets = front.tasklets;
-        const bool async = front.async;
+        PendingAsync rec = std::move(front);
         pendingAsync_.pop_front();
-        finalizeLaunch(std::move(stats), tasklets, async);
+        finalizeLaunch(std::move(rec.stats), rec.span, rec.tasklets,
+                       rec.async);
     }
 
     /** Lazily-started pipeline worker. */
@@ -1010,12 +1022,9 @@ class DpuSet
      * makespan == serial exactly.
      */
     void
-    recordPipelineLaunch(const LaunchStats &stats, bool async)
+    recordPipelineLaunch(const LaunchStats &stats, PipelineSpan span,
+                         bool async)
     {
-        PIMHE_ASSERT(!pendingPipeSpans_.empty(),
-                     "pipeline span FIFO out of sync with merges");
-        PipelineSpan span = pendingPipeSpans_.front();
-        pendingPipeSpans_.pop_front();
         pipeStats_.clock.chargeKernel(
             span, stats.kernelMs + stats.launchOverheadMs);
         if (async)
@@ -1034,12 +1043,10 @@ class DpuSet
     ExecMode execMode_;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<std::unique_ptr<Dpu>> dpus_;
+    std::vector<std::uint8_t> hostStaging_; //!< see hostStagingBuffer()
     std::vector<LaunchStats> launches_;
     std::deque<PendingAsync> pendingAsync_;
     PipelineStats pipeStats_;
-    /** Upload-charged spans awaiting their kernel half (FIFO, one per
-     *  submitted-but-unmerged launch; caller thread only). */
-    std::deque<PipelineSpan> pendingPipeSpans_;
     // Declared after pendingAsync_ so destruction joins the worker
     // thread BEFORE the pending records (its jobs' stats slots) die.
     std::unique_ptr<PipelineEngine> pipe_;

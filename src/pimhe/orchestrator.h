@@ -30,6 +30,8 @@
 #define PIMHE_PIMHE_ORCHESTRATOR_H
 
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,6 +72,11 @@ class PimHeSystem
           cache_(ctx, dpus_), costModel_(cfg, tasklets)
     {}
 
+    // The resident cache refers to dpus_ and every AsyncOp to this
+    // system, so a system stays where it was built: no copy, no move.
+    PimHeSystem(const PimHeSystem &) = delete;
+    PimHeSystem &operator=(const PimHeSystem &) = delete;
+
     const pim::DpuSet &dpuSet() const { return dpus_; }
     pim::DpuSet &dpuSet() { return dpus_; }
     unsigned tasklets() const { return tasklets_; }
@@ -82,7 +89,7 @@ class PimHeSystem
     addCiphertextVectors(const std::vector<Ciphertext<N>> &a,
                          const std::vector<Ciphertext<N>> &b)
     {
-        return stagedOp(std::span(a), std::span(b), /*multiply=*/false);
+        return stagedOp(a, b, /*multiply=*/false, /*async=*/false).get();
     }
 
     /**
@@ -94,17 +101,19 @@ class PimHeSystem
     mulCoefficientwise(const std::vector<Ciphertext<N>> &a,
                        const std::vector<Ciphertext<N>> &b)
     {
-        return stagedOp(std::span(a), std::span(b), /*multiply=*/true);
+        return stagedOp(a, b, /*multiply=*/true, /*async=*/false).get();
     }
 
     // ------------------------------------------------------------------
     // Pipelined asynchronous operations.
     //
-    // The async ops run the SAME staged computation as their
-    // synchronous twins, but through DpuSet::launchAsync and a
-    // double-buffered staging pair: while launch N simulates on the
-    // pipeline worker, the caller flattens and uploads launch N+1's
-    // operands into the other slot. Every modelled number — each
+    // The async ops run the SAME staged body as their synchronous
+    // twins (stagedOp), but through DpuSet::launchAsync and a
+    // first-in-first-out window of two ops, each staged into its own
+    // A/B/Out slot: while launch N simulates on the pipeline worker,
+    // the caller flattens and uploads launch N+1's operands into N+1's
+    // slot. Submitting a third op first harvests the oldest, and a
+    // harvested op frees its slot at once. Every modelled number — each
     // launch's LaunchStats, the transfer totals, verifier reports —
     // is bit-identical to the synchronous path at any host thread
     // count (the engine merges all accounting in submission order on
@@ -122,8 +131,8 @@ class PimHeSystem
      * get() blocks until the result is harvested and returns it;
      * single-shot. Dropping a handle without get() is allowed — the
      * operation still completes (and its transfer time is still
-     * charged, when the engine reclaims the staging slot), the
-     * results are simply discarded.
+     * charged, when the engine harvests it on a later submit or in
+     * finishAsync), the results are simply discarded.
      */
     class AsyncOp
     {
@@ -131,14 +140,6 @@ class PimHeSystem
         AsyncOp() = default;
 
         bool valid() const { return state_ != nullptr; }
-
-        /** Global launch index of this op's kernel launch. */
-        std::size_t
-        launchIndex() const
-        {
-            PIMHE_ASSERT(state_, "launchIndex() on empty AsyncOp");
-            return state_->ticket.launchIndex();
-        }
 
         /** Wait, download (once) and take the results. */
         std::vector<Ciphertext<N>>
@@ -168,8 +169,7 @@ class PimHeSystem
     addAsync(const std::vector<Ciphertext<N>> &a,
              const std::vector<Ciphertext<N>> &b)
     {
-        return elementwiseAsync(std::span(a), std::span(b),
-                                /*multiply=*/false);
+        return stagedOp(a, b, /*multiply=*/false, /*async=*/true);
     }
 
     /** Pipelined coefficient-wise product (see mulCoefficientwise). */
@@ -177,20 +177,21 @@ class PimHeSystem
     mulAsync(const std::vector<Ciphertext<N>> &a,
              const std::vector<Ciphertext<N>> &b)
     {
-        return elementwiseAsync(std::span(a), std::span(b),
-                                /*multiply=*/true);
+        return stagedOp(a, b, /*multiply=*/true, /*async=*/true);
     }
 
     /**
-     * Harvest every outstanding pipelined operation, drain the launch
-     * pipeline and release the staging slots. Called automatically
-     * when an op stream changes shape; call it explicitly before
-     * mixing async ops with code that inspects dpuSet() stats.
+     * Harvest the ops still in the window, oldest first (which frees
+     * their staging slots), then drain the launch pipeline. Call it
+     * before mixing async ops with code that inspects dpuSet() stats.
      */
     void
     finishAsync()
     {
-        finishElementwiseStager();
+        for (const auto &op : window_)
+            if (!op->harvested)
+                harvest(*op);
+        window_.clear();
         dpus_.drainAsync();
     }
 
@@ -724,36 +725,6 @@ class PimHeSystem
     }
 
     /**
-     * Synchronous staged op: both operands stage into one scratch slot
-     * of A/B/Out thirds taken from the resident arena (so staged
-     * launches coexist with — and can evict — resident entries), the
-     * kernel launches behind the synchronous barrier, and the result
-     * third is collected.
-     */
-    std::vector<Ciphertext<N>>
-    stagedOp(std::span<const Ciphertext<N>> a,
-             std::span<const Ciphertext<N>> b, bool multiply)
-    {
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             multiply ? "pimhe.vec_mul"
-                                      : "pimhe.vec_add");
-        span.arg("cts", static_cast<double>(a.size()));
-        bumpOpCounter(multiply ? "pimhe.ops.vec_mul"
-                               : "pimhe.ops.vec_add");
-        const Geometry g = binaryGeometry(a, b);
-        const std::uint64_t scratch = cache_.allocScratch(3 * g.stride);
-        const pimhe_kernels::VecKernelParams kp =
-            stageBinary(a, b, scratch, g);
-        dpus_.launch(tasklets_, vecKernel(kp, multiply),
-                     pimhe_kernels::vecKernelFootprint(
-                         kp, dpus_.config().dpu, tasklets_, multiply));
-        std::vector<Ciphertext<N>> out =
-            collect<N>(dpus_, kp.mramOut, g, dpus_.launches().size() - 1);
-        cache_.freeScratch(scratch);
-        return out;
-    }
-
-    /**
      * Layout of a binary staged op: each operand vector, and the
      * result, is one slice of the slot (see Geometry).
      */
@@ -771,136 +742,96 @@ class PimHeSystem
         return g;
     }
 
-    /** Stage a and b into the A/B thirds of the slot at `scratch`
-     *  and declare the slot as the next launch's write target;
-     *  returns the kernel parameters over it. */
-    pimhe_kernels::VecKernelParams
-    stageBinary(std::span<const Ciphertext<N>> a,
-                std::span<const Ciphertext<N>> b, std::uint64_t scratch,
-                const Geometry &g)
-    {
-        const pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + g.stride,
-                      scratch + 2 * g.stride, g.perDpu);
-        stage<N>(dpus_, a, kp.mramA, g);
-        stage<N>(dpus_, b, kp.mramB, g);
-        dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
-        return kp;
-    }
-
-    // ------------------------------------------------------------------
-    // Pipelined elementwise machinery.
-    // ------------------------------------------------------------------
-
     /** Shared state behind an AsyncOp handle. */
     struct AsyncOpState
     {
-        pim::LaunchTicket ticket;
-        std::uint64_t outAddr = 0; //!< result third of the slot
-        Geometry geometry;         //!< layout of the result
+        std::size_t launch = 0; //!< global index of the op's launch
+        std::uint64_t slot = 0; //!< A/B/Out scratch slot
+        Geometry geometry;      //!< layout of each third
         bool harvested = false;
         bool consumed = false;
-        std::vector<Ciphertext<N>> results;
+        std::vector<Ciphertext<N>> results; //!< filled at harvest
     };
 
     /**
-     * Double-buffered staging pair for the async elementwise stream.
-     * Each slot holds one launch's A/B/Out thirds; a slot is reused
-     * (two ops later) only after the op that owns it was harvested,
-     * which is what keeps one launch in flight while the next one
-     * stages — the transfer/compute overlap the pipeline models.
+     * The one staged-op body. Both operands stage into the A/B thirds
+     * of a slot taken from the resident arena (so staged launches
+     * coexist with — and can evict — resident entries), and the slot
+     * is freed when the result third is harvested. A sync op launches
+     * behind the barrier and is harvested at once. An async op
+     * launches through launchAsync into the window of two; a third
+     * submit first harvests the oldest, the depth-2 schedule
+     * analysis::PipelineReplay forecasts. A sync op issued while async
+     * ops are in flight leaves the window alone.
      */
-    struct ElementwiseStager
+    AsyncOp
+    stagedOp(std::span<const Ciphertext<N>> a,
+             std::span<const Ciphertext<N>> b, bool multiply, bool async)
     {
-        std::uint64_t slotBytes = 0; //!< bytes per slot; 0 = none held
-        pim::DoubleBuffer buf;
-        std::shared_ptr<AsyncOpState> owner[2];
-    };
-
-    /** (Re)allocate the staging pair for the given slot size. */
-    void
-    ensureStager(std::uint64_t slot_bytes)
-    {
-        if (stager_.slotBytes == slot_bytes)
-            return;
-        finishElementwiseStager();
-        stager_.buf = cache_.allocScratchDouble(slot_bytes);
-        stager_.slotBytes = slot_bytes;
-    }
-
-    /** Harvest all outstanding async ops and free the staging pair.
-     *  Harvests in SUBMISSION order (the slot about to be reused
-     *  holds the older op), so launches merge and downloads charge in
-     *  exactly the order an ongoing stream would have used. */
-    void
-    finishElementwiseStager()
-    {
-        if (stager_.slotBytes == 0)
-            return;
-        for (unsigned k = 0; k < 2; ++k) {
-            auto &o = stager_.owner[(stager_.buf.turn + k) & 1u];
-            if (o && !o->harvested)
-                harvest(*o);
-            o.reset();
+        // Span and op-counter names per [async][multiply].
+        static constexpr const char *kSpan[2][2] = {
+            {"pimhe.vec_add", "pimhe.vec_mul"},
+            {"pimhe.vec_add_async", "pimhe.vec_mul_async"}};
+        static constexpr const char *kCounter[2][2] = {
+            {"pimhe.ops.vec_add", "pimhe.ops.vec_mul"},
+            {"pimhe.ops.vec_add_async", "pimhe.ops.vec_mul_async"}};
+        obs::ScopedSpan span(obs::Tracer::global(), 0,
+                             kSpan[async][multiply]);
+        span.arg("cts", static_cast<double>(a.size()));
+        bumpOpCounter(kCounter[async][multiply]);
+        const Geometry g = binaryGeometry(a, b);
+        if (async && window_.size() == 2) {
+            if (!window_.front()->harvested)
+                harvest(*window_.front());
+            window_.pop_front();
         }
-        cache_.freeScratchDouble(stager_.buf);
-        stager_ = ElementwiseStager{};
+
+        auto st = std::make_shared<AsyncOpState>();
+        // The result's host storage is taken before the launch, so the
+        // launch's history records land above it on the host heap: a
+        // result the caller frees goes back to the allocator's free
+        // lists for the next op, not to a heap top that the allocator
+        // trims and the next op re-faults.
+        st->results = zeroCiphertexts<N>(g);
+        st->slot = cache_.allocScratch(3 * g.stride);
+        st->geometry = g;
+        const pimhe_kernels::VecKernelParams kp =
+            vecParams(st->slot, st->slot + g.stride,
+                      st->slot + 2 * g.stride, g.perDpu);
+        stage<N>(dpus_, a, kp.mramA, g);
+        stage<N>(dpus_, b, kp.mramB, g);
+        dpus_.plan().declareWriteTarget(
+            ResidentCache<N>::scratchPlanId(st->slot));
+        const pim::CompiledKernel kernel = vecKernel(kp, multiply);
+        const analysis::KernelFootprint fp =
+            pimhe_kernels::vecKernelFootprint(kp, dpus_.config().dpu,
+                                              tasklets_, multiply);
+        if (async) {
+            st->launch =
+                dpus_.launchAsync(tasklets_, kernel, fp).launchIndex();
+            window_.push_back(st);
+        } else {
+            dpus_.launch(tasklets_, kernel, fp);
+            st->launch = dpus_.launches().size() - 1;
+            harvest(*st);
+        }
+        return AsyncOp(this, std::move(st));
     }
 
     /**
-     * Wait for an async op's launch and download its results. Runs on
-     * the caller thread; downloads charge the producing launch via
-     * copyFromMramForLaunch, so the accounting matches the point the
-     * synchronous path would have charged them.
+     * Wait for an op's launch, download its result third and free its
+     * slot. Runs on the caller thread; downloads charge the producing
+     * launch via copyFromMramForLaunch, so the accounting matches the
+     * point the synchronous path would have charged them.
      */
     void
     harvest(AsyncOpState &st)
     {
-        st.ticket.wait();
-        st.results =
-            collect<N>(dpus_, st.outAddr, st.geometry,
-                       st.ticket.launchIndex());
+        dpus_.waitLaunch(st.launch);
+        collect<N>(dpus_, st.slot + 2 * st.geometry.stride, st.geometry,
+                   st.launch, st.results);
+        cache_.freeScratch(st.slot);
         st.harvested = true;
-    }
-
-    /**
-     * Async twin of stagedOp(): same shapes, same kernels, same
-     * verifier footprint — but operands stage into the double
-     * buffer's free slot and the kernel goes through launchAsync. At
-     * most two ops are in flight; submitting a third first harvests
-     * the op that owns the slot being reused.
-     */
-    AsyncOp
-    elementwiseAsync(std::span<const Ciphertext<N>> a,
-                     std::span<const Ciphertext<N>> b, bool multiply)
-    {
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             multiply ? "pimhe.vec_mul_async"
-                                      : "pimhe.vec_add_async");
-        span.arg("cts", static_cast<double>(a.size()));
-        bumpOpCounter(multiply ? "pimhe.ops.vec_mul_async"
-                               : "pimhe.ops.vec_add_async");
-        const Geometry g = binaryGeometry(a, b);
-        ensureStager(3 * g.stride);
-        const unsigned slot = stager_.buf.turn & 1u;
-        if (stager_.owner[slot] && !stager_.owner[slot]->harvested)
-            harvest(*stager_.owner[slot]);
-        stager_.owner[slot].reset();
-
-        const std::uint64_t scratch = stager_.buf.front();
-        const pimhe_kernels::VecKernelParams kp =
-            stageBinary(a, b, scratch, g);
-        auto st = std::make_shared<AsyncOpState>();
-        st->ticket = dpus_.launchAsync(
-            tasklets_, vecKernel(kp, multiply),
-            pimhe_kernels::vecKernelFootprint(kp, dpus_.config().dpu,
-                                              tasklets_, multiply));
-        st->outAddr = kp.mramOut;
-        st->geometry = g;
-        stager_.owner[slot] = st;
-        stager_.buf.flip();
-        return AsyncOp(this, std::move(st));
     }
 
     const BfvContext<N> &ctx_;
@@ -908,7 +839,8 @@ class PimHeSystem
     unsigned tasklets_;
     pimhe_kernels::VecKernelParams modulus_; //!< k, c, q of the ring
     ResidentCache<N> cache_;
-    ElementwiseStager stager_; //!< async elementwise staging pair
+    /** Async ops not yet retired from the window, oldest first. */
+    std::deque<std::shared_ptr<AsyncOpState>> window_;
     PimCostModel costModel_; //!< fit probes for certifyPlan (cached)
     analysis::NoiseReport noiseCheck_;
     analysis::CostReport costEstimate_;

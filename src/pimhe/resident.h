@@ -185,9 +185,10 @@ geometryOf(std::span<const Ciphertext<N>> cts, std::size_t slices,
 
 /**
  * Stage: flatten every DPU's share of `cts` concurrently into disjoint
- * parts of one buffer, then copy them to `addr` in DPU order so
- * transfer accounting stays deterministic. Does not drain the launch
- * pipeline: the caller stages into a region no in-flight launch
+ * parts of the set's host staging buffer (flattenSlice writes every
+ * byte, so no earlier contents leak), then copy them to `addr` in DPU
+ * order so transfer accounting stays deterministic. Does not drain the
+ * launch pipeline: the caller stages into a region no in-flight launch
  * touches, or drains first.
  */
 template <std::size_t N>
@@ -197,7 +198,8 @@ stage(pim::DpuSet &dpus, std::span<const Ciphertext<N>> cts,
 {
     obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.stage");
     const std::size_t region = g.regionBytes();
-    std::vector<std::uint8_t> buf(dpus.size() * region);
+    const std::span<std::uint8_t> buf =
+        dpus.hostStagingBuffer(dpus.size() * region);
     dpus.hostPool().parallelFor(dpus.size(), [&](std::size_t d) {
         for (std::size_t j = 0; j < g.slices; ++j)
             flattenSlice<N>(cts.subspan(j * g.ctsPerSlice, g.ctsPerSlice),
@@ -209,24 +211,37 @@ stage(pim::DpuSet &dpus, std::span<const Ciphertext<N>> cts,
         dpus.copyToMramAsync(d, addr, {buf.data() + d * region, region});
 }
 
-/**
- * Collect: download every DPU's part of the region at `addr` in DPU
- * order, charged to launch `launch_index` (which must be merged), then
- * unflatten concurrently — each DPU's elements map to disjoint output
- * coefficients.
- */
+/** Zero ciphertexts shaped like the region `g`: what collect fills. */
 template <std::size_t N>
 std::vector<Ciphertext<N>>
-collect(pim::DpuSet &dpus, std::uint64_t addr, const Geometry &g,
-        std::size_t launch_index)
+zeroCiphertexts(const Geometry &g)
 {
-    obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.collect");
     std::vector<Ciphertext<N>> out(g.slices * g.ctsPerSlice);
     for (auto &ct : out)
         for (std::size_t c = 0; c < g.comps; ++c)
             ct.comps.emplace_back(g.degree);
+    return out;
+}
+
+/**
+ * Collect: download every DPU's part of the region at `addr` in DPU
+ * order into the set's host staging buffer, charged to launch
+ * `launch_index` (which must be merged), then unflatten concurrently
+ * into `out` (shaped by zeroCiphertexts(g)) — each DPU's elements map
+ * to disjoint output coefficients.
+ */
+template <std::size_t N>
+void
+collect(pim::DpuSet &dpus, std::uint64_t addr, const Geometry &g,
+        std::size_t launch_index, std::span<Ciphertext<N>> out)
+{
+    obs::ScopedSpan span(obs::Tracer::global(), 0, "pimhe.collect");
+    PIMHE_ASSERT(out.size() == g.slices * g.ctsPerSlice,
+                 "collect into ", out.size(), " ciphertexts, not ",
+                 g.slices * g.ctsPerSlice);
     const std::size_t region = g.regionBytes();
-    std::vector<std::uint8_t> buf(dpus.size() * region);
+    const std::span<std::uint8_t> buf =
+        dpus.hostStagingBuffer(dpus.size() * region);
     for (std::size_t d = 0; d < dpus.size(); ++d)
         dpus.copyFromMramForLaunch(d, addr,
                                    {buf.data() + d * region, region},
@@ -236,9 +251,8 @@ collect(pim::DpuSet &dpus, std::uint64_t addr, const Geometry &g,
             unflattenSlice<N>(
                 {buf.data() + d * region + j * g.stride, g.stride},
                 g.degree, d * g.perDpu, g.perDpu,
-                std::span(out).subspan(j * g.ctsPerSlice, g.ctsPerSlice));
+                out.subspan(j * g.ctsPerSlice, g.ctsPerSlice));
     });
-    return out;
 }
 
 /**
@@ -438,8 +452,8 @@ class ResidentCache
     }
 
     /**
-     * Raw arena allocation for launch scratch (e.g. the staged
-     * elementwise path's operand/result arrays). Shares the arena —
+     * Raw arena allocation for launch scratch (a staged op's A/B/Out
+     * slot, freed when its result is harvested). Shares the arena —
      * and the eviction pressure — with resident entries, so scratch
      * can never silently clobber a cached region.
      */
@@ -451,41 +465,6 @@ class ResidentCache
         dpus_.plan().noteAlloc(scratchPlanId(addr), addr, bytes,
                                "launch scratch");
         return addr;
-    }
-
-    /**
-     * Two equal scratch regions for double-buffered pipeline staging,
-     * with the same eviction pressure as any other arena request.
-     * Both slots are registered as scratch and announced to the plan
-     * verifier, so footprints over either slot are checked exactly
-     * like the synchronous staged path's.
-     */
-    pim::DoubleBuffer
-    allocScratchDouble(std::uint64_t bytes)
-    {
-        for (;;) {
-            if (auto buf = alloc_.allocateDouble(bytes)) {
-                for (const std::uint64_t addr : buf->slot) {
-                    scratch_.insert(addr);
-                    dpus_.plan().noteAlloc(scratchPlanId(addr), addr,
-                                           buf->bytes,
-                                           "pipeline staging slot");
-                }
-                return *buf;
-            }
-            if (!evictOne())
-                panic("resident arena exhausted: need 2x ", bytes,
-                      " bytes for double-buffered staging and "
-                      "nothing evictable; ",
-                      alloc_.exhaustionReport(2 * bytes));
-        }
-    }
-
-    void
-    freeScratchDouble(const pim::DoubleBuffer &buf)
-    {
-        freeScratch(buf.slot[0]);
-        freeScratch(buf.slot[1]);
     }
 
     void
@@ -588,8 +567,9 @@ class ResidentCache
     download(Entry &e)
     {
         dpus_.drainAsync();
-        e.host = collect<N>(dpus_, e.addr, e.layout,
-                            dpus_.launches().size() - 1);
+        e.host = zeroCiphertexts<N>(e.layout);
+        collect<N>(dpus_, e.addr, e.layout, dpus_.launches().size() - 1,
+                   e.host);
         stats_.downloadedBytes += dpus_.size() * e.layout.regionBytes();
     }
 

@@ -112,8 +112,8 @@ struct StreamSnapshot
 
 /**
  * A 6-op elementwise stream (adds and coefficientwise muls
- * interleaved), run synchronously or through the async double-buffered
- * pipeline on `host_threads` host threads.
+ * interleaved), run synchronously or through the async pipeline's
+ * window of two on `host_threads` host threads.
  */
 StreamSnapshot
 runStream(std::size_t host_threads, bool async)
@@ -435,6 +435,58 @@ TEST(AsyncTickets, DroppedAsyncOpDiscardsResultsNotCorrectness)
     // The engine is clean afterwards: a later op is unaffected.
     const auto sum = sys.addCiphertextVectors(a, b);
     EXPECT_EQ(h.decryptScalar(sum.front()), 23u % h.params.t);
+}
+
+TEST(AsyncTickets, AThirdOpHarvestsOnlyTheOldestAtAShapeChange)
+{
+    // The window of two retires ops oldest first whatever their
+    // shape, as analysis::PipelineReplay forecasts: a third submit of
+    // a new shape harvests one op (one download per DPU), not two.
+    BfvHarness<kLimbs> h(32);
+    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(3, 2), 3, 12);
+    const std::vector<Ciphertext<kLimbs>> a{h.encryptScalar(4)};
+    const std::vector<Ciphertext<kLimbs>> b{h.encryptScalar(5)};
+    const std::vector<Ciphertext<kLimbs>> c{h.encryptScalar(7),
+                                            h.encryptScalar(8)};
+    const std::vector<Ciphertext<kLimbs>> d{h.encryptScalar(9),
+                                            h.encryptScalar(10)};
+    auto first = sys.addAsync(a, b);
+    auto second = sys.addAsync(b, b);
+    const std::uint64_t before = sys.transferTotals().downloads;
+    auto third = sys.addAsync(c, d);
+    EXPECT_EQ(sys.transferTotals().downloads - before, 3u);
+
+    EXPECT_EQ(h.decryptScalar(first.get().front()), 9u % h.params.t);
+    EXPECT_EQ(h.decryptScalar(second.get().front()), 10u % h.params.t);
+    const auto sums = third.get();
+    ASSERT_EQ(sums.size(), 2u);
+    EXPECT_EQ(h.decryptScalar(sums[0]), 16u % h.params.t);
+    EXPECT_EQ(h.decryptScalar(sums[1]), 18u % h.params.t);
+    sys.finishAsync();
+}
+
+TEST(AsyncTickets, NoStagingSlotOutlivesItsHarvest)
+{
+    // Each op holds its own arena slot from submit to harvest: the
+    // window keeps at most two live, and a fully harvested stream
+    // none, even before finishAsync.
+    BfvHarness<kLimbs> h(32);
+    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(3, 2), 3, 12);
+    const std::vector<Ciphertext<kLimbs>> a{h.encryptScalar(3)};
+    const std::vector<Ciphertext<kLimbs>> b{h.encryptScalar(5)};
+    const analysis::PlanVerifier &plan = sys.dpuSet().plan();
+    const auto ref = sys.mulCoefficientwise(a, b);
+    EXPECT_EQ(plan.liveRegions(), 0u);
+
+    std::vector<PimHeSystem<kLimbs>::AsyncOp> ops;
+    for (int i = 0; i < 4; ++i) {
+        ops.push_back(sys.mulAsync(a, b));
+        EXPECT_LE(plan.liveRegions(), 2u) << "after submit " << i;
+    }
+    for (auto &op : ops)
+        expectCiphertextsEqual(ref, op.get());
+    EXPECT_EQ(plan.liveRegions(), 0u);
+    sys.finishAsync();
 }
 
 // ----- chunked MRAM backing store -----

@@ -1,7 +1,7 @@
 /**
  * @file
- * Stress and invariant tests of the MRAM arena allocator, with the
- * double-buffered staging pair the async pipeline leans on.
+ * Stress and invariant tests of the MRAM arena allocator, including
+ * the per-op staging-slot churn the async pipeline leans on.
  *
  * The allocator's contract: deterministic first-fit placement
  * (identical call sequences produce identical addresses — region
@@ -28,53 +28,40 @@ using namespace pimhe::pim;
 constexpr std::uint64_t kBase = 1 << 20;
 constexpr std::uint64_t kCap = 1 << 16; // 64 KB arena
 
-// ----- double-buffer churn -----
+// ----- staging-slot churn -----
 
-TEST(MramAllocatorStress, DoubleBufferChurnNeverFragments)
+TEST(MramAllocatorStress, StagingSlotChurnNeverFragments)
 {
     MramAllocator arena(kBase, kCap);
-    // Alternate double-buffer lifetimes with odd-sized scalar regions
-    // in between — the pipeline's real allocation pattern when op
-    // streams change shape. Everything must coalesce back to one
-    // free block after each full cycle.
+    // Two in-flight staging slots (the async window) with an
+    // odd-sized scalar region in between — the pipeline's real
+    // allocation pattern when op streams change shape. Everything
+    // must coalesce back to one free block after each full cycle.
     for (int cycle = 0; cycle < 64; ++cycle) {
         const std::uint64_t slot_bytes = 1000 + 8 * (cycle % 7);
-        auto buf = arena.allocateDouble(slot_bytes);
-        ASSERT_TRUE(buf.has_value()) << "cycle " << cycle;
-        auto acc = arena.allocate(504);
+        const auto older = arena.allocate(slot_bytes);
+        const auto newer = arena.allocate(slot_bytes);
+        ASSERT_TRUE(older && newer) << "cycle " << cycle;
+        const auto acc = arena.allocate(504);
         ASSERT_TRUE(acc.has_value());
-        EXPECT_NE(buf->slot[0], buf->slot[1]);
-        EXPECT_GE(buf->bytes, slot_bytes);
+        EXPECT_NE(*older, *newer);
 
-        // Interleave: drop the pair first on even cycles, the scalar
+        // Interleave: drop the slots first on even cycles, the scalar
         // region first on odd ones, so coalescing is hit from both
         // sides.
         if (cycle % 2 == 0) {
-            arena.releaseDouble(*buf);
+            arena.release(*older);
+            arena.release(*newer);
             arena.release(*acc);
         } else {
             arena.release(*acc);
-            arena.releaseDouble(*buf);
+            arena.release(*older);
+            arena.release(*newer);
         }
         EXPECT_EQ(arena.bytesInUse(), 0u) << "cycle " << cycle;
         EXPECT_EQ(arena.freeBlockCount(), 1u) << "cycle " << cycle;
         EXPECT_EQ(arena.largestFreeBlock(), kCap) << "cycle " << cycle;
     }
-}
-
-TEST(MramAllocatorStress, SlotRolesFlipWithoutMoving)
-{
-    MramAllocator arena(kBase, kCap);
-    auto buf = arena.allocateDouble(256);
-    ASSERT_TRUE(buf.has_value());
-    const std::uint64_t a = buf->front();
-    const std::uint64_t b = buf->back();
-    buf->flip();
-    EXPECT_EQ(buf->front(), b);
-    EXPECT_EQ(buf->back(), a);
-    buf->flip();
-    EXPECT_EQ(buf->front(), a);
-    arena.releaseDouble(*buf);
 }
 
 // ----- deterministic first-fit placement -----
@@ -149,30 +136,9 @@ TEST(MramAllocator, EveryAddressIsDmaAligned)
         ASSERT_TRUE(r.has_value());
         EXPECT_EQ(*r % MramAllocator::kAlign, 0u) << bytes;
     }
-    const auto buf = arena.allocateDouble(13);
-    ASSERT_TRUE(buf.has_value());
-    EXPECT_EQ(buf->slot[0] % MramAllocator::kAlign, 0u);
-    EXPECT_EQ(buf->slot[1] % MramAllocator::kAlign, 0u);
 }
 
-// ----- exhaustion diagnostics and all-or-nothing pairs -----
-
-TEST(MramAllocator, AllocateDoubleIsAllOrNothing)
-{
-    MramAllocator arena(kBase, kCap);
-    // Room for one slot of kCap/2 + 8 but not two.
-    const std::uint64_t slot = kCap / 2 + 8;
-    const std::uint64_t in_use = arena.bytesInUse();
-    const std::size_t free_blocks = arena.freeBlockCount();
-    const auto buf = arena.allocateDouble(slot);
-    EXPECT_FALSE(buf.has_value());
-    // Failure left the allocator state untouched — the transiently
-    // reserved first slot was returned and coalesced.
-    EXPECT_EQ(arena.bytesInUse(), in_use);
-    EXPECT_EQ(arena.freeBlockCount(), free_blocks);
-    const auto single = arena.allocate(slot);
-    EXPECT_TRUE(single.has_value());
-}
+// ----- exhaustion diagnostics -----
 
 TEST(MramAllocator, ExhaustionReportDiagnosesFragmentation)
 {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "pimhe/orchestrator.h"
 #include "test_util.h"
 
@@ -149,6 +151,15 @@ TEST(Orchestrator, UnevenPartitionAcrossManyDpus)
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(h.decryptScalar(sums[i]),
                   (140 + 2 * i) % h.params.t);
+}
+
+TEST(Orchestrator, SystemCannotBeMoved)
+{
+    // The resident cache refers to the system's DpuSet and every
+    // AsyncOp to the system itself; after a move both would point at
+    // the moved-from object, whose DpuSet has no DPUs left.
+    EXPECT_FALSE(std::is_move_constructible_v<PimHeSystem<2>>);
+    EXPECT_FALSE(std::is_move_assignable_v<PimHeSystem<2>>);
 }
 
 TEST(Orchestrator, MismatchedVectorsDie)

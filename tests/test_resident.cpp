@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "pimhe/orchestrator.h"
 #include "test_util.h"
 
@@ -228,6 +230,39 @@ TEST(Resident, ReduceIsSingleUploadAndDownload)
     EXPECT_EQ(pimsys.dpuSet().launches().size(), 3u);
     // Downloads cover one ciphertext, uploads eight.
     EXPECT_LT(8 * xfer.downloadedBytes, 9 * xfer.uploadedBytes);
+}
+
+TEST(Resident, StagingBufferIsReusedAndLeavesNoStaleBytes)
+{
+    // stage() flattens into one host buffer the DpuSet keeps across
+    // calls. Staging one ciphertext after five must not reallocate it,
+    // and must put exactly the one ciphertext's bytes in MRAM: the
+    // last of 7 DPUs holds 2 of its 5 elements, and the rest of that
+    // slice must read zero, not the five ciphertexts left in the
+    // buffer.
+    BfvHarness<2> h(16);
+    pim::DpuSet dpus(residentSystem(7), 7);
+    std::vector<Ciphertext<2>> five;
+    for (int i = 0; i < 5; ++i)
+        five.push_back(h.encryptScalar(10 + i));
+    const std::vector<Ciphertext<2>> one = {h.encryptScalar(3)};
+    const Geometry g5 = geometryOf<2>(std::span(std::as_const(five)), 1,
+                                      h.params.n, 7);
+    const Geometry g1 = geometryOf<2>(std::span(one), 1, h.params.n, 7);
+    ASSERT_EQ(g1.perDpu, 5u);
+
+    stage<2>(dpus, five, 0, g5);
+    const std::uint8_t *buffer = dpus.hostStagingBuffer(0).data();
+    stage<2>(dpus, one, 0, g1);
+    EXPECT_EQ(dpus.hostStagingBuffer(0).data(), buffer);
+    for (std::size_t d = 0; d < 7; ++d) {
+        std::vector<std::uint8_t> want(g1.stride);
+        std::vector<std::uint8_t> got(g1.stride);
+        flattenSlice<2>(std::span(one), h.params.n, d * g1.perDpu,
+                        g1.perDpu, want);
+        dpus.copyFromMram(d, 0, got);
+        EXPECT_EQ(got, want) << "DPU " << d;
+    }
 }
 
 TEST(Resident, StagedPathCoexistsWithResidentEntries)

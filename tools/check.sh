@@ -22,7 +22,11 @@
 # The CLI contract (pim_prove and pim_certify sweeps and every
 # --inject kind, pim_certify --calibrate, the pim_profile smokes and
 # bench_compare's exit codes) is ctest's `unit`-labelled tool tests in
-# tools/CMakeLists.txt, so every ctest leg above runs it.
+# tools/CMakeLists.txt, so every ctest leg above runs it. Likewise the
+# staging gates (abl_pipeline_overlap and abl_resident_reuse, the
+# async and sync staging paths end to end) are `unit_stress` ctests in
+# bench/CMakeLists.txt, so the quick tier, every sanitizer leg and the
+# TSan leg at 16 host threads all run them.
 #
 # All compiled legs build with -DPIMHE_WERROR=ON (warnings are errors)
 # and export compile_commands.json for clang tooling.
@@ -79,11 +83,6 @@ if [[ "${QUICK}" == "0" ]]; then
     PIMHE_EXEC_MODE=fast ctest --test-dir build-check-plain \
         --output-on-failure -j "${JOBS}" -L differential
     run_config asan -DPIMHE_SANITIZE=address
-    # The resident-reuse ablation drives the arena allocator, the
-    # eviction path, and the plan-verifier event stream end to end;
-    # run it under ASan so lifetime bugs in that stack surface here.
-    echo "=== [asan] abl_resident_reuse ==="
-    ./build-check-asan/bench/abl_resident_reuse > /dev/null
     # Fast-path leg, part 2: the same suites in shadow mode under
     # ASan — every launch runs interpreter AND fast body and panics on
     # any divergence, with the fast path's host loops sanitized.
@@ -111,9 +110,9 @@ if [[ "${QUICK}" == "0" ]]; then
     # whose label matches 'stress|differential': the async-pipeline
     # suite (unit_differential) runs the pipelined engine's
     # caller-thread/worker handoff under TSan with the host pool
-    # forced wide, and the resident suite (unit_stress) does the same
-    # for the host-pool stage/collect behind every cache upload and
-    # download.
+    # forced wide, and the resident suite and the two staging gates
+    # (unit_stress) do the same for the host-pool stage/collect behind
+    # every staged op and every cache upload and download.
     echo "=== [tsan] ctest -L 'stress|differential' (16 threads) ==="
     PIMHE_HOST_THREADS=16 ctest --test-dir "${dir}" \
         --output-on-failure -j "${JOBS}" -L 'stress|differential'
