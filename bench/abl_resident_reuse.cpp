@@ -185,7 +185,7 @@ main()
         const double kms = conv.dpuSet().lastLaunch().kernelMs;
         kernel_ms.push_back(kms);
         ct.addRow({std::to_string(k), Table::fmt(kms, 3),
-                   Table::fmt(conv.totalModeledMs(), 3)});
+                   Table::fmt(conv.dpuSet().totalModeledMs(), 3)});
     }
     report.table(ct);
     report.series("conv_kernel_ms", kernel_ms);

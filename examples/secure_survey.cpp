@@ -79,7 +79,7 @@ main(int argc, char **argv)
     std::cout << "  encrypted variance: " << var_result
               << "   (plaintext " << pvar << ")\n";
     std::cout << "  modelled PIM convolution time: "
-              << conv_ptr->totalModeledMs() << " ms\n";
+              << conv_ptr->dpuSet().totalModeledMs() << " ms\n";
 
     const bool ok = mean_result == pmean && var_result == pvar;
     std::cout << (ok ? "OK" : "MISMATCH") << "\n";

@@ -46,7 +46,7 @@ enum class HeOp : std::uint8_t
     MulScalar,  //!< ct * alpha, alpha a plaintext scalar
     Mul,        //!< BFV tensor product + relinearisation
     Square,     //!< BFV square + relinearisation
-    FusedAddMul,//!< (a + b) * c — the fused resident chain
+    FusedAddMul,//!< (a + b) * c: an add launch, then a BFV product
     Reduce,     //!< fan-in homomorphic sum (tree reduction)
     Output,     //!< decryption point: budget obligation attaches here
 };

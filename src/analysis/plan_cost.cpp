@@ -460,8 +460,8 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
             break;
 
           case HeOp::FusedAddMul: {
-            // One fused/add launch for (a + b), then the tensor
-            // product against c. Staged pays the add round trip the
+            // One add launch for (a + b), then the tensor product
+            // against c. Staged pays the add round trip the
             // resident path avoids.
             chargeUpload(st, 2 * c.ctBytes, c, &pipe);
             chargeLaunch(st, c.launchMs(spec.addCycles,
@@ -525,9 +525,6 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
         row.pimStaged = deltaOf(st, st0);
         row.pimResident = deltaOf(re, re0);
         row.host = deltaOf(ho, ho0);
-        row.pimStagedMs = row.pimStaged.ms;
-        row.pimResidentMs = row.pimResident.ms;
-        row.hostMs = row.host.ms;
         report.rows.push_back(row);
     }
 

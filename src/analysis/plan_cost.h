@@ -162,9 +162,6 @@ struct OpCostRow
 {
     NodeId node = 0;
     HeOp op = HeOp::Input;
-    double pimStagedMs = 0;
-    double pimResidentMs = 0;
-    double hostMs = 0;
     OpBackendDelta pimStaged;
     OpBackendDelta pimResident;
     OpBackendDelta host; //!< busBytes/launches always 0 on host

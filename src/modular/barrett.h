@@ -46,9 +46,6 @@ class BarrettReducer
 
     const Value &modulus() const { return q_; }
 
-    /** Bit length of the modulus. */
-    std::size_t modulusBits() const { return k_; }
-
     /**
      * Reduce a double-width value x < 2^(2k) to x mod q.
      */

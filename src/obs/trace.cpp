@@ -146,13 +146,6 @@ Tracer::spanCount() const
 }
 
 std::size_t
-Tracer::instantCount() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return instants_.size();
-}
-
-std::size_t
 Tracer::counterCount() const
 {
     std::lock_guard<std::mutex> lock(m_);

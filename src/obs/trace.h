@@ -147,7 +147,6 @@ class Tracer
     void clear();
 
     std::size_t spanCount() const;
-    std::size_t instantCount() const;
     std::size_t counterCount() const;
 
   private:

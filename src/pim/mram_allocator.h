@@ -54,7 +54,6 @@ class MramAllocator
      *  or double free (allocator state corruption is never silent). */
     void release(std::uint64_t addr);
 
-    std::uint64_t arenaBase() const { return base_; }
     std::uint64_t capacity() const { return capacity_; }
     std::uint64_t bytesInUse() const { return inUse_; }
     std::uint64_t bytesFree() const { return capacity_ - inUse_; }

@@ -27,47 +27,6 @@
 namespace pimhe {
 namespace pim {
 
-class DpuSet;
-
-/**
- * Future-like handle to an asynchronous launch (DpuSet::launchAsync).
- *
- * Semantics:
- *  - wait() blocks until the launch (and every earlier submission)
- *    has been merged, then returns its LaunchStats. Idempotent: a
- *    second wait() returns the same, already-merged stats.
- *  - A deferred failure — pre-launch verifier rejection, fail-fast
- *    checker conflict, shadow divergence — panics inside wait() with
- *    the same diagnostic the synchronous path would have raised.
- *  - Dropping a ticket without wait() is allowed: the launch still
- *    completes and is merged (failures included) at the next drain
- *    point — any synchronous DpuSet operation, a later ticket's
- *    wait(), or an explicit drainAsync(). Only destroying the DpuSet
- *    with tickets never waited on abandons their results.
- */
-class LaunchTicket
-{
-  public:
-    LaunchTicket() = default;
-
-    /** Block until merged; returns the launch's stats. */
-    const LaunchStats &wait();
-
-    bool valid() const { return set_ != nullptr; }
-
-    /** Global launch index (position in DpuSet::launches()). */
-    std::size_t launchIndex() const { return index_; }
-
-  private:
-    friend class DpuSet;
-    LaunchTicket(DpuSet *set, std::size_t index)
-        : set_(set), index_(index)
-    {}
-
-    DpuSet *set_ = nullptr;
-    std::size_t index_ = 0;
-};
-
 /**
  * A host-managed allocation of DPUs.
  *
@@ -93,13 +52,13 @@ class LaunchTicket
  * with the synchronous-barrier flag, runs the compute phase inline on
  * the caller thread and merges at once; launchAsync() hands the
  * compute phase to a single-worker FIFO pipeline (pim/pipeline.h) and
- * returns a LaunchTicket immediately, so the caller can stage launch
+ * returns the launch's index immediately, so the caller can stage launch
  * N+1's operands (copyToMramAsync into its own disjoint staging slot)
  * while launch N simulates. Determinism is preserved by construction:
  * every modelled charge — upload consumption, verification, post-join
  * conflict/shadow scan in DPU index order, observability, the
  * two-track pipeline clock — runs on the caller thread in submission
- * order when the launch is merged (ticket wait / any drain point).
+ * order when the launch is merged (waitLaunch / any drain point).
  * The worker only fills the launch's private per-DPU stats slots.
  * Modelled pipeline time lives in pipelineStats(): transfers
  * serialise on a bus track, kernels on a DPU track, and the pipelined
@@ -211,8 +170,8 @@ class DpuSet
      * Pipelined download of a specific launch's results: reads the
      * range and charges the modelled time to THAT launch (not
      * launches().back(), which may already be a younger pipelined
-     * launch). The launch must have been merged — wait() on its
-     * ticket first. Does not drain the pipeline, so harvesting launch
+     * launch). The launch must have been merged — waitLaunch() on
+     * it first. Does not drain the pipeline, so harvesting launch
      * N's output can overlap launch N+1's compute; the caller
      * promises the range is disjoint from in-flight footprints, as
      * with copyToMramAsync.
@@ -224,7 +183,7 @@ class DpuSet
     {
         PIMHE_ASSERT(launch_index < launches_.size(),
                      "copyFromMramForLaunch: launch ", launch_index,
-                     " not merged yet — wait() on its ticket first");
+                     " not merged yet — waitLaunch() on it first");
         dpuAt(dpu).mram().read(addr, bytes.data(), bytes.size());
         chargeDownload(dpu, bytes.size(),
                        static_cast<std::ptrdiff_t>(launch_index));
@@ -299,16 +258,19 @@ class DpuSet
      * Non-blocking pipelined launch: consume the staged uploads into
      * this launch's modelled hostToDpuMs (exactly as launch() would,
      * at the same program point), enqueue the compute phase on the
-     * pipeline worker, and return a ticket. The caller may then stage
-     * the NEXT launch's operands with copyToMramAsync into a disjoint
-     * staging slot while this one simulates — the host overlap the
-     * two-track model charges.
+     * pipeline worker, and return the launch's index in launches().
+     * The caller may then stage the NEXT launch's operands with
+     * copyToMramAsync into a disjoint staging slot while this one
+     * simulates — the host overlap the two-track model charges.
+     * waitLaunch(index) blocks until the launch is merged; a launch
+     * nobody waits on is still merged (and charged) at the next drain
+     * point.
      *
-     * All failure modes are deferred into the merge (ticket wait or
+     * All failure modes are deferred into the merge (waitLaunch or
      * the next drain point) and panic there with the synchronous
      * path's diagnostics, in submission order.
      */
-    LaunchTicket
+    std::size_t
     launchAsync(unsigned num_tasklets, const CompiledKernel &kernel)
     {
         return submitAsync(num_tasklets, kernel, std::string(),
@@ -320,11 +282,11 @@ class DpuSet
      * (budgets, symbolic prover, plan lifetimes) runs NOW, on the
      * caller thread at submission — the reports in lastVerify() etc.
      * are exactly the synchronous ones — but a rejection is captured
-     * in the ticket instead of panicking here, and surfaces when the
-     * launch is merged. A rejected launch never simulates a cycle and
-     * charges no kernel time, same as the synchronous path.
+     * in the pending launch instead of panicking here, and surfaces
+     * when the launch is merged. A rejected launch never simulates a
+     * cycle and charges no kernel time, same as the synchronous path.
      */
-    LaunchTicket
+    std::size_t
     launchAsync(unsigned num_tasklets, const CompiledKernel &kernel,
                 const analysis::KernelFootprint &footprint)
     {
@@ -353,8 +315,8 @@ class DpuSet
      * Block until launch `launch_index` is merged and return its
      * stats. Merging always proceeds in submission order, so waiting
      * on launch k first merges every older pending launch — which is
-     * how out-of-order ticket waits stay deterministic. Idempotent
-     * for already-merged launches.
+     * how out-of-order waits stay deterministic. Idempotent for
+     * already-merged launches: a second wait returns the same record.
      */
     const LaunchStats &
     waitLaunch(std::size_t launch_index)
@@ -379,7 +341,7 @@ class DpuSet
     {
         PIMHE_ASSERT(pendingAsync_.empty(),
                      "pipelineStats() with async launches in flight — "
-                     "wait on the tickets or drainAsync() first");
+                     "waitLaunch() or drainAsync() first");
         return pipeStats_;
     }
 
@@ -454,8 +416,7 @@ class DpuSet
                                   "DpuSet::launch");
         const LaunchStats &merged = waitLaunch(
             submitAsync(num_tasklets, kernel, std::move(verify_failure),
-                        /*async=*/false)
-                .launchIndex());
+                        /*async=*/false));
         host_span.arg("tasklets", static_cast<double>(num_tasklets));
         host_span.arg("dpus", static_cast<double>(dpus_.size()));
         host_span.arg("kernel_ms", merged.kernelMs);
@@ -466,8 +427,8 @@ class DpuSet
      * The verifyBeforeLaunch static stack shared by the verified
      * launch overloads (see the Kernel overload's contract). Returns
      * the rejection diagnostic instead of panicking, so the async
-     * path can defer it into the LaunchTicket; empty string means the
-     * launch is admitted.
+     * path can defer it to the merge; empty string means the launch
+     * is admitted.
      */
     std::string
     preLaunchVerifyCaptured(unsigned num_tasklets,
@@ -823,9 +784,9 @@ class DpuSet
      * on the pipeline worker when `async`, inline on the caller thread
      * otherwise (the caller drained first and merges at once, which is
      * the synchronous barrier). A rejected launch runs nothing; its
-     * diagnostic panics at the merge.
+     * diagnostic panics at the merge. Returns the launch's index.
      */
-    LaunchTicket
+    std::size_t
     submitAsync(unsigned num_tasklets, const CompiledKernel &kernel,
                 std::string verify_failure, bool async)
     {
@@ -842,10 +803,10 @@ class DpuSet
         PendingAsync &rec = pendingAsync_.back();
 
         if (!rec.verifyFailure.empty())
-            return LaunchTicket(this, rec.launchIndex);
+            return rec.launchIndex;
         if (!async) {
             runDpus(num_tasklets, kernel, rec.stats);
-            return LaunchTicket(this, rec.launchIndex);
+            return rec.launchIndex;
         }
         rec.engineSeq = pipeline().submit(
             [this, kernel, num_tasklets, stats = &rec.stats] {
@@ -853,7 +814,7 @@ class DpuSet
                                      kAsyncWorkerTid, "async.compute");
                 runDpus(num_tasklets, kernel, *stats);
             });
-        return LaunchTicket(this, rec.launchIndex);
+        return rec.launchIndex;
     }
 
     /** The per-DPU execution body: simulate every DPU across the host
@@ -912,8 +873,8 @@ class DpuSet
     requireDrained(const char *what) const
     {
         PIMHE_ASSERT(pendingAsync_.empty(), what,
-                     " with async launches in flight — wait on the "
-                     "tickets or drainAsync() first");
+                     " with async launches in flight — waitLaunch() "
+                     "or drainAsync() first");
     }
 
     /**
@@ -1063,13 +1024,6 @@ class DpuSet
     analysis::PlanReport lastPlan_;
     bool hasPlan_ = false;
 };
-
-inline const LaunchStats &
-LaunchTicket::wait()
-{
-    PIMHE_ASSERT(set_ != nullptr, "wait() on an empty LaunchTicket");
-    return set_->waitLaunch(index_);
-}
 
 } // namespace pim
 } // namespace pimhe

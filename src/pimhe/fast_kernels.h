@@ -37,7 +37,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "pim/dpu.h"
@@ -307,7 +306,7 @@ hostWideMulModQ(const std::uint32_t *a, const std::uint32_t *b,
 }
 
 // ---------------------------------------------------------------------
-// Elementwise kernels (add / mul / fused add->mul / in-place reduce).
+// Elementwise kernels (add / mul / in-place reduce).
 // ---------------------------------------------------------------------
 
 /** Per-launch probe cache; shared by every DPU of a launch through
@@ -324,10 +323,10 @@ struct ProbedCost
  *  overhead. */
 inline std::uint64_t
 probePerElement(const pim::DpuConfig &cfg, const VecKernelParams &p,
-                bool has_c, detail::ElementOp op)
+                detail::ElementOp op)
 {
     return probeInstructions(cfg, [&](pim::TaskletCtx &ctx) {
-        detail::elementStep(ctx, p, has_c, 0, 0, 0, 0, op);
+        detail::elementStep(ctx, p, 0, 0, 0, op);
     });
 }
 
@@ -348,21 +347,16 @@ probePerElement(const pim::DpuConfig &cfg, const VecKernelParams &p,
  */
 inline void
 runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
-                   std::optional<std::uint64_t> mram_c, bool multiply,
-                   std::uint64_t per_element)
+                   bool multiply, std::uint64_t per_element)
 {
-    const bool fused = mram_c.has_value();
-    const std::uint32_t buffers = fused ? 4u : 3u;
     const std::uint32_t eb = p.elemBytes();
-    const std::uint32_t chunk_bytes =
-        wramChunkBytes(f.cfg, f.numTasklets, buffers);
+    const std::uint32_t chunk_bytes = wramChunkBytes(f.cfg, f.numTasklets);
     const std::uint32_t chunk_elems =
         std::max<std::uint32_t>(1, chunk_bytes / eb);
 
     std::vector<std::uint32_t> abuf(
         static_cast<std::size_t>(chunk_elems) * p.limbs);
     std::vector<std::uint32_t> bbuf(abuf.size());
-    std::vector<std::uint32_t> cbuf(fused ? abuf.size() : 0);
     std::vector<std::uint32_t> obuf(abuf.size());
     auto bytesOf = [](std::vector<std::uint32_t> &v) {
         return reinterpret_cast<std::uint8_t *>(v.data());
@@ -386,10 +380,6 @@ runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
             f.chargeDma(t, dma_bytes);
             f.mram.read(p.mramB + off, bytesOf(bbuf), sem);
             f.chargeDma(t, dma_bytes);
-            if (fused) {
-                f.mram.read(*mram_c + off, bytesOf(cbuf), sem);
-                f.chargeDma(t, dma_bytes);
-            }
             for (std::uint32_t i = 0; i < count; ++i) {
                 const std::uint32_t *a =
                     abuf.data() +
@@ -400,20 +390,11 @@ runFastElementwise(pim::FastCtx &f, const VecKernelParams &p,
                 std::uint32_t *o =
                     obuf.data() +
                     static_cast<std::size_t>(i) * p.limbs;
-                if (fused) {
-                    const std::uint32_t *c =
-                        cbuf.data() +
-                        static_cast<std::size_t>(i) * p.limbs;
-                    std::uint32_t sum[pim::kMaxLimbs];
-                    hostWideAddModQ(a, b, p.q.data(), sum, p.limbs);
-                    hostWideMulModQ(sum, c, p.q.data(), p.k, p.c, o,
-                                    p.limbs);
-                } else if (multiply) {
+                if (multiply)
                     hostWideMulModQ(a, b, p.q.data(), p.k, p.c, o,
                                     p.limbs);
-                } else {
+                else
                     hostWideAddModQ(a, b, p.q.data(), o, p.limbs);
-                }
             }
             ts.instructions +=
                 static_cast<std::uint64_t>(count) * per_element + 5;
@@ -889,9 +870,7 @@ namespace detail {
  *  count probed from `op`. */
 inline pim::CompiledKernel
 compiledElementwise(const char *name, pim::Kernel interpret,
-                    const VecKernelParams &p,
-                    std::optional<std::uint64_t> mram_c, bool multiply,
-                    ElementOp op)
+                    const VecKernelParams &p, bool multiply, ElementOp op)
 {
     pim::CompiledKernel ck;
     ck.name = name;
@@ -901,13 +880,11 @@ compiledElementwise(const char *name, pim::Kernel interpret,
                                    p.elemBytes(),
                    "result"}};
     auto cost = std::make_shared<fastpath::ProbedCost>();
-    ck.fast = [p, mram_c, multiply, op, cost](pim::FastCtx &f) {
+    ck.fast = [p, multiply, op, cost](pim::FastCtx &f) {
         std::call_once(cost->once, [&] {
-            cost->perElement = fastpath::probePerElement(
-                f.cfg, p, mram_c.has_value(), op);
+            cost->perElement = fastpath::probePerElement(f.cfg, p, op);
         });
-        fastpath::runFastElementwise(f, p, mram_c, multiply,
-                                     cost->perElement);
+        fastpath::runFastElementwise(f, p, multiply, cost->perElement);
     };
     return ck;
 }
@@ -921,8 +898,7 @@ compiledVecAddModQ(const VecKernelParams &p)
 {
     return detail::compiledElementwise(
         p.mramOut == p.mramA ? "vec-add-modq-inplace" : "vec-add-modq",
-        makeVecAddModQKernel(p), p, std::nullopt, false,
-        detail::addElement);
+        makeVecAddModQKernel(p), p, false, detail::addElement);
 }
 
 /** Compiled elementwise modular multiply. */
@@ -930,17 +906,8 @@ inline pim::CompiledKernel
 compiledVecMulModQ(const VecKernelParams &p)
 {
     return detail::compiledElementwise(
-        "vec-mul-modq", makeVecMulModQKernel(p), p, std::nullopt, true,
+        "vec-mul-modq", makeVecMulModQKernel(p), p, true,
         detail::mulElement);
-}
-
-/** Compiled fused elementwise (a + b) * c kernel. */
-inline pim::CompiledKernel
-compiledVecAddMulModQ(const FusedKernelParams &p)
-{
-    return detail::compiledElementwise(
-        "vec-add-mul-fused", makeVecAddMulModQKernel(p), p.vec, p.mramC,
-        false, detail::fusedElement);
 }
 
 /** Compiled negacyclic convolution (plain or row-sharded). */

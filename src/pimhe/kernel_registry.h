@@ -88,19 +88,6 @@ registryVecParams()
     return makeVecParams(params.q, params.n);
 }
 
-/** registryVecParams with operand C where the result was and the
- *  result one array further. */
-template <std::size_t N>
-FusedKernelParams
-registryFusedParams()
-{
-    FusedKernelParams fp;
-    fp.vec = registryVecParams<N>();
-    fp.mramC = fp.vec.mramOut;
-    fp.vec.mramOut += fp.vec.mramB;
-    return fp;
-}
-
 template <std::size_t N>
 std::string
 levelTag()
@@ -118,17 +105,6 @@ appendVecPlans(const pim::DpuConfig &cfg, unsigned tasklets,
     const VecKernelParams kp = registryVecParams<N>();
     out.push_back({vecKernelFootprint(kp, cfg, tasklets, multiply),
                    levelTag<N>() + ", n=" + std::to_string(kp.elems)});
-}
-
-template <std::size_t N>
-void
-appendFusedPlans(const pim::DpuConfig &cfg, unsigned tasklets,
-                 std::vector<KernelPlan> &out)
-{
-    const FusedKernelParams fp = registryFusedParams<N>();
-    out.push_back(
-        {fusedKernelFootprint(fp, cfg, tasklets),
-         levelTag<N>() + ", n=" + std::to_string(fp.vec.elems)});
 }
 
 template <std::size_t N>
@@ -224,19 +200,6 @@ kernelRegistry()
              return out;
          },
          [] { return compiledVecMulModQ(detail::registryVecParams<2>()); },
-         ""},
-        {"makeVecAddMulModQKernel", "fused elementwise add->mul",
-         [](const pim::DpuConfig &cfg, unsigned tasklets) {
-             std::vector<KernelPlan> out;
-             detail::appendFusedPlans<1>(cfg, tasklets, out);
-             detail::appendFusedPlans<2>(cfg, tasklets, out);
-             detail::appendFusedPlans<4>(cfg, tasklets, out);
-             return out;
-         },
-         [] {
-             return compiledVecAddMulModQ(
-                 detail::registryFusedParams<2>());
-         },
          ""},
         {"makeNegacyclicConvKernel", "negacyclic convolution",
          [](const pim::DpuConfig &cfg, unsigned) {

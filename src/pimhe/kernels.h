@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "analysis/footprint.h"
@@ -77,22 +76,25 @@ makeVecParams(const WideInt<N> &q, std::size_t elems)
     return kp;
 }
 
+/** WRAM staging buffers per tasklet of the elementwise kernels: the
+ *  A, B and OUT chunks. */
+inline constexpr std::uint32_t kElementwiseBuffers = 3;
+
 /**
  * Bytes of WRAM one tasklet may use per staging buffer. The
- * elementwise kernels keep three buffers live at once (A chunk,
- * B chunk, OUT chunk); the fused add->mul kernel keeps four. Each
- * tasklet's stack (analysis::kDefaultStackBytes, which the launch
- * verifier charges) shares the same WRAM, so it comes off the
- * tasklet's share before the buffers split the rest.
+ * elementwise kernels keep kElementwiseBuffers buffers live at once
+ * (A chunk, B chunk, OUT chunk). Each tasklet's stack
+ * (analysis::kDefaultStackBytes, which the launch verifier charges)
+ * shares the same WRAM, so it comes off the tasklet's share before
+ * the three buffers split the rest.
  */
 inline std::uint32_t
-wramChunkBytes(const pim::DpuConfig &cfg, unsigned num_tasklets,
-               unsigned num_buffers = 3)
+wramChunkBytes(const pim::DpuConfig &cfg, unsigned num_tasklets)
 {
     const std::size_t share = cfg.wramBytes / num_tasklets;
     const std::size_t budget =
         share > analysis::kDefaultStackBytes
-            ? (share - analysis::kDefaultStackBytes) / num_buffers
+            ? (share - analysis::kDefaultStackBytes) / kElementwiseBuffers
             : 0;
     std::uint32_t bytes = 8;
     while (bytes * 2 <= budget && bytes * 2 <= 2048)
@@ -141,33 +143,30 @@ alignedTaskletRange(std::uint32_t elems, std::uint32_t elem_bytes,
 namespace detail {
 
 /** Signature of an elementwise kernel's modular op on one element:
- *  out = f(a, b, c), c being zero unless the kernel has operand C. */
+ *  out = f(a, b). */
 using ElementOp = void (*)(pim::TaskletCtx &, const VecKernelParams &,
                            const std::uint32_t *, const std::uint32_t *,
-                           const std::uint32_t *, std::uint32_t *);
+                           std::uint32_t *);
 
 /**
- * One element of runElementwise: load its limbs of a, b (and c when
- * `has_c`) from the WRAM buffers at wa/wb/wc, apply `op`, store the
- * result at wo, and charge the loop overhead. The fast path probes
- * this same step for its per-element instruction count.
+ * One element of runElementwise: load its limbs of a and b from the
+ * WRAM buffers at wa/wb, apply `op`, store the result at wo, and
+ * charge the loop overhead. The fast path probes this same step for
+ * its per-element instruction count.
  */
 inline void
-elementStep(pim::TaskletCtx &ctx, const VecKernelParams &p, bool has_c,
-            std::uint32_t wa, std::uint32_t wb, std::uint32_t wc,
-            std::uint32_t wo, ElementOp op)
+elementStep(pim::TaskletCtx &ctx, const VecKernelParams &p,
+            std::uint32_t wa, std::uint32_t wb, std::uint32_t wo,
+            ElementOp op)
 {
     std::uint32_t a[pim::kMaxLimbs] = {};
     std::uint32_t b[pim::kMaxLimbs] = {};
-    std::uint32_t c[pim::kMaxLimbs] = {};
     std::uint32_t out[pim::kMaxLimbs] = {};
     for (std::uint32_t l = 0; l < p.limbs; ++l) {
         a[l] = ctx.wramLoad32(wa + 4 * l);
         b[l] = ctx.wramLoad32(wb + 4 * l);
-        if (has_c)
-            c[l] = ctx.wramLoad32(wc + 4 * l);
     }
-    op(ctx, p, a, b, c, out);
+    op(ctx, p, a, b, out);
     for (std::uint32_t l = 0; l < p.limbs; ++l)
         ctx.wramStore32(wo + 4 * l, out[l]);
     ctx.charge(3); // loop index/branch overhead
@@ -176,7 +175,7 @@ elementStep(pim::TaskletCtx &ctx, const VecKernelParams &p, bool has_c,
 inline void
 addElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
            const std::uint32_t *a, const std::uint32_t *b,
-           const std::uint32_t *, std::uint32_t *out)
+           std::uint32_t *out)
 {
     pim::dpuWideAddModQ(ctx, a, b, p.q.data(), out, p.limbs);
 }
@@ -184,43 +183,29 @@ addElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
 inline void
 mulElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
            const std::uint32_t *a, const std::uint32_t *b,
-           const std::uint32_t *, std::uint32_t *out)
+           std::uint32_t *out)
 {
     pim::dpuWideMulModQ(ctx, a, b, p.q.data(), p.k, p.c, out, p.limbs);
 }
 
-/** ((a + b) mod q * c) mod q, the intermediate kept in registers. */
-inline void
-fusedElement(pim::TaskletCtx &ctx, const VecKernelParams &p,
-             const std::uint32_t *a, const std::uint32_t *b,
-             const std::uint32_t *c, std::uint32_t *out)
-{
-    std::uint32_t sum[pim::kMaxLimbs] = {};
-    pim::dpuWideAddModQ(ctx, a, b, p.q.data(), sum, p.limbs);
-    pim::dpuWideMulModQ(ctx, sum, c, p.q.data(), p.k, p.c, out, p.limbs);
-}
-
 /**
- * Shared chunked elementwise driver: DMA the A and B chunks (and the
- * C chunk when operand C is at `mram_c`) into WRAM, apply `op` per
- * element, DMA the result back. Three WRAM buffers per tasklet, four
- * with operand C.
+ * Shared chunked elementwise loop: DMA the A and B chunks into
+ * WRAM, apply `op` per element, DMA the result back. Three WRAM
+ * buffers per tasklet.
  */
 inline void
 runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
-               std::optional<std::uint64_t> mram_c, ElementOp op)
+               ElementOp op)
 {
-    const std::uint32_t buffers = mram_c ? 4 : 3;
     const std::uint32_t elem_bytes = p.elemBytes();
     const std::uint32_t chunk_bytes =
-        wramChunkBytes(ctx.config(), ctx.numTasklets(), buffers);
+        wramChunkBytes(ctx.config(), ctx.numTasklets());
     const std::uint32_t chunk_elems =
         std::max<std::uint32_t>(1, chunk_bytes / elem_bytes);
 
-    const std::uint32_t wa = ctx.id() * buffers * chunk_bytes;
+    const std::uint32_t wa = ctx.id() * kElementwiseBuffers * chunk_bytes;
     const std::uint32_t wb = wa + chunk_bytes;
-    const std::uint32_t wc = wb + chunk_bytes;
-    const std::uint32_t wo = wa + (buffers - 1) * chunk_bytes;
+    const std::uint32_t wo = wb + chunk_bytes;
 
     const auto [begin, end] = alignedTaskletRange(
         p.elems, elem_bytes, ctx.id(), ctx.numTasklets());
@@ -234,12 +219,9 @@ runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
         const std::uint64_t off = std::uint64_t(e) * elem_bytes;
         ctx.mramRead(p.mramA + off, wa, bytes);
         ctx.mramRead(p.mramB + off, wb, bytes);
-        if (mram_c)
-            ctx.mramRead(*mram_c + off, wc, bytes);
         for (std::uint32_t i = 0; i < count; ++i) {
             const std::uint32_t at = i * elem_bytes;
-            elementStep(ctx, p, mram_c.has_value(), wa + at, wb + at,
-                        wc + at, wo + at, op);
+            elementStep(ctx, p, wa + at, wb + at, wo + at, op);
         }
         ctx.mramWrite(wo, p.mramOut + off, bytes);
         ctx.charge(5); // chunk loop overhead
@@ -248,25 +230,23 @@ runElementwise(pim::TaskletCtx &ctx, const VecKernelParams &p,
 
 /**
  * Parametric per-tasklet access model of the chunked elementwise
- * kernels, shared by the add/mul/fused/in-place-reduce footprints.
- * Mirrors runElementwise exactly: WRAM
- * buffer slots at id * buffers * chunk, and on MRAM the union of every
- * chunk DMA, which tiles [begin*eb, roundUp8(end*eb)) contiguously
- * because alignedTaskletRange keeps begin*eb a multiple of 8 and every
- * non-tail chunk moves a multiple of 8 bytes.
+ * kernels, shared by the add/mul/in-place-reduce footprints. Mirrors
+ * runElementwise exactly: the A, B and OUT buffer slots at
+ * id * kElementwiseBuffers * chunk in WRAM, and on MRAM the union of
+ * every chunk DMA, which tiles [begin*eb, roundUp8(end*eb))
+ * contiguously because alignedTaskletRange keeps begin*eb a multiple
+ * of 8 and every non-tail chunk moves a multiple of 8 bytes.
  */
 inline analysis::TaskletAccessFn
 elementwiseAccessModel(const VecKernelParams &p,
-                       const pim::DpuConfig &cfg,
-                       std::optional<std::uint64_t> mram_c)
+                       const pim::DpuConfig &cfg)
 {
-    const unsigned buffers = mram_c ? 4 : 3;
-    return [p, cfg, buffers, mram_c](unsigned t, unsigned N) {
+    return [p, cfg](unsigned t, unsigned N) {
         std::vector<analysis::SymAccess> out;
         if (N == 0 || t >= N)
             return out;
         const std::uint32_t eb = p.elemBytes();
-        const std::uint32_t chunk = wramChunkBytes(cfg, N, buffers);
+        const std::uint32_t chunk = wramChunkBytes(cfg, N);
         const auto [begin, end] =
             alignedTaskletRange(p.elems, eb, t, N);
         if (begin >= end)
@@ -284,15 +264,14 @@ elementwiseAccessModel(const VecKernelParams &p,
              7) /
             8 * 8;
         const std::uint64_t wbase =
-            static_cast<std::uint64_t>(t) * buffers * chunk;
-        static const char *const kSlot[] = {"A chunk", "B chunk",
-                                            "C chunk"};
-        for (unsigned i = 0; i < buffers; ++i) {
+            static_cast<std::uint64_t>(t) * kElementwiseBuffers * chunk;
+        static const char *const kSlot[kElementwiseBuffers] = {
+            "A chunk", "B chunk", "OUT chunk"};
+        for (unsigned i = 0; i < kElementwiseBuffers; ++i) {
             const std::uint64_t wb =
                 wbase + static_cast<std::uint64_t>(i) * chunk;
             out.push_back({analysis::Space::Wram, 0, wb, wb + span,
-                           true,
-                           i + 1 == buffers ? "OUT chunk" : kSlot[i]});
+                           true, kSlot[i]});
         }
         const std::uint64_t mb = static_cast<std::uint64_t>(begin) * eb;
         const std::uint64_t me =
@@ -301,9 +280,6 @@ elementwiseAccessModel(const VecKernelParams &p,
                        p.mramA + me, false, "operand A"});
         out.push_back({analysis::Space::Mram, 0, p.mramB + mb,
                        p.mramB + me, false, "operand B"});
-        if (mram_c)
-            out.push_back({analysis::Space::Mram, 0, *mram_c + mb,
-                           *mram_c + me, false, "operand C"});
         out.push_back({analysis::Space::Mram, 0, p.mramOut + mb,
                        p.mramOut + me, true, "result"});
         return out;
@@ -321,7 +297,7 @@ inline pim::Kernel
 makeVecAddModQKernel(VecKernelParams p)
 {
     return [p](pim::TaskletCtx &ctx) {
-        detail::runElementwise(ctx, p, std::nullopt, detail::addElement);
+        detail::runElementwise(ctx, p, detail::addElement);
     };
 }
 
@@ -336,7 +312,7 @@ inline pim::Kernel
 makeVecMulModQKernel(VecKernelParams p)
 {
     return [p](pim::TaskletCtx &ctx) {
-        detail::runElementwise(ctx, p, std::nullopt, detail::mulElement);
+        detail::runElementwise(ctx, p, detail::mulElement);
     };
 }
 
@@ -345,36 +321,28 @@ namespace detail {
 /**
  * Static resource footprint of the chunked elementwise kernels at a
  * planned tasklet count. Mirrors runElementwise exactly: three chunk
- * buffers per tasklet (four with operand C at `mram_c`), flat MRAM
- * arrays, chunked 8-byte-aligned DMA.
+ * buffers per tasklet, flat MRAM arrays, chunked 8-byte-aligned DMA.
  */
 inline analysis::KernelFootprint
 elementwiseFootprint(std::string kernel, const VecKernelParams &p,
-                     const pim::DpuConfig &cfg, unsigned tasklets,
-                     std::optional<std::uint64_t> mram_c)
+                     const pim::DpuConfig &cfg, unsigned tasklets)
 {
-    const unsigned buffers = mram_c ? 4 : 3;
     analysis::KernelFootprint fp;
     fp.kernel = std::move(kernel);
     fp.minTasklets = 1;
     fp.maxTasklets = cfg.maxTasklets;
 
     const std::uint32_t elem_bytes = p.elemBytes();
-    const std::uint32_t chunk =
-        wramChunkBytes(cfg, std::max(1u, tasklets), buffers);
-    fp.wramBytesPerTasklet = buffers * chunk;
+    const std::uint32_t chunk = wramChunkBytes(cfg, std::max(1u, tasklets));
+    fp.wramBytesPerTasklet = kElementwiseBuffers * chunk;
 
     const std::uint64_t arr =
         (static_cast<std::uint64_t>(p.elems) * elem_bytes + 7) / 8 * 8;
     fp.mramRegions = {
         {"operand A", p.mramA, arr, analysis::Access::Read},
         {"operand B", p.mramB, arr, analysis::Access::Read},
+        {"result", p.mramOut, arr, analysis::Access::Write},
     };
-    if (mram_c)
-        fp.mramRegions.push_back(
-            {"operand C", *mram_c, arr, analysis::Access::Read});
-    fp.mramRegions.push_back(
-        {"result", p.mramOut, arr, analysis::Access::Write});
 
     // Every transfer is min(chunk_elems, tail) elements rounded up to
     // the 8-byte DMA granule; alignedTaskletRange keeps each element
@@ -386,13 +354,12 @@ elementwiseFootprint(std::string kernel, const VecKernelParams &p,
     dma.name = "chunk staging";
     dma.minBytes = 8;
     dma.maxBytes = (chunk_elems * elem_bytes + 7) / 8 * 8;
-    dma.mramAlign = std::min(
-        {analysis::alignmentOf(p.mramA), analysis::alignmentOf(p.mramB),
-         analysis::alignmentOf(mram_c.value_or(0)),
-         analysis::alignmentOf(p.mramOut)});
+    dma.mramAlign = std::min({analysis::alignmentOf(p.mramA),
+                              analysis::alignmentOf(p.mramB),
+                              analysis::alignmentOf(p.mramOut)});
     dma.wramAlign = 8; // chunk is a power of two >= 8
     fp.dmaPatterns = {dma};
-    fp.taskletAccess = elementwiseAccessModel(p, cfg, mram_c);
+    fp.taskletAccess = elementwiseAccessModel(p, cfg);
     return fp;
 }
 
@@ -404,8 +371,7 @@ vecKernelFootprint(const VecKernelParams &p, const pim::DpuConfig &cfg,
                    unsigned tasklets, bool multiply)
 {
     return detail::elementwiseFootprint(
-        multiply ? "vec-mul-modq" : "vec-add-modq", p, cfg, tasklets,
-        std::nullopt);
+        multiply ? "vec-mul-modq" : "vec-add-modq", p, cfg, tasklets);
 }
 
 /**
@@ -425,7 +391,7 @@ reduceRoundFootprint(const VecKernelParams &p,
                      const pim::DpuConfig &cfg, unsigned tasklets)
 {
     analysis::KernelFootprint fp = detail::elementwiseFootprint(
-        "vec-add-modq-inplace", p, cfg, tasklets, std::nullopt);
+        "vec-add-modq-inplace", p, cfg, tasklets);
     const std::uint64_t arr = fp.mramRegions.front().bytes;
     fp.mramRegions = {
         {"accumulator (in-place)", p.mramA, arr,
@@ -433,39 +399,6 @@ reduceRoundFootprint(const VecKernelParams &p,
         {"operand B", p.mramB, arr, analysis::Access::Read},
     };
     return fp;
-}
-
-/** Parameters of the fused elementwise add->mul kernel. */
-struct FusedKernelParams
-{
-    /** Shape/layout of the three operands (mramA/mramB) and the
-     *  result (mramOut); modulus fields as in the plain kernels. */
-    VecKernelParams vec;
-    std::uint64_t mramC = 0; //!< MRAM byte offset of operand C
-};
-
-/**
- * Fused elementwise kernel: out[i] = ((a[i] + b[i]) mod q * c[i])
- * mod q in one launch. Chaining the add and mul kernels on resident
- * operands would cost two launches and an extra MRAM round trip for
- * the intermediate; fusing keeps the intermediate in registers. Four
- * WRAM buffers per tasklet (A, B, C, OUT chunks).
- */
-inline pim::Kernel
-makeVecAddMulModQKernel(FusedKernelParams p)
-{
-    return [p](pim::TaskletCtx &ctx) {
-        detail::runElementwise(ctx, p.vec, p.mramC, detail::fusedElement);
-    };
-}
-
-/** Footprint of the fused add->mul kernel. */
-inline analysis::KernelFootprint
-fusedKernelFootprint(const FusedKernelParams &p,
-                     const pim::DpuConfig &cfg, unsigned tasklets)
-{
-    return detail::elementwiseFootprint("vec-add-mul-fused", p.vec, cfg,
-                                        tasklets, p.mramC);
 }
 
 /** Parameters of the negacyclic convolution kernel. */

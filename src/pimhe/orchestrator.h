@@ -15,7 +15,7 @@
  *    their addAsync/mulAsync pipelined twins) uploads operands before
  *    every launch and downloads every result — the paper's
  *    measurement setup;
- *  - the resident mode (makeResident and the *Resident operations)
+ *  - the resident mode (makeResident, addResident, reduceResident)
  *    keeps ciphertexts pinned in MRAM between launches through the
  *    cache in resident.h, so chained pipelines pay the bus once per
  *    operand instead of once per operation. reduceResident is the one
@@ -222,56 +222,30 @@ class PimHeSystem
     ResidentCiphertext
     addResident(const ResidentCiphertext &a, const ResidentCiphertext &b)
     {
-        return residentBinary(a, b, /*multiply=*/false);
-    }
-
-    /** Resident coefficient-wise product: out = a * b in MRAM. */
-    ResidentCiphertext
-    mulResident(const ResidentCiphertext &a, const ResidentCiphertext &b)
-    {
-        return residentBinary(a, b, /*multiply=*/true);
-    }
-
-    /**
-     * Fused chain (a + b) * c in ONE launch: the add/mul intermediate
-     * never touches MRAM, where chaining addResident + mulResident
-     * would launch twice and round-trip the intermediate through the
-     * bank.
-     */
-    ResidentCiphertext
-    fusedAddMulResident(const ResidentCiphertext &a,
-                        const ResidentCiphertext &b,
-                        const ResidentCiphertext &c)
-    {
         obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             "pimhe.resident_fused_add_mul");
-        bumpOpCounter("pimhe.ops.resident_fused");
+                             "pimhe.resident_add");
+        bumpOpCounter("pimhe.ops.resident_add");
         const Geometry la = cache_.layout(a.id);
-        PIMHE_ASSERT(la == cache_.layout(b.id) &&
-                         la == cache_.layout(c.id) && la.slices == 1,
-                     "fused operands must be single same-shape "
-                     "ciphertexts");
+        PIMHE_ASSERT(la == cache_.layout(b.id),
+                     "resident operands must share shape and count");
 
-        pimhe_kernels::FusedKernelParams fp;
-        fp.vec = vecParams(cache_.ensureResident(a.id), 0, 0,
-                           la.stride / (N * 4));
+        pimhe_kernels::VecKernelParams kp = vecParams(
+            cache_.ensureResident(a.id), 0, 0,
+            la.slices * (la.stride / (N * 4)));
         cache_.pin(a.id);
-        fp.vec.mramB = cache_.ensureResident(b.id);
+        kp.mramB = cache_.ensureResident(b.id);
         cache_.pin(b.id);
-        fp.mramC = cache_.ensureResident(c.id);
-        cache_.pin(c.id);
         const std::uint64_t out = cache_.allocDeviceOnly(la);
-        fp.vec.mramOut = cache_.addrOf(out);
+        kp.mramOut = cache_.addrOf(out);
 
         dpus_.plan().declareWriteTarget(out);
-        dpus_.launch(tasklets_,
-                     pimhe_kernels::compiledVecAddMulModQ(fp),
-                     pimhe_kernels::fusedKernelFootprint(
-                         fp, dpus_.config().dpu, tasklets_));
+        dpus_.launch(tasklets_, pimhe_kernels::compiledVecAddModQ(kp),
+                     pimhe_kernels::vecKernelFootprint(
+                         kp, dpus_.config().dpu, tasklets_,
+                         /*multiply=*/false));
 
         cache_.unpin(a.id);
         cache_.unpin(b.id);
-        cache_.unpin(c.id);
         return {out};
     }
 
@@ -428,10 +402,11 @@ class PimHeSystem
     /**
      * Execute a certified plan with real HE semantics: Input binds
      * the next caller ciphertext, Add runs on the PIM system, Reduce
-     * runs the resident tree reduction, Mul/Square/FusedAddMul run
-     * the BFV tensor product through the context's convolver (PIM-
-     * backed when a PimConvolver is installed) with relinearisation,
-     * and the client-side ops use the host Evaluator. Returns the
+     * runs the resident tree reduction, Mul/Square run the BFV tensor
+     * product through the context's convolver (PIM-backed when a
+     * PimConvolver is installed) with relinearisation, FusedAddMul
+     * is an Add launch followed by that product, and the client-side
+     * ops use the host Evaluator. Returns the
      * Output values in creation order.
      *
      * Under cfg.verifyBeforeLaunch the plan is certified first and a
@@ -685,45 +660,6 @@ class PimHeSystem
         return kp;
     }
 
-    static pim::CompiledKernel
-    vecKernel(const pimhe_kernels::VecKernelParams &kp, bool multiply)
-    {
-        return multiply ? pimhe_kernels::compiledVecMulModQ(kp)
-                        : pimhe_kernels::compiledVecAddModQ(kp);
-    }
-
-    ResidentCiphertext
-    residentBinary(const ResidentCiphertext &a,
-                   const ResidentCiphertext &b, bool multiply)
-    {
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             multiply ? "pimhe.resident_mul"
-                                      : "pimhe.resident_add");
-        bumpOpCounter(multiply ? "pimhe.ops.resident_mul"
-                               : "pimhe.ops.resident_add");
-        const Geometry la = cache_.layout(a.id);
-        PIMHE_ASSERT(la == cache_.layout(b.id),
-                     "resident operands must share shape and count");
-
-        pimhe_kernels::VecKernelParams kp = vecParams(
-            cache_.ensureResident(a.id), 0, 0,
-            la.slices * (la.stride / (N * 4)));
-        cache_.pin(a.id);
-        kp.mramB = cache_.ensureResident(b.id);
-        cache_.pin(b.id);
-        const std::uint64_t out = cache_.allocDeviceOnly(la);
-        kp.mramOut = cache_.addrOf(out);
-
-        dpus_.plan().declareWriteTarget(out);
-        dpus_.launch(tasklets_, vecKernel(kp, multiply),
-                     pimhe_kernels::vecKernelFootprint(
-                         kp, dpus_.config().dpu, tasklets_, multiply));
-
-        cache_.unpin(a.id);
-        cache_.unpin(b.id);
-        return {out};
-    }
-
     /**
      * Layout of a binary staged op: each operand vector, and the
      * result, is one slice of the slot (see Geometry).
@@ -802,13 +738,14 @@ class PimHeSystem
         stage<N>(dpus_, b, kp.mramB, g);
         dpus_.plan().declareWriteTarget(
             ResidentCache<N>::scratchPlanId(st->slot));
-        const pim::CompiledKernel kernel = vecKernel(kp, multiply);
+        const pim::CompiledKernel kernel =
+            multiply ? pimhe_kernels::compiledVecMulModQ(kp)
+                     : pimhe_kernels::compiledVecAddModQ(kp);
         const analysis::KernelFootprint fp =
             pimhe_kernels::vecKernelFootprint(kp, dpus_.config().dpu,
                                               tasklets_, multiply);
         if (async) {
-            st->launch =
-                dpus_.launchAsync(tasklets_, kernel, fp).launchIndex();
+            st->launch = dpus_.launchAsync(tasklets_, kernel, fp);
             window_.push_back(st);
         } else {
             dpus_.launch(tasklets_, kernel, fp);
@@ -957,9 +894,6 @@ class PimConvolver : public ExactConvolver<N>
         u.kernelCycles = dpus_.totalKernelCycles();
         return u;
     }
-
-    /** Modelled PIM time spent in convolutions so far (ms). */
-    double totalModeledMs() const { return dpus_.totalModeledMs(); }
 
     /** The convolver's DPU set (launch stats, transfer totals). */
     const pim::DpuSet &dpuSet() const { return dpus_; }

@@ -294,8 +294,8 @@ interpretOnly(const char *name, Kernel body)
 TEST(AsyncPipelineDeathTest, DeferredVerifierRejectionSurfacesAtWait)
 {
     // The static stack runs at submission, but the rejection is
-    // captured in the ticket and panics at the merge point with the
-    // synchronous diagnostic.
+    // captured in the pending launch and panics at the merge point
+    // with the synchronous diagnostic.
     EXPECT_DEATH(
         {
             SystemConfig cfg;
@@ -310,10 +310,10 @@ TEST(AsyncPipelineDeathTest, DeferredVerifierRejectionSurfacesAtWait)
             kp.mramA = 0;
             kp.mramB = 64 * 4;
             kp.mramOut = kp.mramA; // in-place clobber, caught statically
-            LaunchTicket t = set.launchAsync(
+            const std::size_t launch = set.launchAsync(
                 4, compiledVecAddModQ(kp),
                 vecKernelFootprint(kp, cfg.dpu, 4, false));
-            t.wait();
+            set.waitLaunch(launch);
         },
         "pre-launch verification rejected");
 }
@@ -386,13 +386,13 @@ TEST(AsyncTickets, DoubleWaitIsIdempotent)
     SystemConfig cfg;
     cfg.numDpus = 2;
     DpuSet set(cfg, 2);
-    LaunchTicket t = set.launchAsync(
+    const std::size_t launch = set.launchAsync(
         2, interpretOnly("noop", [](TaskletCtx &ctx) {
             ctx.charge(7);
         }));
-    ASSERT_TRUE(t.valid());
-    const LaunchStats &first = t.wait();
-    const LaunchStats &second = t.wait();
+    EXPECT_EQ(launch, 0u);
+    const LaunchStats &first = set.waitLaunch(launch);
+    const LaunchStats &second = set.waitLaunch(launch);
     EXPECT_EQ(&first, &second); // the merged record, not a re-merge
     EXPECT_EQ(set.launches().size(), 1u);
     EXPECT_GT(first.maxCycles, 0.0);

@@ -184,31 +184,13 @@ runVecGrid()
                 runShadowAndFast(compiledVecMulModQ(p), tasklets, dpus,
                                  threads, init, 0, "vec-mul " + tag);
 
-                // Fused (a + b) * c: the third operand lives where the
-                // plain kernels put their result.
-                FusedKernelParams fp;
-                fp.vec = p;
-                fp.mramC = p.mramOut;
-                fp.vec.mramOut = p.mramOut + (p.mramB - p.mramA);
-                std::vector<std::vector<std::uint8_t>> finit(dpus);
-                for (std::size_t d = 0; d < dpus; ++d) {
-                    finit[d] = init[d];
-                    const auto c = packedVec<L>(rng, elems);
-                    finit[d].resize(fp.mramC + c.size());
-                    std::memcpy(finit[d].data() + fp.mramC, c.data(),
-                                c.size());
-                }
-                runShadowAndFast(compiledVecAddMulModQ(fp), tasklets,
-                                 dpus, threads, finit, 0,
-                                 "vec-fused " + tag);
-
                 // In-place fold round (mramOut == mramA), as the
                 // resident tree reduction launches it.
                 VecKernelParams rp = p;
                 rp.mramOut = rp.mramA;
                 runShadowAndFast(compiledVecAddModQ(rp), tasklets, dpus,
                                  threads, init, 0, "vec-reduce " + tag);
-                iterations += 4;
+                iterations += 3;
             }
         }
     }
@@ -552,12 +534,11 @@ TEST(FastPathEndToEnd, BfvPipelineShadowedWithDecryption)
     }
     (void)pimsys.mulCoefficientwise(a, b);
 
-    // Resident fused (x + y) * z and the tree reduction, shadowed.
+    // A resident add and the tree reduction, shadowed.
     const auto ra = pimsys.makeResident(a[0]);
     const auto rb = pimsys.makeResident(b[0]);
-    const auto rc = pimsys.makeResident(a[1]);
-    const auto fused = pimsys.fusedAddMulResident(ra, rb, rc);
-    (void)pimsys.materialize(fused);
+    const auto rsum = pimsys.materialize(pimsys.addResident(ra, rb));
+    EXPECT_EQ(h.decryptScalar(rsum), (va[0] + vb[0]) % h.params.t);
     const auto reduced = pimsys.reduceCiphertexts(a);
     EXPECT_EQ(h.decryptScalar(reduced),
               (va[0] + va[1] + va[2]) % h.params.t);

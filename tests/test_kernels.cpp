@@ -293,16 +293,14 @@ TEST(KernelHelpers, WramChunkBytesRespectsBudget)
 {
     DpuConfig cfg;
     for (unsigned t = 1; t <= cfg.maxTasklets; ++t) {
-        for (unsigned buffers : {3u, 4u}) {
-            const auto bytes = wramChunkBytes(cfg, t, buffers);
-            EXPECT_GE(bytes, 8u);
-            EXPECT_LE(bytes, 2048u);
-            EXPECT_LE(t * (buffers * bytes + analysis::kDefaultStackBytes),
-                      cfg.wramBytes)
-                << buffers << " buffers and the stack per tasklet must "
-                << "fit WRAM at " << t << " tasklets";
-            EXPECT_EQ(bytes & (bytes - 1), 0u) << "power of two";
-        }
+        const auto bytes = wramChunkBytes(cfg, t);
+        EXPECT_GE(bytes, 8u);
+        EXPECT_LE(bytes, 2048u);
+        EXPECT_LE(t * (3 * bytes + analysis::kDefaultStackBytes),
+                  cfg.wramBytes)
+            << "the A, B and OUT buffers and the stack per tasklet "
+            << "must fit WRAM at " << t << " tasklets";
+        EXPECT_EQ(bytes & (bytes - 1), 0u) << "power of two";
     }
 }
 

@@ -209,8 +209,9 @@ TEST(Orchestrator, PimConvolverRejectsCiphertextOfTheWrongDegree)
 TEST(Orchestrator, VerifiedLaunchesAtEveryTaskletCount)
 {
     // The WRAM chunks leave room for the tasklet stacks the launch
-    // verifier charges, so both the three-buffer and the four-buffer
-    // kernels pass the gate at every hardware tasklet count.
+    // verifier charges, so the add and the multiply kernel pass the
+    // gate, and compute the right values, at every hardware tasklet
+    // count.
     BfvHarness<2> h(16);
     const std::vector<Ciphertext<2>> as = {h.encryptScalar(3),
                                            h.encryptScalar(4)};
@@ -226,15 +227,14 @@ TEST(Orchestrator, VerifiedLaunchesAtEveryTaskletCount)
                 EXPECT_TRUE(host[c] == sums[i][c])
                     << t << " tasklets, ct " << i << " comp " << c;
         }
-        const auto fused = pimsys.materialize(pimsys.fusedAddMulResident(
-            pimsys.makeResident(as[0]), pimsys.makeResident(bs[0]),
-            pimsys.makeResident(as[1])));
-        const auto host_sum = h.eval.add(as[0], bs[0]);
-        for (std::size_t c = 0; c < 2; ++c)
-            for (std::size_t j = 0; j < h.params.n; ++j)
-                EXPECT_EQ(fused[c][j],
-                          red.mulMod(host_sum[c][j], as[1][c][j]))
-                    << t << " tasklets, comp " << c << " coeff " << j;
+        const auto prods = pimsys.mulCoefficientwise(as, bs);
+        for (std::size_t i = 0; i < as.size(); ++i)
+            for (std::size_t c = 0; c < 2; ++c)
+                for (std::size_t j = 0; j < h.params.n; ++j)
+                    EXPECT_EQ(prods[i][c][j],
+                              red.mulMod(as[i][c][j], bs[i][c][j]))
+                        << t << " tasklets, ct " << i << " comp " << c
+                        << " coeff " << j;
     }
 }
 

@@ -228,13 +228,9 @@ TEST(PlanVerifyIntegration, ResidentFlowsKeepThePlanClean)
         EXPECT_TRUE(set.lastVerify().ok()) << where;
     };
 
-    (void)pimsys.addResident(ra, rb);
+    const auto sum = pimsys.addResident(ra, rb);
     checkLast("addResident");
-    (void)pimsys.mulResident(ra, rb);
-    checkLast("mulResident");
-    const auto fused = pimsys.fusedAddMulResident(ra, rb, ra);
-    checkLast("fusedAddMulResident");
-    (void)pimsys.materialize(fused);
+    (void)pimsys.materialize(sum);
 
     std::vector<Ciphertext<2>> cts;
     for (std::uint64_t v : {1u, 2u, 3u, 4u, 5u})

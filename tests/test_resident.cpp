@@ -59,39 +59,12 @@ TYPED_TEST(ResidentWidths, AddAndMulBitExactWithHost)
         EXPECT_TRUE(host_sum[c] == sum[c]) << "component " << c;
     EXPECT_EQ(h.decryptScalar(sum), 16u % h.params.t);
 
-    const auto prod = pimsys.materialize(pimsys.mulResident(ra, rb));
+    // The staged multiply shares the arena with the resident entries.
+    const auto prod = pimsys.mulCoefficientwise({a}, {b}).front();
     const auto &red = h.ctx.ring().reducer();
     for (std::size_t c = 0; c < a.size(); ++c)
         for (std::size_t j = 0; j < h.params.n; ++j)
             EXPECT_EQ(prod[c][j], red.mulMod(a[c][j], b[c][j]));
-}
-
-TYPED_TEST(ResidentWidths, FusedAddMulMatchesChainedOps)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h(16);
-    PimHeSystem<N> pimsys(h.ctx, residentSystem(2), 2, 11);
-
-    const auto a = h.encryptScalar(3);
-    const auto b = h.encryptScalar(9);
-    const auto c = h.encryptScalar(7);
-    const auto ra = pimsys.makeResident(a);
-    const auto rb = pimsys.makeResident(b);
-    const auto rc = pimsys.makeResident(c);
-
-    const std::size_t launches_before = pimsys.dpuSet().launches().size();
-    const auto fused =
-        pimsys.materialize(pimsys.fusedAddMulResident(ra, rb, rc));
-    // The whole (a + b) * c chain must be one kernel launch.
-    EXPECT_EQ(pimsys.dpuSet().launches().size(), launches_before + 1);
-
-    const auto host_sum = h.eval.add(a, b);
-    const auto &red = h.ctx.ring().reducer();
-    for (std::size_t cc = 0; cc < a.size(); ++cc)
-        for (std::size_t j = 0; j < h.params.n; ++j)
-            EXPECT_EQ(fused[cc][j],
-                      red.mulMod(host_sum[cc][j], c[cc][j]))
-                << "comp " << cc << " coeff " << j;
 }
 
 /** Tree of staged adds, every round re-uploading its operands and
@@ -203,7 +176,7 @@ TEST(Resident, CacheHitsAvoidReuploads)
     const std::uint64_t uploaded_once =
         pimsys.transferTotals().uploadedBytes;
 
-    pimsys.mulResident(ra, rb);
+    pimsys.addResident(ra, rb);
     const auto &s2 = pimsys.residentStats();
     EXPECT_EQ(s2.misses, 2u); // nothing new uploaded
     EXPECT_EQ(s2.hits, 2u);
@@ -318,10 +291,11 @@ runResidentWorkload(std::size_t host_threads)
         cts.push_back(h.encryptScalar(i + 3));
     const auto total = pimsys.reduceResident(cts);
     const auto ra = pimsys.makeResident(cts[0]);
-    const auto fused = pimsys.fusedAddMulResident(total, ra, ra);
+    // The reduced entry is device-only (dirty) when the add reads it.
+    const auto sum = pimsys.addResident(total, ra);
 
     ResidentSnapshot snap;
-    snap.result = pimsys.materialize(fused);
+    snap.result = pimsys.materialize(sum);
     snap.launches = pimsys.dpuSet().launches();
     snap.xfer = pimsys.transferTotals();
     snap.cache = pimsys.residentStats();

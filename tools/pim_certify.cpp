@@ -106,7 +106,7 @@ mulChain(std::size_t depth)
     return dag;
 }
 
-/** The fused resident chain (a + b) * c. */
+/** The add-then-multiply chain (a + b) * c. */
 analysis::HeDag
 fusedChain()
 {
