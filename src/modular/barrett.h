@@ -5,10 +5,15 @@
  * BarrettReducer is the workhorse behind all host-side R_q coefficient
  * arithmetic: it reduces double-width products (from WideInt::mulFull /
  * mulKaratsuba) back into [0, q) without division in the hot path.
+ * The reduction runs in 64-bit words with unsigned __int128 partial
+ * products: a 2N-limb value is N words.
  */
 
 #ifndef PIMHE_MODULAR_BARRETT_H
 #define PIMHE_MODULAR_BARRETT_H
+
+#include <array>
+#include <cstdint>
 
 #include "bigint/wide_int.h"
 #include "common/logging.h"
@@ -33,37 +38,65 @@ class BarrettReducer
 
     explicit
     BarrettReducer(const Value &modulus)
-        : q_(modulus), qWide_(modulus.template convert<2 * N>()),
-          k_(modulus.bitLength())
+        : q_(modulus), k_(modulus.bitLength())
     {
         PIMHE_ASSERT(!modulus.isZero(), "zero modulus");
         PIMHE_ASSERT(2 * k_ + 1 <= Wide::numBits,
                      "modulus too wide for Barrett context");
+        const Wide q_wide = modulus.template convert<2 * N>();
         // mu = floor(2^(2k) / q), held in 2N limbs.
-        const Wide numerator = Wide::oneShl(2 * k_);
-        mu_ = divmod(numerator, qWide_).first;
+        const Wide mu = divmod(Wide::oneShl(2 * k_), q_wide).first;
+        qWords_ = toWords(q_wide);
+        muWords_ = toWords(mu);
     }
 
     const Value &modulus() const { return q_; }
 
     /**
-     * Reduce a double-width value x < 2^(2k) to x mod q.
+     * Reduce a double-width value x < 2^(2k) to x mod q:
+     * q1 = floor(x / 2^(k-1)); q2 = q1 * mu; q3 = floor(q2 / 2^(k+1));
+     * r = x - q3 * q, which Barrett bounds below 3q.
      */
     Value
     reduce(const Wide &x) const
     {
-        // q1 = floor(x / 2^(k-1)); q2 = q1 * mu;
-        // q3 = floor(q2 / 2^(k+1)); r = x - q3 * q.
-        const Wide q1 = x.shr(k_ - 1);
-        // Only the high part of the 4N-limb product survives the
+        using u128 = unsigned __int128;
+        const Words xw = toWords(x);
+        const Words q1 = shrWords<W, W>(xw, k_ - 1);
+        // Only the high part of the 2W-word product survives the
         // downshift; compute the full product and shift.
-        const WideInt<4 * N> q2 = q1.mulFull(mu_);
-        const Wide q3 = q2.shr(k_ + 1).template convert<2 * N>();
-        Wide r = x - q3 * qWide_;
-        // Barrett guarantees r < 3q after one pass.
-        while (r >= qWide_)
-            r -= qWide_;
-        return r.template convert<N>();
+        std::array<std::uint64_t, 2 * W> q2{};
+        for (std::size_t i = 0; i < W; ++i) {
+            std::uint64_t carry = 0;
+            for (std::size_t j = 0; j < W; ++j) {
+                const u128 t = static_cast<u128>(q1[i]) * muWords_[j] +
+                               q2[i + j] + carry;
+                q2[i + j] = static_cast<std::uint64_t>(t);
+                carry = static_cast<std::uint64_t>(t >> 64);
+            }
+            q2[i + W] = carry;
+        }
+        const Words q3 = shrWords<2 * W, W>(q2, k_ + 1);
+        // q3 * q mod 2^(64W): r fits W words, so the rest cancels.
+        Words t{};
+        for (std::size_t i = 0; i < W; ++i) {
+            std::uint64_t carry = 0;
+            for (std::size_t j = 0; i + j < W; ++j) {
+                const u128 p = static_cast<u128>(q3[i]) * qWords_[j] +
+                               t[i + j] + carry;
+                t[i + j] = static_cast<std::uint64_t>(p);
+                carry = static_cast<std::uint64_t>(p >> 64);
+            }
+        }
+        Words r = xw;
+        subWords(r, t);
+        while (geqWords(r, qWords_))
+            subWords(r, qWords_);
+        Value out;
+        for (std::size_t i = 0; i < N; ++i)
+            out.setLimb(i, static_cast<std::uint32_t>(r[i / 2] >>
+                                                      (32 * (i % 2))));
+        return out;
     }
 
     /** Reduce a single-width value (may exceed q, e.g. after add). */
@@ -124,10 +157,63 @@ class BarrettReducer
     }
 
   private:
+    /** Words of a 2N-limb value. */
+    static constexpr std::size_t W = N;
+
+    using Words = std::array<std::uint64_t, W>;
+
+    static Words
+    toWords(const Wide &v)
+    {
+        Words w{};
+        for (std::size_t i = 0; i < W; ++i)
+            w[i] = v.limb(2 * i) |
+                   (static_cast<std::uint64_t>(v.limb(2 * i + 1)) << 32);
+        return w;
+    }
+
+    /** Words [0, Out) of `in` shifted right by `bits`. */
+    template <std::size_t In, std::size_t Out>
+    static std::array<std::uint64_t, Out>
+    shrWords(const std::array<std::uint64_t, In> &in, std::size_t bits)
+    {
+        const std::size_t ws = bits / 64;
+        const unsigned bs = static_cast<unsigned>(bits % 64);
+        std::array<std::uint64_t, Out> out{};
+        for (std::size_t i = 0; i + ws < In && i < Out; ++i) {
+            const std::uint64_t lo = in[i + ws];
+            const std::uint64_t hi = i + ws + 1 < In ? in[i + ws + 1] : 0;
+            out[i] = bs == 0 ? lo : (lo >> bs) | (hi << (64 - bs));
+        }
+        return out;
+    }
+
+    /** a >= b over W words. */
+    static bool
+    geqWords(const Words &a, const Words &b)
+    {
+        for (std::size_t i = W; i-- > 0;)
+            if (a[i] != b[i])
+                return a[i] > b[i];
+        return true;
+    }
+
+    /** a -= b mod 2^(64W). */
+    static void
+    subWords(Words &a, const Words &b)
+    {
+        std::uint64_t borrow = 0;
+        for (std::size_t i = 0; i < W; ++i) {
+            const std::uint64_t d = a[i] - b[i] - borrow;
+            borrow = (a[i] < b[i] || (a[i] == b[i] && borrow)) ? 1 : 0;
+            a[i] = d;
+        }
+    }
+
     Value q_;
-    Wide qWide_;
     std::size_t k_;
-    Wide mu_;
+    Words qWords_{};
+    Words muWords_{};
 };
 
 } // namespace pimhe

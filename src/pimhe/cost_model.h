@@ -11,14 +11,18 @@
  *
  *  1. probes the real simulator at exact-tiling shapes — two for the
  *     elementwise kernels, three degrees for the convolution, whose
- *     fit carries a per-launch base term that never shards;
+ *     fit carries a per-launch base term that never shards. Every
+ *     probe is one probeCycles call on a compiled kernel; the fits run
+ *     it in ExecMode::Fast, whose cycles equal the interpreter's by
+ *     the fast path's bit-exactness contract (pinned at every probe
+ *     shape by tests/test_cost_model.cpp);
  *  2. fits the exact coefficients once per (op, width) and memoises
  *     them (costSpecFor in plan.h reads the same memo, so the figure
  *     model and the plan certifier share one fit); and
  *  3. composes system-level time analytically (all DPUs run the same
  *     padded shape; the critical path is one DPU).
  *
- * Property tests validate the fit against full simulations at
+ * Property tests validate the fit against interpreted simulations at
  * intermediate shapes (tests/test_cost_model.cpp).
  *
  * Transfer policy: vector operands are PIM-resident (computing where
@@ -31,13 +35,14 @@
 #ifndef PIMHE_PIMHE_COST_MODEL_H
 #define PIMHE_PIMHE_COST_MODEL_H
 
+#include <array>
 #include <map>
 #include <tuple>
 
 #include "analysis/plan_cost.h"
 #include "perf/platform.h"
 #include "pim/system.h"
-#include "pimhe/kernels.h"
+#include "pimhe/fast_kernels.h"
 
 namespace pimhe {
 
@@ -134,42 +139,52 @@ class PimCostModel : public perf::PlatformModel
 
     /**
      * Exact simulated cycles of one DPU running the elementwise
-     * kernel on `elems` elements (used by the probe and by the
-     * validation tests).
+     * kernel on `elems` elements. The fits probe in Fast mode; the
+     * validation tests keep the default, the interpreter, as their
+     * oracle.
      */
     double
-    simulateElementwiseCycles(perf::OpKind op, std::size_t limbs,
-                              std::size_t elems) const
+    simulateElementwiseCycles(
+        perf::OpKind op, std::size_t limbs, std::size_t elems,
+        pim::ExecMode mode = pim::ExecMode::Interpret) const
     {
-        pim::Dpu dpu(cfg_.dpu);
-        // Cycles depend on the shape only, not on the modulus value.
         const pimhe_kernels::VecKernelParams kp =
             pimhe_kernels::standardVecParams(limbs, elems);
-        const std::size_t bytes = elems * limbs * 4;
-        const std::vector<std::uint8_t> zeros(bytes, 0);
-        dpu.mram().write(kp.mramA, zeros.data(), bytes);
-        dpu.mram().write(kp.mramB, zeros.data(), bytes);
-        const auto stats = dpu.run(
-            tasklets_, op == perf::OpKind::VecAdd
-                           ? pimhe_kernels::makeVecAddModQKernel(kp)
-                           : pimhe_kernels::makeVecMulModQKernel(kp));
-        return stats.cycles;
+        return probeCycles(op == perf::OpKind::VecAdd
+                               ? pimhe_kernels::compiledVecAddModQ(kp)
+                               : pimhe_kernels::compiledVecMulModQ(kp),
+                           mode);
     }
 
     /** Exact simulated cycles of one degree-n convolution pair. */
     double
-    simulateConvolutionCycles(std::size_t n, std::size_t limbs) const
+    simulateConvolutionCycles(
+        std::size_t n, std::size_t limbs,
+        pim::ExecMode mode = pim::ExecMode::Interpret) const
     {
-        pim::Dpu dpu(cfg_.dpu);
-        const pimhe_kernels::ConvKernelParams kp =
-            pimhe_kernels::standardConvParams(limbs, n);
-        const std::size_t bytes = n * limbs * 4;
-        const std::vector<std::uint8_t> zeros(bytes, 0);
-        dpu.mram().write(kp.mramA, zeros.data(), bytes);
-        dpu.mram().write(kp.mramB, zeros.data(), bytes);
-        const auto stats = dpu.run(
-            tasklets_, pimhe_kernels::makeNegacyclicConvKernel(kp));
-        return stats.cycles;
+        return probeCycles(pimhe_kernels::compiledNegacyclicConv(
+                               pimhe_kernels::standardConvParams(limbs, n)),
+                           mode);
+    }
+
+    /** The two element counts elementwiseFit probes: exact multiples
+     *  of the tasklet x chunk tiling, so the fit is exact there. */
+    std::array<std::size_t, 2>
+    elementwiseProbeElems(std::size_t limbs) const
+    {
+        const std::size_t chunk =
+            pimhe_kernels::wramChunkBytes(cfg_.dpu, tasklets_) /
+            (limbs * 4);
+        const std::size_t e1 = static_cast<std::size_t>(tasklets_) * chunk * 2;
+        return {e1, 2 * e1};
+    }
+
+    /** The three degrees convolutionFit probes. */
+    std::array<std::size_t, 3>
+    convolutionProbeDegrees() const
+    {
+        const std::size_t n1 = 4 * static_cast<std::size_t>(tasklets_);
+        return {n1, 2 * n1, 4 * n1};
     }
 
   private:
@@ -179,9 +194,21 @@ class PimCostModel : public perf::PlatformModel
                 std::size_t n, std::size_t relin_digits,
                 std::size_t num_dpus, std::string name);
 
-    /** Memoised cycles(elems) = base + slope*elems, probed at two
-     *  shapes that are exact multiples of the tasklet x chunk tiling
-     *  so the fit is exact there. */
+    /**
+     * The one probe: cycles of one DPU running `kernel` at the model's
+     * tasklet count in `mode`. Cycles depend on the shape only, so the
+     * operands stay as fresh MRAM reads them, zero.
+     */
+    double
+    probeCycles(const pim::CompiledKernel &kernel,
+                pim::ExecMode mode) const
+    {
+        pim::Dpu dpu(cfg_.dpu);
+        return dpu.run(tasklets_, kernel, mode).cycles;
+    }
+
+    /** Memoised cycles(elems) = base + slope*elems from the two
+     *  elementwiseProbeElems shapes, probed on the compiled kernels. */
     analysis::LinearCycleFit
     elementwiseFit(perf::OpKind op, std::size_t limbs) const
     {
@@ -189,14 +216,11 @@ class PimCostModel : public perf::PlatformModel
         const auto it = vecFits_.find(key);
         if (it != vecFits_.end())
             return it->second;
-        const std::uint32_t chunk = static_cast<std::uint32_t>(
-            pimhe_kernels::wramChunkBytes(cfg_.dpu, tasklets_) /
-            (limbs * 4));
-        const std::size_t e1 =
-            static_cast<std::size_t>(tasklets_) * chunk * 2;
-        const std::size_t e2 = 2 * e1;
-        const double c1 = simulateElementwiseCycles(op, limbs, e1);
-        const double c2 = simulateElementwiseCycles(op, limbs, e2);
+        const auto [e1, e2] = elementwiseProbeElems(limbs);
+        const double c1 =
+            simulateElementwiseCycles(op, limbs, e1, pim::ExecMode::Fast);
+        const double c2 =
+            simulateElementwiseCycles(op, limbs, e2, pim::ExecMode::Fast);
         analysis::LinearCycleFit fit;
         fit.slope = (c2 - c1) / static_cast<double>(e2 - e1);
         fit.base = c1 - fit.slope * static_cast<double>(e1);
@@ -219,12 +243,13 @@ class PimCostModel : public perf::PlatformModel
         const auto it = convFits_.find(limbs);
         if (it != convFits_.end())
             return it->second;
-        const std::size_t n1 = 4 * tasklets_;
-        const std::size_t n2 = 2 * n1;
-        const std::size_t n3 = 4 * n1;
-        const double c1 = simulateConvolutionCycles(n1, limbs);
-        const double c2 = simulateConvolutionCycles(n2, limbs);
-        const double c3 = simulateConvolutionCycles(n3, limbs);
+        const auto [n1, n2, n3] = convolutionProbeDegrees();
+        const double c1 =
+            simulateConvolutionCycles(n1, limbs, pim::ExecMode::Fast);
+        const double c2 =
+            simulateConvolutionCycles(n2, limbs, pim::ExecMode::Fast);
+        const double c3 =
+            simulateConvolutionCycles(n3, limbs, pim::ExecMode::Fast);
         const double a1 = static_cast<double>(n1);
         const double a2 = static_cast<double>(n2);
         const double a3 = static_cast<double>(n3);

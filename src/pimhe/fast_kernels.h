@@ -104,48 +104,14 @@ hostWideSub(const std::uint32_t *a, const std::uint32_t *b,
     return borrow;
 }
 
-/** Mirror of dpuWideAddModQ: s = a + b; d = s - q;
- *  out = (carry | !borrow) ? d : s. */
+/** The limb sequence of dpuWideAddModQ: s = a + b; d = s - q;
+ *  out = (carry | !borrow) ? d : s. Every native lane of
+ *  hostWideAddModQ is tested against it. */
 inline void
-hostWideAddModQ(const std::uint32_t *a, const std::uint32_t *b,
-                const std::uint32_t *q, std::uint32_t *out,
-                std::uint32_t limbs)
+hostWideAddModQLimbs(const std::uint32_t *a, const std::uint32_t *b,
+                     const std::uint32_t *q, std::uint32_t *out,
+                     std::uint32_t limbs)
 {
-#if defined(__SIZEOF_INT128__)
-    // Native fast lanes for the common widths. Same select structure
-    // as the limb loop below (carry out of the top word | no borrow
-    // from s - q picks the subtracted value), evaluated in one
-    // machine word, so the result is bit-identical.
-    if (limbs == 1) {
-        const std::uint64_t s64 =
-            static_cast<std::uint64_t>(a[0]) + b[0];
-        const std::uint32_t carry =
-            static_cast<std::uint32_t>(s64 >> 32);
-        const std::uint32_t s = static_cast<std::uint32_t>(s64);
-        const std::uint32_t borrow = s < q[0] ? 1u : 0u;
-        out[0] = (carry | (borrow ^ 1u)) != 0 ? s - q[0] : s;
-        return;
-    }
-    if (limbs == 2) {
-        using u128 = unsigned __int128;
-        const std::uint64_t a64 =
-            a[0] | (static_cast<std::uint64_t>(a[1]) << 32);
-        const std::uint64_t b64 =
-            b[0] | (static_cast<std::uint64_t>(b[1]) << 32);
-        const std::uint64_t q64 =
-            q[0] | (static_cast<std::uint64_t>(q[1]) << 32);
-        const u128 wide = static_cast<u128>(a64) + b64;
-        const std::uint32_t carry =
-            static_cast<std::uint32_t>(wide >> 64);
-        const std::uint64_t s = static_cast<std::uint64_t>(wide);
-        const std::uint32_t borrow = s < q64 ? 1u : 0u;
-        const std::uint64_t r =
-            (carry | (borrow ^ 1u)) != 0 ? s - q64 : s;
-        out[0] = static_cast<std::uint32_t>(r);
-        out[1] = static_cast<std::uint32_t>(r >> 32);
-        return;
-    }
-#endif
     std::uint32_t s[pim::kMaxLimbs];
     std::uint32_t d[pim::kMaxLimbs];
     const std::uint32_t carry = hostWideAdd(a, b, s, limbs);
@@ -153,6 +119,62 @@ hostWideAddModQ(const std::uint32_t *a, const std::uint32_t *b,
     const std::uint32_t take_d = carry | (borrow ^ 1u);
     for (std::uint32_t i = 0; i < limbs; ++i)
         out[i] = take_d != 0 ? d[i] : s[i];
+}
+
+using u128 = unsigned __int128;
+
+/** sizeof(T) / 4 little-endian limbs as one machine value. */
+template <typename T>
+inline T
+hostLoad(const std::uint32_t *p)
+{
+    T v = 0;
+    for (unsigned i = 0; i < sizeof(T) / 4; ++i)
+        v |= static_cast<T>(p[i]) << (32 * i);
+    return v;
+}
+
+template <typename T>
+inline void
+hostStore(std::uint32_t *p, T v)
+{
+    for (unsigned i = 0; i < sizeof(T) / 4; ++i)
+        p[i] = static_cast<std::uint32_t>(v >> (32 * i));
+}
+
+/** The limb sequence's select (carry out of the top word | no borrow
+ *  from s - q picks the subtracted value) in one machine value T of
+ *  the operand width, so the result is bit-identical on any input. */
+template <typename T>
+inline void
+hostAddModQLane(const std::uint32_t *a, const std::uint32_t *b,
+                const std::uint32_t *q, std::uint32_t *out)
+{
+    const T av = hostLoad<T>(a);
+    const T qv = hostLoad<T>(q);
+    const T s = av + hostLoad<T>(b);
+    const bool carry = s < av;
+    const bool borrow = s < qv;
+    hostStore<T>(out, carry || !borrow ? T(s - qv) : s);
+}
+
+/** Mirror of dpuWideAddModQ: a native lane at 1, 2 and 4 limbs, the
+ *  limb sequence otherwise. */
+inline void
+hostWideAddModQ(const std::uint32_t *a, const std::uint32_t *b,
+                const std::uint32_t *q, std::uint32_t *out,
+                std::uint32_t limbs)
+{
+    switch (limbs) {
+    case 1:
+        return hostAddModQLane<std::uint32_t>(a, b, q, out);
+    case 2:
+        return hostAddModQLane<std::uint64_t>(a, b, q, out);
+    case 4:
+        return hostAddModQLane<u128>(a, b, q, out);
+    default:
+        return hostWideAddModQLimbs(a, b, q, out, limbs);
+    }
 }
 
 /** Exact 2*limbs product; equals the DPU's Karatsuba result (both
@@ -248,28 +270,87 @@ hostPseudoMersenneReduce(const std::uint32_t *x, std::uint32_t k,
         out[i] = w[i];
 }
 
-/** Mirror of dpuWideMulModQ: product then pseudo-Mersenne reduce. */
+/** The limb sequence of dpuWideMulModQ: the exact product, then
+ *  hostPseudoMersenneReduce. Every native lane of hostWideMulModQ is
+ *  tested against it. */
+inline void
+hostWideMulModQLimbs(const std::uint32_t *a, const std::uint32_t *b,
+                     const std::uint32_t *q, std::uint32_t k,
+                     std::uint32_t c, std::uint32_t *out,
+                     std::uint32_t limbs)
+{
+    std::uint32_t prod[2 * pim::kMaxLimbs] = {};
+    hostWideMul(a, b, prod, limbs);
+    hostPseudoMersenneReduce(prod, k, c, q, out, limbs);
+}
+
+/** True when hostWideMulModQ runs a native lane at (limbs, k) rather
+ *  than the limb sequence: always at 1 and 2 limbs; at 4 limbs only
+ *  for 64 < k < 128, where every shift by k is one word plus 1..63
+ *  bits. */
+constexpr bool
+hostMulLaneAdmits(std::uint32_t limbs, std::uint32_t k)
+{
+    return limbs == 1 || limbs == 2 || (limbs == 4 && k > 64 && k < 128);
+}
+
+/** One pseudo-Mersenne fold of a 4-word value in 64-bit words,
+ *  truncated to 3 words like hostFoldOnce into limbs + 2 = 6 limbs:
+ *  out = ((in mod 2^k) + (in >> k) * c) mod 2^192, for k = 64 + s
+ *  with 0 < s < 64. The product is exact mod 2^192 for any c. */
+inline void
+hostFoldWords(const std::uint64_t in[4], unsigned s, std::uint64_t c,
+              std::uint64_t out[3])
+{
+    const std::uint64_t h0 = (in[1] >> s) | (in[2] << (64 - s));
+    const std::uint64_t h1 = (in[2] >> s) | (in[3] << (64 - s));
+    const std::uint64_t h2 = in[3] >> s;
+    const u128 p0 = static_cast<u128>(h0) * c;
+    const u128 p1 = static_cast<u128>(h1) * c +
+                    static_cast<std::uint64_t>(p0 >> 64);
+    const std::uint64_t p2 =
+        h2 * c + static_cast<std::uint64_t>(p1 >> 64);
+    const std::uint64_t lo1 = in[1] & ((std::uint64_t{1} << s) - 1);
+    const u128 s0 =
+        static_cast<u128>(in[0]) + static_cast<std::uint64_t>(p0);
+    const u128 s1 = static_cast<u128>(lo1) +
+                    static_cast<std::uint64_t>(p1) +
+                    static_cast<std::uint64_t>(s0 >> 64);
+    out[0] = static_cast<std::uint64_t>(s0);
+    out[1] = static_cast<std::uint64_t>(s1);
+    out[2] = p2 + static_cast<std::uint64_t>(s1 >> 64);
+}
+
+/**
+ * Mirror of dpuWideMulModQ: product then pseudo-Mersenne reduce.
+ *
+ * The limb sequence computes the exact product, three folds (each
+ * truncated to the fold's limb budget) and two conditional
+ * subtractions. The native lanes evaluate that SAME fold/truncate/
+ * select sequence in machine words, so they are bit-identical on any
+ * operands, reduced or not (hostMulLaneAdmits says which (limbs, k)
+ * take a lane):
+ *  - 1 limb: u64 values; every fold stays below 2^64 while
+ *    k <= 32 and c <= 2^(k-1), which the DPU's own bound on c
+ *    (c <= 2^(k/2)) implies, so the 3-limb budgets never bind;
+ *  - 2 limbs: u128 values; the 4-limb budgets of folds 1 and 2 are
+ *    the u128 wrap itself and fold 3's 3-limb budget is a mask;
+ *  - 4 limbs: the exact 256-bit product in four u64 words, each fold
+ *    in hostFoldWords (6-limb budget = 3 words; fold 3 stays below
+ *    its 5-limb budget), then the two subtractions over 160 bits.
+ */
 inline void
 hostWideMulModQ(const std::uint32_t *a, const std::uint32_t *b,
                 const std::uint32_t *q, std::uint32_t k,
                 std::uint32_t c, std::uint32_t *out,
                 std::uint32_t limbs)
 {
-#if defined(__SIZEOF_INT128__)
-    // Native fast lanes. The generic path computes the exact product
-    // then three folds (each truncated to the fold's word budget) and
-    // two conditional subtractions; for 1- and 2-limb operands every
-    // intermediate fits a machine word pair, so evaluating the SAME
-    // fold/truncate/select sequence in u64 / u128 arithmetic is
-    // bit-identical — including the third fold's (limbs+1)-word
-    // truncation, which is applied explicitly.
     if (limbs == 1) {
-        const std::uint64_t mask = (1ull << k) - 1; // k <= 32
+        const std::uint64_t mask = (1ull << k) - 1;
         std::uint64_t x = static_cast<std::uint64_t>(a[0]) * b[0];
-        x = (x >> k) * c + (x & mask); // fits: c < 2^(k-1)
         x = (x >> k) * c + (x & mask);
-        x = ((x >> k) * c + (x & mask)) &
-            0xFFFFFFFFFFFFFFFFull; // 2-word budget
+        x = (x >> k) * c + (x & mask);
+        x = (x >> k) * c + (x & mask);
         for (int round = 0; round < 2; ++round)
             if (x >= q[0])
                 x -= q[0];
@@ -277,32 +358,62 @@ hostWideMulModQ(const std::uint32_t *a, const std::uint32_t *b,
         return;
     }
     if (limbs == 2) {
-        using u128 = unsigned __int128;
-        const std::uint64_t a64 =
-            a[0] | (static_cast<std::uint64_t>(a[1]) << 32);
-        const std::uint64_t b64 =
-            b[0] | (static_cast<std::uint64_t>(b[1]) << 32);
-        const std::uint64_t q64 =
-            q[0] | (static_cast<std::uint64_t>(q[1]) << 32);
-        const u128 mask = (static_cast<u128>(1) << k) - 1; // k <= 64
+        const std::uint64_t q64 = hostLoad<std::uint64_t>(q);
+        const u128 mask = (static_cast<u128>(1) << k) - 1;
         const u128 word3 =
-            (static_cast<u128>(1) << 96) - 1; // 3-word budget
-        u128 x = static_cast<u128>(a64) * b64;
-        x = (x >> k) * c + (x & mask); // 4-word budget == u128 wrap
+            (static_cast<u128>(1) << 96) - 1; // 3-limb budget
+        u128 x = static_cast<u128>(hostLoad<std::uint64_t>(a)) *
+                 hostLoad<std::uint64_t>(b);
+        x = (x >> k) * c + (x & mask);
         x = (x >> k) * c + (x & mask);
         x = ((x >> k) * c + (x & mask)) & word3;
         for (int round = 0; round < 2; ++round)
             if (x >= q64)
                 x -= q64;
-        const std::uint64_t r = static_cast<std::uint64_t>(x);
-        out[0] = static_cast<std::uint32_t>(r);
-        out[1] = static_cast<std::uint32_t>(r >> 32);
+        hostStore<std::uint64_t>(out, static_cast<std::uint64_t>(x));
         return;
     }
-#endif
-    std::uint32_t prod[2 * pim::kMaxLimbs] = {};
-    hostWideMul(a, b, prod, limbs);
-    hostPseudoMersenneReduce(prod, k, c, q, out, limbs);
+    if (hostMulLaneAdmits(limbs, k)) {
+        const std::uint64_t a0 = hostLoad<std::uint64_t>(a);
+        const std::uint64_t a1 = hostLoad<std::uint64_t>(a + 2);
+        const std::uint64_t b0 = hostLoad<std::uint64_t>(b);
+        const std::uint64_t b1 = hostLoad<std::uint64_t>(b + 2);
+        const u128 p00 = static_cast<u128>(a0) * b0;
+        const u128 p01 = static_cast<u128>(a0) * b1;
+        const u128 p10 = static_cast<u128>(a1) * b0;
+        const u128 p11 = static_cast<u128>(a1) * b1;
+        const u128 m1 = (p00 >> 64) + static_cast<std::uint64_t>(p01) +
+                        static_cast<std::uint64_t>(p10);
+        const u128 m2 = (m1 >> 64) + (p01 >> 64) + (p10 >> 64) +
+                        static_cast<std::uint64_t>(p11);
+        const std::uint64_t x[4] = {
+            static_cast<std::uint64_t>(p00),
+            static_cast<std::uint64_t>(m1),
+            static_cast<std::uint64_t>(m2),
+            static_cast<std::uint64_t>(p11 >> 64) +
+                static_cast<std::uint64_t>(m2 >> 64)};
+        const unsigned s = k - 64;
+        std::uint64_t y[4] = {};
+        std::uint64_t z[4] = {};
+        std::uint64_t w[3];
+        hostFoldWords(x, s, c, y);
+        hostFoldWords(y, s, c, z);
+        // Fold 3's 5-limb budget never binds: z < 2^192, so
+        // w < 2^(192-k) * c + 2^k < 2^159 + 2^127.
+        hostFoldWords(z, s, c, w);
+        const u128 q128 = hostLoad<u128>(q);
+        u128 lo = w[0] | (static_cast<u128>(w[1]) << 64);
+        std::uint64_t hi = w[2];
+        for (int round = 0; round < 2; ++round) {
+            if (hi != 0 || lo >= q128) {
+                hi -= lo < q128 ? 1 : 0;
+                lo -= q128;
+            }
+        }
+        hostStore<u128>(out, lo);
+        return;
+    }
+    hostWideMulModQLimbs(a, b, q, k, c, out, limbs);
 }
 
 // ---------------------------------------------------------------------
@@ -431,7 +542,6 @@ inline unsigned
 hostCentreDigits(const ConvKernelParams &p, const std::uint32_t *poly,
                  ConvDigits *out)
 {
-    using u128 = unsigned __int128;
     const auto value = [&p](const std::uint32_t *limbs) {
         u128 v = 0;
         for (std::uint32_t l = p.limbs; l-- > 0;)
@@ -503,7 +613,6 @@ void
 hostConvRow(const ConvDigits *a, const ConvDigits *b, std::uint32_t n,
             std::uint32_t m, std::uint64_t *acc, std::uint32_t words)
 {
-    using u128 = unsigned __int128;
     constexpr unsigned cols = Da + Db - 1;
     u128 add[cols] = {};
     u128 sub[cols] = {};

@@ -14,7 +14,8 @@
  *    resident arena) comes from the live pim::SystemConfig;
  *  - the host baseline constants come from perf::CpuCalibration.
  *
- * The first probe of a coefficient width runs seven tiny simulations;
+ * The first probe of a coefficient width runs seven one-DPU launches
+ * of the compiled kernels in Fast mode;
  * PimHeSystem::certifyPlan therefore orders noise and capacity checks
  * (pure arithmetic) strictly before it, so a rejected plan never
  * causes a simulated cycle, and the model's memo makes every later
@@ -68,7 +69,7 @@ costSpecShape(const pim::SystemConfig &cfg, std::size_t limbs,
  * Fill a CostSpec from the model's memoised fits plus the live system
  * shape. `num_dpus` is the DPU-set size the plan will actually run on
  * (a PimHeSystem may allocate fewer DPUs than the config describes).
- * The first call per coefficient width runs 7 tiny probe simulations
+ * The first call per coefficient width runs 7 probe launches
  * (2 add, 2 mul, 3 convolution); later calls on the same model run
  * none. Call only for plans that already passed the arithmetic-only
  * noise and capacity checks.

@@ -88,6 +88,34 @@ TEST(CostModel, ConvolutionFitMatchesSimulation)
     }
 }
 
+TEST(CostModel, FastProbesEqualTheInterpreterAtEveryProbeShape)
+{
+    // The fits probe the compiled kernels in Fast mode. At every shape
+    // they probe, 3 widths x (2 ops x 2 element counts + 3 degrees),
+    // the cycles must be the interpreter's exactly.
+    PimCostModel model;
+    const auto fast = pim::ExecMode::Fast;
+    int shapes = 0;
+    for (const std::size_t limbs : {1ul, 2ul, 4ul}) {
+        for (const OpKind op : {OpKind::VecAdd, OpKind::VecMul}) {
+            for (const std::size_t e : model.elementwiseProbeElems(limbs)) {
+                EXPECT_EQ(
+                    model.simulateElementwiseCycles(op, limbs, e, fast),
+                    model.simulateElementwiseCycles(op, limbs, e))
+                    << "limbs=" << limbs << " elems=" << e;
+                ++shapes;
+            }
+        }
+        for (const std::size_t n : model.convolutionProbeDegrees()) {
+            EXPECT_EQ(model.simulateConvolutionCycles(n, limbs, fast),
+                      model.simulateConvolutionCycles(n, limbs))
+                << "limbs=" << limbs << " n=" << n;
+            ++shapes;
+        }
+    }
+    EXPECT_EQ(shapes, 21);
+}
+
 TEST(CostModel, ScalesLinearlyInElements)
 {
     PimCostModel model;

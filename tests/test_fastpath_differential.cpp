@@ -15,6 +15,11 @@
  *    path alone reproduces the oracle — outputs, cycles, DMA bytes
  *    and stall cycles bit-identically.
  *
+ * The host mirrors' native word lanes (hostWideAddModQ and
+ * hostWideMulModQ at 1, 2 and 4 limbs) are also checked directly
+ * against the limb sequences they stand in for, on random full-range
+ * operands and at the edges of the 4-limb lane's precondition.
+ *
  * Mismatch-injection tests then corrupt a fast body on purpose
  * (off-by-one output tail, stale cycle formula, skipped shard row)
  * and require shadow mode to die with a diagnostic naming the
@@ -28,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -155,48 +162,6 @@ packedVec(Rng &rng, std::size_t elems)
     return buf;
 }
 
-template <std::size_t L>
-int
-runVecGrid()
-{
-    int iterations = 0;
-    for (const std::size_t elems : {63u, 96u, 256u}) {
-        for (const unsigned tasklets : kTaskletGrid) {
-            for (const std::size_t threads : kThreadGrid) {
-                Rng rng(kSeed + 1000 * L + 10 * elems + tasklets +
-                        threads);
-                const auto p = standardVecParams(L, elems);
-                const std::size_t dpus = 2;
-                std::vector<std::vector<std::uint8_t>> init(dpus);
-                for (auto &m : init) {
-                    m = packedVec<L>(rng, elems);
-                    const auto b = packedVec<L>(rng, elems);
-                    m.resize(p.mramB + b.size());
-                    std::memcpy(m.data() + p.mramB, b.data(), b.size());
-                }
-                const std::string tag =
-                    "L" + std::to_string(L) + " e" +
-                    std::to_string(elems) + " t" +
-                    std::to_string(tasklets) + " th" +
-                    std::to_string(threads);
-                runShadowAndFast(compiledVecAddModQ(p), tasklets, dpus,
-                                 threads, init, 0, "vec-add " + tag);
-                runShadowAndFast(compiledVecMulModQ(p), tasklets, dpus,
-                                 threads, init, 0, "vec-mul " + tag);
-
-                // In-place fold round (mramOut == mramA), as the
-                // resident tree reduction launches it.
-                VecKernelParams rp = p;
-                rp.mramOut = rp.mramA;
-                runShadowAndFast(compiledVecAddModQ(rp), tasklets, dpus,
-                                 threads, init, 0, "vec-reduce " + tag);
-                iterations += 3;
-            }
-        }
-    }
-    return iterations;
-}
-
 /** elems coefficients drawn from the centring edge cases: 0,
  *  floor(q/2), floor(q/2) + 1, q - 1, and the unreduced q and
  *  all-ones limbs. */
@@ -217,6 +182,58 @@ packedEdgeVec(Rng &rng, std::size_t elems)
         }
     }
     return buf;
+}
+
+template <std::size_t L>
+int
+runVecGrid()
+{
+    int iterations = 0;
+    for (const std::size_t elems : {63u, 96u, 256u}) {
+        for (const unsigned tasklets : kTaskletGrid) {
+            for (const std::size_t threads : kThreadGrid) {
+                for (const bool edge : {false, true}) {
+                    Rng rng(kSeed + 1000 * L + 10 * elems + tasklets +
+                            threads + (edge ? 5000 : 0));
+                    const auto p = standardVecParams(L, elems);
+                    const auto operand = [&] {
+                        return edge ? packedEdgeVec<L>(rng, elems)
+                                    : packedVec<L>(rng, elems);
+                    };
+                    const std::size_t dpus = 2;
+                    std::vector<std::vector<std::uint8_t>> init(dpus);
+                    for (auto &m : init) {
+                        m = operand();
+                        const auto b = operand();
+                        m.resize(p.mramB + b.size());
+                        std::memcpy(m.data() + p.mramB, b.data(),
+                                    b.size());
+                    }
+                    const std::string tag =
+                        std::string(edge ? "edge " : "") + "L" +
+                        std::to_string(L) + " e" + std::to_string(elems) +
+                        " t" + std::to_string(tasklets) + " th" +
+                        std::to_string(threads);
+                    runShadowAndFast(compiledVecAddModQ(p), tasklets,
+                                     dpus, threads, init, 0,
+                                     "vec-add " + tag);
+                    runShadowAndFast(compiledVecMulModQ(p), tasklets,
+                                     dpus, threads, init, 0,
+                                     "vec-mul " + tag);
+
+                    // In-place fold round (mramOut == mramA), as the
+                    // resident tree reduction launches it.
+                    VecKernelParams rp = p;
+                    rp.mramOut = rp.mramA;
+                    runShadowAndFast(compiledVecAddModQ(rp), tasklets,
+                                     dpus, threads, init, 0,
+                                     "vec-reduce " + tag);
+                    iterations += 3;
+                }
+            }
+        }
+    }
+    return iterations;
 }
 
 template <std::size_t L>
@@ -359,10 +376,11 @@ runNttGrid()
  * The full fuzz grid in one test so the iteration budget is counted
  * where it runs: every registered kernel family, across widths,
  * shapes, tasklet counts 1/11/16/24 and host threads 1/8; the
- * convolution also on edge-value operands (unreduced ones included)
- * and on 2- and 3-DPU row shards. Each iteration is a shadow launch
- * (self-checking oracle) plus a pure fast launch compared bit for bit
- * against the interpreter.
+ * elementwise kernels and the convolution also on edge-value operands
+ * (unreduced ones included), the convolution on 2- and 3-DPU row
+ * shards. Each iteration is a shadow launch (self-checking oracle)
+ * plus a pure fast launch compared bit for bit against the
+ * interpreter.
  */
 TEST(FastPathDifferential, FullGridIsBitExact)
 {
@@ -376,6 +394,75 @@ TEST(FastPathDifferential, FullGridIsBitExact)
     iterations += runNttGrid();
     EXPECT_GE(iterations, 200)
         << "fuzz grid shrank below the 200-iteration budget";
+}
+
+// ----- native host lanes against the limb sequence -----
+
+/** q = 2^k - c as four limbs (k <= 128). */
+std::array<std::uint32_t, 4>
+pseudoMersenneLimbs(std::uint32_t k, std::uint32_t c)
+{
+    const WideInt<4> q = (k == 128 ? WideInt<4>() : WideInt<4>::oneShl(k)) -
+                         WideInt<4>(static_cast<std::uint64_t>(c));
+    return {q.limb(0), q.limb(1), q.limb(2), q.limb(3)};
+}
+
+/** hostWideAddModQ and hostWideMulModQ equal their limb sequences at
+ *  (limbs, q = 2^k - c) on 2^16 random full-range operand pairs. */
+void
+expectLanesMatchLimbs(std::uint32_t limbs, std::uint32_t k,
+                      std::uint32_t c, const std::string &what)
+{
+    const auto q = pseudoMersenneLimbs(k, c);
+    Rng rng(kSeed + 131 * k + c + limbs);
+    std::size_t add_diffs = 0;
+    std::size_t mul_diffs = 0;
+    for (std::size_t i = 0; i < (std::size_t{1} << 16); ++i) {
+        std::uint32_t a[4];
+        std::uint32_t b[4];
+        for (std::uint32_t l = 0; l < limbs; ++l) {
+            a[l] = rng.next32();
+            b[l] = rng.next32();
+        }
+        std::uint32_t lane[4];
+        std::uint32_t ref[4];
+        fastpath::hostWideAddModQ(a, b, q.data(), lane, limbs);
+        fastpath::hostWideAddModQLimbs(a, b, q.data(), ref, limbs);
+        add_diffs += !std::equal(lane, lane + limbs, ref);
+        fastpath::hostWideMulModQ(a, b, q.data(), k, c, lane, limbs);
+        fastpath::hostWideMulModQLimbs(a, b, q.data(), k, c, ref, limbs);
+        mul_diffs += !std::equal(lane, lane + limbs, ref);
+    }
+    EXPECT_EQ(add_diffs, 0u) << "add " << what;
+    EXPECT_EQ(mul_diffs, 0u) << "mul " << what;
+}
+
+TEST(HostLanes, EveryLaneMatchesTheLimbSequence)
+{
+    for (const std::uint32_t limbs : {1u, 2u, 4u}) {
+        const auto p = standardVecParams(limbs, 1);
+        EXPECT_TRUE(fastpath::hostMulLaneAdmits(limbs, p.k));
+        expectLanesMatchLimbs(limbs, p.k, p.c,
+                              "standard L" + std::to_string(limbs));
+    }
+}
+
+TEST(HostLanes, FourLimbLaneMatchesAtTheEdgesOfItsPrecondition)
+{
+    // The 4-limb multiply lane admits 64 < k < 128 and every 32-bit c.
+    for (const std::uint32_t k : {65u, 127u}) {
+        for (const std::uint32_t c : {1u, 0xFFFFFFFFu}) {
+            EXPECT_TRUE(fastpath::hostMulLaneAdmits(4, k));
+            expectLanesMatchLimbs(4, k, c,
+                                  "k" + std::to_string(k) + " c" +
+                                      std::to_string(c));
+        }
+    }
+    // Just outside: a shift by k = 128 is no longer a word plus 1..63
+    // bits, so q = 2^128 - 1 must take the limb sequence.
+    EXPECT_FALSE(fastpath::hostMulLaneAdmits(4, 64));
+    EXPECT_FALSE(fastpath::hostMulLaneAdmits(4, 128));
+    expectLanesMatchLimbs(4, 128, 1, "k128 c1");
 }
 
 // ----- mismatch injection: a wrong fast body must be caught -----

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bfv/params.h"
 #include "modular/barrett.h"
 #include "modular/mod64.h"
@@ -316,6 +318,34 @@ TEST(Barrett, MaxInputAtEveryWidth)
     check(standardParams<1>());
     check(standardParams<2>());
     check(standardParams<4>());
+}
+
+TEST(Barrett, FourLimbModuliAtTheWordPathBoundaries)
+{
+    // BarrettReducer<4> admits 1 <= k <= 127 and reduces in 64-bit
+    // words. Its shifts by k - 1 and k + 1 are whole words at
+    // k = 63, 65 and 127, and one bit short of or past one at 64; the
+    // extremes are k = 1 and k = 127. At each k: the smallest, the
+    // next and the largest q of that bit length.
+    Rng rng(kSeed + 404);
+    for (const std::size_t k : {1u, 2u, 63u, 64u, 65u, 96u, 97u, 127u}) {
+        const U128 top = U128::oneShl(k - 1);
+        const U128 one(1ULL);
+        for (const U128 &q : {top, top + one, top + (top - one)}) {
+            if (q.bitLength() != k)
+                continue;
+            const BarrettReducer<4> red(q);
+            const U256 qw = q.convert<8>();
+            const U256 max_x = U256::oneShl(2 * k) - U256(1ULL);
+            std::vector<U256> xs = {U256(), qw - U256(1ULL), qw, max_x};
+            for (int it = 0; it < 500; ++it)
+                xs.push_back(pimhe::testing::randomWide<8>(rng) & max_x);
+            for (const U256 &x : xs)
+                EXPECT_EQ(red.reduce(x).convert<8>(), divmod(x, qw).second)
+                    << "q=" << q.toDecimalString()
+                    << " x=" << x.toDecimalString();
+        }
+    }
 }
 
 TEST(Barrett, RejectsModulusTooWideForContext)
