@@ -77,9 +77,10 @@ class BfvContext
         for (std::size_t i = 0; i < tensor.size(); ++i) {
             const bool neg = signed256::isNegative(tensor[i]);
             const U256 mag = signed256::magnitude(tensor[i]);
-            // A magnitude below 2^128 (every product with a ternary
-            // operand: encryption's u, decryption's s) takes the
-            // native 128-bit remainder, a wider one long division.
+            // A magnitude below 2^128 (keygen's products with s,
+            // mulPlain's with a sparse plaintext, and every product at
+            // N <= 2) takes the native 128-bit remainder, a wider one
+            // long division.
             Coeff r;
             if (q_fits && mag.bitLength() <= 128) {
                 u128 rem = low128(mag) % q;

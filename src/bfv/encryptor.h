@@ -9,19 +9,30 @@
 #ifndef PIMHE_BFV_ENCRYPTOR_H
 #define PIMHE_BFV_ENCRYPTOR_H
 
+#include <cstdint>
+#include <vector>
+
 #include "bfv/ciphertext.h"
 #include "bfv/keys.h"
+#include "ntt/rns.h"
 
 namespace pimhe {
 
-/** Public-key BFV encryptor. */
+/**
+ * Public-key BFV encryptor. The public key is held in RNS-NTT form
+ * (transformed once, as SEAL keeps it), so an encryption transforms
+ * only u, once for both products.
+ */
 template <std::size_t N>
 class Encryptor
 {
   public:
-    Encryptor(const BfvContext<N> &ctx, PublicKey<N> pk, Rng &rng)
-        : ctx_(ctx), pk_(std::move(pk)), rng_(rng)
-    {}
+    Encryptor(const BfvContext<N> &ctx, const PublicKey<N> &pk, Rng &rng)
+        : ctx_(ctx), key_(ctx.ring()), rng_(rng)
+    {
+        key_.prepare(pk.p0, "p0");
+        key_.prepare(pk.p1, "p1");
+    }
 
     /**
      * Encrypt a plaintext: ct = (p0 u + e1 + Delta m, p1 u + e2).
@@ -33,9 +44,13 @@ class Encryptor
         PIMHE_ASSERT(pt.size() == ring.degree(),
                      "plaintext degree mismatch");
 
-        const auto u = ring.sampleTernary(rng_);
+        // u straight from its draws, in sampleTernary's order.
+        std::vector<std::int8_t> u(ring.degree());
+        for (auto &x : u)
+            x = static_cast<std::int8_t>(rng_.ternary());
         const auto e1 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
         const auto e2 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
+        const auto u_ntt = key_.transformTernary(u);
 
         // Delta * m, coefficientwise: m < t gives Delta * m < q, so the
         // wrapping N-limb product is exact and already reduced.
@@ -46,27 +61,31 @@ class Encryptor
         }
 
         Ciphertext<N> ct;
-        ct.comps.push_back(ring.add(
-            ring.add(ctx_.mulModQ(pk_.p0, u), e1), dm));
         ct.comps.push_back(
-            ring.add(ctx_.mulModQ(pk_.p1, u), e2));
+            ring.add(ring.add(key_.multiply(u_ntt, 0), e1), dm));
+        ct.comps.push_back(ring.add(key_.multiply(u_ntt, 1), e2));
         return ct;
     }
 
   private:
     const BfvContext<N> &ctx_;
-    PublicKey<N> pk_;
+    NttResidentProducts<N> key_; //!< p0 (index 0) and p1 (index 1)
     Rng &rng_;
 };
 
-/** Secret-key BFV decryptor with noise introspection. */
+/**
+ * Secret-key BFV decryptor with noise introspection. The secret is
+ * held in RNS-NTT form, transformed once.
+ */
 template <std::size_t N>
 class Decryptor
 {
   public:
-    Decryptor(const BfvContext<N> &ctx, SecretKey<N> sk)
-        : ctx_(ctx), sk_(std::move(sk))
-    {}
+    Decryptor(const BfvContext<N> &ctx, const SecretKey<N> &sk)
+        : ctx_(ctx), secret_(ctx.ring())
+    {
+        secret_.prepare(sk.s, "s");
+    }
 
     /**
      * Decrypt a 2- or 3-component ciphertext:
@@ -149,23 +168,23 @@ class Decryptor
         return max_mag;
     }
 
-    /** c0 + c1 s (+ c2 s^2) mod q. */
+    /** c0 + c1 s (+ c2 s^2, formed as (c2 s) s) mod q. */
     Polynomial<N>
     noisyMessage(const Ciphertext<N> &ct) const
     {
         const auto &ring = ctx_.ring();
         PIMHE_ASSERT(ct.size() == 2 || ct.size() == 3,
                      "unsupported ciphertext size ", ct.size());
-        auto v = ring.add(ct[0], ctx_.mulModQ(ct[1], sk_.s));
-        if (ct.size() == 3) {
-            const auto s2 = ctx_.mulModQ(sk_.s, sk_.s);
-            v = ring.add(v, ctx_.mulModQ(ct[2], s2));
-        }
+        auto v = ring.add(
+            ct[0], secret_.multiply(secret_.transform(ct[1], "c1"), 0));
+        if (ct.size() == 3)
+            v = ring.add(v, secret_.multiply(
+                                secret_.transform(ct[2], "c2"), 0, 2));
         return v;
     }
 
     const BfvContext<N> &ctx_;
-    SecretKey<N> sk_;
+    NttResidentProducts<N> secret_; //!< s (index 0)
 };
 
 } // namespace pimhe

@@ -8,14 +8,52 @@ namespace pimhe {
 
 namespace {
 
-std::array<std::uint64_t, 4>
+using u128 = unsigned __int128;
+using Words = RnsBasis::Words;
+
+Words
 toWords(const U256 &x)
 {
-    std::array<std::uint64_t, 4> w{};
+    Words w{};
     for (std::size_t l = 0; l < w.size(); ++l)
         w[l] = x.limb(2 * l) |
                static_cast<std::uint64_t>(x.limb(2 * l + 1)) << 32;
     return w;
+}
+
+U256
+fromWords(const Words &w)
+{
+    U256 out;
+    for (std::size_t l = 0; l < w.size(); ++l) {
+        out.setLimb(2 * l, static_cast<std::uint32_t>(w[l]));
+        out.setLimb(2 * l + 1, static_cast<std::uint32_t>(w[l] >> 32));
+    }
+    return out;
+}
+
+/** a > b over the low `count` words. */
+bool
+greaterWords(const Words &a, const Words &b, std::size_t count)
+{
+    for (std::size_t l = count; l-- > 0;)
+        if (a[l] != b[l])
+            return a[l] > b[l];
+    return false;
+}
+
+/** a - b over the low `count` words, for a >= b. */
+Words
+subWords(const Words &a, const Words &b, std::size_t count)
+{
+    Words d{};
+    std::uint64_t borrow = 0;
+    for (std::size_t l = 0; l < count; ++l) {
+        const std::uint64_t t = a[l] - b[l];
+        d[l] = t - borrow;
+        borrow = (a[l] < b[l]) | (t < borrow);
+    }
+    return d;
 }
 
 } // namespace
@@ -46,6 +84,8 @@ RnsBasis::RnsBasis(std::vector<std::uint64_t> primes)
     for (const std::uint64_t p : primes_)
         product_ = product_.mulFull(U256(p)).convert<8>();
     productWords_ = toWords(product_);
+    halfProductWords_ = toWords(product_.shr(1));
+    productWordCount_ = (product_.bitLength() + 63) / 64;
 
     consts_.resize(primes_.size());
     for (std::size_t i = 0; i < primes_.size(); ++i) {
@@ -82,53 +122,224 @@ RnsBasis::decompose(const U256 &x) const
     return out;
 }
 
-U256
-RnsBasis::recombine(std::span<const std::uint64_t> residues) const
+RnsBasis::Words
+RnsBasis::recombineWords(std::span<const std::uint64_t> residues) const
 {
     PIMHE_ASSERT(residues.size() == primes_.size(),
                  "residue count mismatch");
     // acc = sum of w_i * (P / p_i) with w_i < p_i, so acc < k * P,
-    // which fits five words; at most k - 1 subtractions of P then
-    // leave the unique value below P.
+    // which fits one word more than P; at most k - 1 subtractions of
+    // P then leave the unique value below P.
+    const std::size_t words = productWordCount_;
     std::array<std::uint64_t, 5> acc{};
     for (std::size_t i = 0; i < primes_.size(); ++i) {
         const PrimeConstants &c = consts_[i];
         const std::uint64_t w =
             mulShoup(residues[i], c.hatInv, primes_[i]);
         std::uint64_t carry = 0;
-        for (std::size_t l = 0; l < 4; ++l) {
-            const unsigned __int128 cur =
-                static_cast<unsigned __int128>(w) * c.hat[l] + acc[l] +
-                carry;
+        for (std::size_t l = 0; l < words; ++l) {
+            const u128 cur = static_cast<u128>(w) * c.hat[l] + acc[l] +
+                             carry;
             acc[l] = static_cast<std::uint64_t>(cur);
             carry = static_cast<std::uint64_t>(cur >> 64);
         }
-        acc[4] += carry;
+        acc[words] += carry;
     }
     const auto below_p = [&] {
-        if (acc[4] != 0)
+        if (acc[words] != 0)
             return false;
-        for (std::size_t l = 4; l-- > 0;)
+        for (std::size_t l = words; l-- > 0;)
             if (acc[l] != productWords_[l])
                 return acc[l] < productWords_[l];
         return false;
     };
     while (!below_p()) {
         std::uint64_t borrow = 0;
-        for (std::size_t l = 0; l < 4; ++l) {
+        for (std::size_t l = 0; l < words; ++l) {
             const std::uint64_t d = acc[l] - productWords_[l];
             const std::uint64_t b1 = acc[l] < productWords_[l];
             acc[l] = d - borrow;
             borrow = b1 | (d < borrow);
         }
-        acc[4] -= borrow;
+        acc[words] -= borrow;
     }
-    U256 out;
-    for (std::size_t l = 0; l < 4; ++l) {
-        out.setLimb(2 * l, static_cast<std::uint32_t>(acc[l]));
-        out.setLimb(2 * l + 1, static_cast<std::uint32_t>(acc[l] >> 32));
+    Words out{};
+    std::copy_n(acc.begin(), words, out.begin());
+    return out;
+}
+
+U256
+RnsBasis::recombine(std::span<const std::uint64_t> residues) const
+{
+    return fromWords(recombineWords(residues));
+}
+
+RnsBasis::Words
+RnsBasis::recombineSigned(std::span<const std::uint64_t> residues,
+                         bool &negative) const
+{
+    const Words v = recombineWords(residues);
+    negative = greaterWords(v, halfProductWords_, productWordCount_);
+    return negative ? subWords(productWords_, v, productWordCount_) : v;
+}
+
+std::vector<U256>
+RnsBasis::recombineCentered(const RnsResidues &r) const
+{
+    PIMHE_ASSERT(r.size() == primes_.size(), "residue count mismatch");
+    std::vector<U256> out(r.front().size());
+    std::vector<std::uint64_t> residues(primes_.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        for (std::size_t pi = 0; pi < residues.size(); ++pi)
+            residues[pi] = r[pi][i];
+        bool neg = false;
+        const Words mag = recombineSigned(residues, neg);
+        out[i] = signed256::fromSignMagnitude(fromWords(mag), neg);
     }
     return out;
+}
+
+namespace {
+
+/** The fewest 59-bit NTT primes (step 2n) whose product exceeds
+ *  2 * n * floor(q/2) * n. */
+RnsBasis
+residentBasis(std::size_t n, u128 q)
+{
+    PIMHE_ASSERT(n <= (std::size_t(1) << 30), "degree ", n,
+                 " is above 2^30");
+    const U256 half_q = fromWords({static_cast<std::uint64_t>(q >> 1),
+                                   static_cast<std::uint64_t>(q >> 65)});
+    const U256 bound = U256(2ULL * n * n) * half_q;
+    for (std::size_t count = 1;; ++count) {
+        RnsBasis basis(findNttPrimes(59, 2 * n, count));
+        if (basis.product() > bound)
+            return basis;
+    }
+}
+
+} // namespace
+
+NttResidentCore::NttResidentCore(std::size_t n, u128 q)
+    : basis_(residentBasis(n, q)), q_(q)
+{
+    const U256 q_wide = fromWords({static_cast<std::uint64_t>(q),
+                                   static_cast<std::uint64_t>(q >> 64)});
+    qBits_ = static_cast<unsigned>(q_wide.bitLength());
+    qMu_ = divmod(U256::oneShl(qBits_ + 62), q_wide).first.toUint64();
+    for (const std::uint64_t p : basis_.primes())
+        tables_.emplace_back(p, n);
+}
+
+NttResidentCore::Operand
+NttResidentCore::transformTernary(std::span<const std::int8_t> x) const
+{
+    RnsResidues r(basis_.size(), std::vector<std::uint64_t>(x.size()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        PIMHE_ASSERT(x[i] >= -1 && x[i] <= 1, "value ", int(x[i]),
+                     " at ", i, " is not ternary");
+        for (std::size_t pi = 0; pi < r.size(); ++pi)
+            r[pi][i] = x[i] < 0 ? basis_.primes()[pi] - 1
+                                : static_cast<std::uint64_t>(x[i]);
+    }
+    return forward(std::move(r), true);
+}
+
+NttResidentCore::Operand
+NttResidentCore::forward(RnsResidues r, bool small) const
+{
+    PIMHE_ASSERT(r.size() == tables_.size(), "residue count mismatch");
+    for (std::size_t pi = 0; pi < r.size(); ++pi)
+        tables_[pi].forward(r[pi]);
+    return {std::move(r), small};
+}
+
+std::size_t
+NttResidentCore::keep(RnsResidues r, bool small)
+{
+    const Operand f = forward(std::move(r), small);
+    Fixed fixed;
+    fixed.small = small;
+    for (std::size_t pi = 0; pi < f.values.size(); ++pi) {
+        const std::uint64_t p = basis_.primes()[pi];
+        std::vector<ShoupOperand> &w = fixed.values.emplace_back();
+        w.reserve(f.values[pi].size());
+        for (const std::uint64_t v : f.values[pi])
+            w.emplace_back(v, p);
+    }
+    fixed_.push_back(std::move(fixed));
+    return fixed_.size() - 1;
+}
+
+std::vector<u128>
+NttResidentCore::multiplyModQ(const Operand &x, std::size_t j,
+                              unsigned times) const
+{
+    PIMHE_ASSERT(j < fixed_.size(), "no fixed polynomial ", j);
+    const Fixed &f = fixed_[j];
+    // A small factor against a reduced one gives at most n * floor(q/2)
+    // per coefficient, and each further small factor n times that: a
+    // small fixed polynomial may meet any operand twice, a reduced one
+    // only a small operand, once.
+    PIMHE_ASSERT(times >= 1 && times <= 2 &&
+                     (f.small || (x.small && times == 1)),
+                 "product of a ", x.small ? "small" : "reduced",
+                 " operand and ", times, " ",
+                 f.small ? "small" : "reduced",
+                 " factor(s) exceeds the basis bound");
+    RnsResidues y = x.values;
+    for (std::size_t pi = 0; pi < y.size(); ++pi) {
+        const std::uint64_t p = basis_.primes()[pi];
+        const std::vector<ShoupOperand> &w = f.values[pi];
+        std::vector<std::uint64_t> &v = y[pi];
+        for (unsigned t = 0; t < times; ++t)
+            for (std::size_t i = 0; i < v.size(); ++i)
+                v[i] = mulShoup(v[i], w[i], p);
+        tables_[pi].inverse(v);
+    }
+    std::vector<u128> out(y.front().size());
+    std::vector<std::uint64_t> residues(y.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        for (std::size_t pi = 0; pi < residues.size(); ++pi)
+            residues[pi] = y[pi][i];
+        bool neg = false;
+        const u128 r = reduce(basis_.recombineSigned(residues, neg));
+        out[i] = neg && r != 0 ? q_ - r : r;
+    }
+    return out;
+}
+
+u128
+NttResidentCore::reduce(const Words &x) const
+{
+    // Barrett with a one-word quotient: t = floor(x / 2^(k-1)) < 2^63
+    // and qhat = floor(t * mu / 2^63) undershoots floor(x / q) by at
+    // most 2 (x < 2^(k + 62)). x below 2^(k + 62) holds: every product
+    // is at most n * floor(q/2) * n < 2^(k - 1 + 60).
+    const unsigned shift = qBits_ - 1;
+    const u128 window =
+        shift < 64 ? (static_cast<u128>(x[1]) << 64 | x[0]) >> shift
+                   : (static_cast<u128>(x[2]) << 64 | x[1]) >> (shift - 64);
+    const auto t = static_cast<std::uint64_t>(window);
+    const auto qhat = static_cast<std::uint64_t>(
+        (static_cast<u128>(t) * qMu_) >> 63);
+    // r = x - qhat * q over three words; r < 3q.
+    const u128 lo = static_cast<u128>(qhat) * static_cast<std::uint64_t>(q_);
+    const u128 hi = static_cast<u128>(qhat) *
+                    static_cast<std::uint64_t>(q_ >> 64);
+    const u128 mid = (lo >> 64) + static_cast<std::uint64_t>(hi);
+    const u128 prod_low = mid << 64 | static_cast<std::uint64_t>(lo);
+    const std::uint64_t prod_top =
+        static_cast<std::uint64_t>(hi >> 64) +
+        static_cast<std::uint64_t>(mid >> 64);
+    const u128 x_low = static_cast<u128>(x[1]) << 64 | x[0];
+    u128 r = x_low - prod_low;
+    std::uint64_t top = x[2] - prod_top - (x_low < prod_low);
+    while (top != 0 || r >= q_) {
+        top -= r < q_;
+        r -= q_;
+    }
+    return r;
 }
 
 } // namespace pimhe

@@ -10,11 +10,17 @@
  * final reduction mod q matches the schoolbook result bit-for-bit.
  * Residues and recombination run on 64-bit words with Shoup constants
  * precomputed per prime; nothing in a product divides.
+ *
+ * The client's products (encryption against the public key, decryption
+ * against the secret) have one ternary operand, so they run on a
+ * smaller basis against fixed polynomials kept in NTT form
+ * (NttResidentProducts).
  */
 
 #ifndef PIMHE_NTT_RNS_H
 #define PIMHE_NTT_RNS_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -29,6 +35,9 @@
 
 namespace pimhe {
 
+/** Residues of one polynomial: a length-n vector per basis prime. */
+using RnsResidues = std::vector<std::vector<std::uint64_t>>;
+
 /**
  * A basis of coprime word-sized primes (each below 2^62) with CRT
  * precomputation.
@@ -39,6 +48,9 @@ namespace pimhe {
 class RnsBasis
 {
   public:
+    /** A value below 2^256 as little-endian 64-bit words. */
+    using Words = std::array<std::uint64_t, 4>;
+
     /** Build from explicit primes (must be pairwise distinct). */
     explicit RnsBasis(std::vector<std::uint64_t> primes);
 
@@ -85,8 +97,23 @@ class RnsBasis
      */
     U256 recombine(std::span<const std::uint64_t> residues) const;
 
+    /**
+     * Signed CRT recombination: the magnitude of the value whose
+     * residues are `residues`, with its sign in `negative`. A
+     * recombined v > P/2 stands for the negative value v - P.
+     */
+    Words recombineSigned(std::span<const std::uint64_t> residues,
+                          bool &negative) const;
+
+    /**
+     * recombineSigned of every coefficient of `r`, in two's
+     * complement.
+     */
+    std::vector<U256> recombineCentered(const RnsResidues &r) const;
+
   private:
-    using Words = std::array<std::uint64_t, 4>;
+    /** The unique value below P with the given residues. */
+    Words recombineWords(std::span<const std::uint64_t> residues) const;
 
     /** Per-prime constants of residue() and recombine(). */
     struct PrimeConstants
@@ -100,8 +127,41 @@ class RnsBasis
     std::vector<std::uint64_t> primes_;
     U256 product_;
     Words productWords_{};
+    Words halfProductWords_{}; //!< floor(P / 2)
+    std::size_t productWordCount_ = 0; //!< words of P
     std::vector<PrimeConstants> consts_;
 };
+
+/**
+ * out[pi][i] = centred(a[i]) mod p_i for every prime p_i of `basis`.
+ * Each coefficient is centred once, and its magnitude reduced per
+ * prime as 64-bit words.
+ */
+template <std::size_t N>
+RnsResidues
+centeredResidues(const RingContext<N> &ring, const RnsBasis &basis,
+                 const Polynomial<N> &a)
+{
+    RnsResidues out(basis.size(), std::vector<std::uint64_t>(a.size()));
+    std::array<std::uint64_t, (N + 1) / 2> words;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto [mag, neg] = ring.toCentered(a[i]);
+        for (std::size_t w = 0; w < words.size(); ++w)
+            words[w] = mag.limb(2 * w) |
+                       static_cast<std::uint64_t>(mag.limb(2 * w + 1))
+                           << 32;
+        // Small magnitudes (ternary, noise) reduce one word.
+        std::size_t used = words.size();
+        while (used > 1 && words[used - 1] == 0)
+            --used;
+        const std::span<const std::uint64_t> value(words.data(), used);
+        for (std::size_t pi = 0; pi < out.size(); ++pi) {
+            const std::uint64_t r = basis.residue(value, pi);
+            out[pi][i] = (neg && r != 0) ? basis.primes()[pi] - r : r;
+        }
+    }
+    return out;
+}
 
 /**
  * RNS+NTT implementation of the ExactConvolver strategy — the engine
@@ -129,31 +189,17 @@ class RnsNttConvolver : public ExactConvolver<N>
                      const Polynomial<N> &b) const override
     {
         const std::size_t n = ring_.degree();
-        const std::size_t k = basis_.size();
         requireRingDegree(a, n, "a");
         requireRingDegree(b, n, "b");
 
         // Per-prime residues of both operands; each product overwrites
         // a's residues and consumes b's.
-        std::vector<std::vector<std::uint64_t>> ra(k), rb(k);
-        centeredResidues(a, ra);
-        centeredResidues(b, rb);
-        for (std::size_t pi = 0; pi < k; ++pi)
+        RnsResidues ra = centeredResidues(ring_, basis_, a);
+        RnsResidues rb = centeredResidues(ring_, basis_, b);
+        for (std::size_t pi = 0; pi < basis_.size(); ++pi)
             ra[pi] = tables_[pi].multiply(std::move(ra[pi]),
                                           std::move(rb[pi]));
-
-        // A recombined v > P/2 stands for the negative value v - P.
-        const U256 &big_p = basis_.product();
-        const U256 half_p = big_p.shr(1);
-        std::vector<U256> out(n);
-        std::vector<std::uint64_t> residues(k);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t pi = 0; pi < k; ++pi)
-                residues[pi] = ra[pi][i];
-            const U256 v = basis_.recombine(residues);
-            out[i] = v > half_p ? v - big_p : v;
-        }
-        return out;
+        return basis_.recombineCentered(ra);
     }
 
     std::string name() const override { return "rns-ntt"; }
@@ -161,42 +207,172 @@ class RnsNttConvolver : public ExactConvolver<N>
     const RnsBasis &basis() const { return basis_; }
 
   private:
-    /**
-     * out[pi][i] = centred(a[i]) mod p_i. Each coefficient is centred
-     * once, and its magnitude reduced per prime as 64-bit words.
-     */
-    void
-    centeredResidues(const Polynomial<N> &a,
-                     std::vector<std::vector<std::uint64_t>> &out) const
-    {
-        const std::size_t n = ring_.degree();
-        for (auto &r : out)
-            r.resize(n);
-        std::array<std::uint64_t, (N + 1) / 2> words;
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto [mag, neg] = ring_.toCentered(a[i]);
-            for (std::size_t w = 0; w < words.size(); ++w)
-                words[w] = mag.limb(2 * w) |
-                           static_cast<std::uint64_t>(
-                               mag.limb(2 * w + 1))
-                               << 32;
-            // Small magnitudes (ternary, noise) reduce one word.
-            std::size_t used = words.size();
-            while (used > 1 && words[used - 1] == 0)
-                --used;
-            const std::span<const std::uint64_t> value(words.data(),
-                                                       used);
-            for (std::size_t pi = 0; pi < out.size(); ++pi) {
-                const std::uint64_t r = basis_.residue(value, pi);
-                out[pi][i] =
-                    (neg && r != 0) ? basis_.primes()[pi] - r : r;
-            }
-        }
-    }
-
     const RingContext<N> &ring_;
     RnsBasis basis_;
     std::vector<NttTable> tables_;
+};
+
+/**
+ * The 64-bit word half of NttResidentProducts, compiled once in
+ * rns.cpp: the basis, one NTT table per prime, every fixed
+ * polynomial's transform with a Shoup quotient per value, and the
+ * reduction of exact products mod q.
+ */
+class NttResidentCore
+{
+  public:
+    /** An operand in RNS-NTT form. */
+    struct Operand
+    {
+        RnsResidues values; //!< forward transform, one vector per prime
+        bool small = false; //!< every centred coefficient in {-1, 0, 1}
+    };
+
+    const RnsBasis &basis() const { return basis_; }
+
+    /**
+     * Values in {-1, 0, 1} (encryption's u, straight from its draws)
+     * in RNS-NTT form.
+     */
+    Operand transformTernary(std::span<const std::int8_t> x) const;
+
+  protected:
+    /**
+     * The fewest 59-bit NTT primes (step 2n, as RnsNttConvolver's)
+     * whose product exceeds 2 * n * floor(q/2) * n, for n <= 2^30.
+     */
+    NttResidentCore(std::size_t n, unsigned __int128 q);
+
+    /** Forward-transform centred residues `r` per prime. */
+    Operand forward(RnsResidues r, bool small) const;
+
+    /**
+     * Keep a fixed polynomial, given as centred residues, in NTT form;
+     * returns its index.
+     */
+    std::size_t keep(RnsResidues r, bool small);
+
+    /**
+     * lift(x) * f_j^times mod q, one value in [0, q) per coefficient:
+     * per prime, `times` pointwise Shoup products and one inverse NTT,
+     * then per coefficient one signed recombination and one reduction.
+     * Panics on a product the basis bound does not cover.
+     */
+    std::vector<unsigned __int128>
+    multiplyModQ(const Operand &x, std::size_t j, unsigned times) const;
+
+  private:
+    struct Fixed
+    {
+        std::vector<std::vector<ShoupOperand>> values; //!< per prime
+        bool small = false;
+    };
+
+    /** x mod q for x < 2^(k + 62), k the bit length of q. */
+    unsigned __int128 reduce(const RnsBasis::Words &x) const;
+
+    RnsBasis basis_;
+    std::vector<NttTable> tables_;
+    std::vector<Fixed> fixed_;
+    unsigned __int128 q_;
+    unsigned qBits_ = 0;    //!< k
+    std::uint64_t qMu_ = 0; //!< floor(2^(k + 62) / q)
+};
+
+/**
+ * Exact negacyclic products in R_q against fixed polynomials kept in
+ * RNS-NTT form: the client's side of BFV (Encryptor's public key,
+ * Decryptor's secret). Each fixed polynomial is centred and
+ * forward-transformed once. A product then costs one forward NTT per
+ * prime of the other operand (shared by every fixed polynomial it
+ * meets), a pointwise Shoup product and an inverse NTT per prime, and
+ * one recombination per coefficient.
+ *
+ * The basis is sized for products of a small operand (centred |x| <=
+ * 1: encryption's u, the secret s) with a reduced one (|y| <=
+ * floor(q/2)): its product exceeds 2 * n * floor(q/2) * n, so x * y
+ * (at most n * floor(q/2) per coefficient) and (c * s) * s (at most
+ * n * floor(q/2) * n) recombine exactly. At the paper's n = 4096 and
+ * 109-bit q that is three 59-bit primes, where RnsNttConvolver's
+ * bound for two reduced operands takes four.
+ */
+template <std::size_t N>
+class NttResidentProducts : public NttResidentCore
+{
+    static_assert(N <= 4, "q must fit 128 bits");
+
+  public:
+    explicit
+    NttResidentProducts(const RingContext<N> &ring)
+        : NttResidentCore(ring.degree(), toU128(ring.modulus())),
+          ring_(ring)
+    {}
+
+    /**
+     * Keep fixed polynomial `f` (`name` in panics) in RNS-NTT form;
+     * returns its index for multiply().
+     */
+    std::size_t
+    prepare(const Polynomial<N> &f, const char *name)
+    {
+        requireReduced(f, name);
+        return keep(centeredResidues(ring_, basis(), f), isSmall(f));
+    }
+
+    /** Operand `x` (`name` in panics) in RNS-NTT form. */
+    Operand
+    transform(const Polynomial<N> &x, const char *name) const
+    {
+        requireReduced(x, name);
+        return forward(centeredResidues(ring_, basis(), x), isSmall(x));
+    }
+
+    /** x * f_j^times in R_q, for `times` 1 or 2. */
+    Polynomial<N>
+    multiply(const Operand &x, std::size_t j, unsigned times = 1) const
+    {
+        const auto values = multiplyModQ(x, j, times);
+        Polynomial<N> out(values.size());
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            unsigned __int128 v = values[i];
+            for (std::size_t l = 0; l < N; ++l, v >>= 32)
+                out[i].setLimb(l, static_cast<std::uint32_t>(v));
+        }
+        return out;
+    }
+
+  private:
+    static unsigned __int128
+    toU128(const WideInt<N> &v)
+    {
+        unsigned __int128 w = 0;
+        for (std::size_t l = N; l-- > 0;)
+            w = (w << 32) | v.limb(l);
+        return w;
+    }
+
+    /** The basis bound assumes n coefficients, each below q. */
+    void
+    requireReduced(const Polynomial<N> &p, const char *name) const
+    {
+        requireRingDegree(p, ring_.degree(), name);
+        for (std::size_t i = 0; i < p.size(); ++i)
+            PIMHE_ASSERT(p[i] < ring_.modulus(), "operand ", name,
+                         " coefficient ", i, " is not below q");
+    }
+
+    bool
+    isSmall(const Polynomial<N> &p) const
+    {
+        const WideInt<N> one(1ULL);
+        const WideInt<N> minus_one = ring_.modulus() - one;
+        return std::all_of(p.coeffs().begin(), p.coeffs().end(),
+                           [&](const WideInt<N> &c) {
+                               return c <= one || c == minus_one;
+                           });
+    }
+
+    const RingContext<N> &ring_;
 };
 
 } // namespace pimhe

@@ -927,15 +927,12 @@ class PimConvolver : public ExactConvolver<N>
         }
     }
 
-    std::vector<std::uint8_t>
-    flatten(const Polynomial<N> &p) const
+    static std::vector<std::uint8_t>
+    flatten(const Polynomial<N> &p)
     {
+        static_assert(kStagedAsStored<N>);
         std::vector<std::uint8_t> buf(p.size() * N * 4);
-        for (std::size_t i = 0; i < p.size(); ++i)
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = p[i].limb(l);
-                std::memcpy(buf.data() + (i * N + l) * 4, &v, 4);
-            }
+        std::memcpy(buf.data(), p.coeffs().data(), buf.size());
         return buf;
     }
 

@@ -42,10 +42,13 @@
 #ifndef PIMHE_PIMHE_RESIDENT_H
 #define PIMHE_PIMHE_RESIDENT_H
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <set>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "bfv/ciphertext.h"
@@ -88,10 +91,22 @@ bumpOpCounter(const char *name)
 }
 
 /**
+ * A coefficient is staged as its N 32-bit limbs, little-endian, which
+ * is how a WideInt<N> already lies in memory: a run of coefficients
+ * stages with one memcpy.
+ */
+template <std::size_t N>
+constexpr bool kStagedAsStored =
+    sizeof(WideInt<N>) == N * 4 &&
+    std::is_trivially_copyable_v<WideInt<N>> &&
+    std::endian::native == std::endian::little;
+
+/**
  * The host side of every MRAM staging layout: copy flat elements
  * [begin, begin + count) of `cts` into `buf`, N 32-bit limbs each,
  * zero-filling the rest of `buf`. Flat element f is coefficient f % n
- * of component (f / n) % comps of ciphertext f / (comps * n).
+ * of component (f / n) % comps of ciphertext f / (comps * n); each run
+ * inside one component is one memcpy.
  */
 template <std::size_t N>
 void
@@ -99,19 +114,22 @@ flattenSlice(std::span<const Ciphertext<N>> cts, std::size_t n,
              std::size_t begin, std::size_t count,
              std::span<std::uint8_t> buf)
 {
+    static_assert(kStagedAsStored<N>);
+    PIMHE_ASSERT(buf.size() >= count * N * 4, "staging buffer of ",
+                 buf.size(), " bytes holds fewer than ", count,
+                 " elements");
     const std::size_t comps = cts.front().size();
-    std::fill(buf.begin(), buf.end(), 0);
-    for (std::size_t e = 0; e < count; ++e) {
-        const std::size_t flat = begin + e;
-        if (flat >= cts.size() * comps * n)
-            break;
-        const auto &coeff =
-            cts[flat / (comps * n)][(flat / n) % comps][flat % n];
-        for (std::size_t l = 0; l < N; ++l) {
-            const std::uint32_t v = coeff.limb(l);
-            std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
-        }
+    const std::size_t total = cts.size() * comps * n;
+    std::size_t e = 0;
+    for (std::size_t flat = begin; e < count && flat < total;) {
+        const std::size_t run = std::min(count - e, n - flat % n);
+        const auto &comp = cts[flat / (comps * n)][(flat / n) % comps];
+        std::memcpy(buf.data() + e * N * 4,
+                    comp.coeffs().data() + flat % n, run * N * 4);
+        e += run;
+        flat += run;
     }
+    std::fill(buf.begin() + e * N * 4, buf.end(), 0);
 }
 
 /** Inverse of flattenSlice into already-sized ciphertexts. */
@@ -121,18 +139,17 @@ unflattenSlice(std::span<const std::uint8_t> buf, std::size_t n,
                std::size_t begin, std::size_t count,
                std::span<Ciphertext<N>> out)
 {
+    static_assert(kStagedAsStored<N>);
     const std::size_t comps = out.front().size();
-    for (std::size_t e = 0; e < count; ++e) {
-        const std::size_t flat = begin + e;
-        if (flat >= out.size() * comps * n)
-            break;
-        WideInt<N> coeff;
-        for (std::size_t l = 0; l < N; ++l) {
-            std::uint32_t v;
-            std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
-            coeff.setLimb(l, v);
-        }
-        out[flat / (comps * n)][(flat / n) % comps][flat % n] = coeff;
+    const std::size_t total = out.size() * comps * n;
+    std::size_t e = 0;
+    for (std::size_t flat = begin; e < count && flat < total;) {
+        const std::size_t run = std::min(count - e, n - flat % n);
+        auto &comp = out[flat / (comps * n)][(flat / n) % comps];
+        std::memcpy(comp.coeffs().data() + flat % n,
+                    buf.data() + e * N * 4, run * N * 4);
+        e += run;
+        flat += run;
     }
 }
 

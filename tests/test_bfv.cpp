@@ -330,6 +330,34 @@ TEST(Bfv, EncryptionMatchesPinnedDigests)
     EXPECT_EQ(pinnedEncryptionDigest<4>(64, false), 0xd68ffc206c51c6e6ULL);
 }
 
+TEST(Bfv, ClientCryptoRejectsOperandsOfTheWrongDegree)
+{
+    // A degree-32 key or ciphertext in a degree-64 context, as
+    // deserialization can produce: the NTT-resident products must
+    // reject it rather than transform whatever lies past its
+    // coefficients.
+    BfvHarness<2> h(64);
+    BfvHarness<2> small(32);
+    EXPECT_DEATH(Encryptor<2>(h.ctx, small.pk, h.rng),
+                 "convolution operand p0 has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(Encryptor<2>(h.ctx, PublicKey<2>{h.pk.p0, small.pk.p1},
+                              h.rng),
+                 "convolution operand p1 has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(Decryptor<2>(h.ctx, small.keygen.secretKey()),
+                 "convolution operand s has 32 coefficients, not the "
+                 "ring degree 64");
+    EXPECT_DEATH(h.dec.decrypt(small.encryptScalar(3)),
+                 "convolution operand c1 has 32 coefficients, not the "
+                 "ring degree 64");
+    auto product = h.eval.multiply(h.encryptScalar(2), h.encryptScalar(3));
+    product.comps[2] = small.encryptScalar(4)[0];
+    EXPECT_DEATH(h.dec.decrypt(product),
+                 "convolution operand c2 has 32 coefficients, not the "
+                 "ring degree 64");
+}
+
 TEST(Bfv, FullDegreeRoundTripAllLevels)
 {
     // Full paper-scale ring degrees with the fast convolver: encrypt,

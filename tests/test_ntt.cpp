@@ -368,5 +368,125 @@ TEST(RnsConv, FullDegreeSpotCheck)
         ASSERT_EQ(conv[i], expect[i]) << "coeff " << i;
 }
 
+// ---------------------------------------------------------------------
+// NttResidentProducts: the client's products on the smaller basis.
+// ---------------------------------------------------------------------
+
+/** u's coefficients mod q, as sampleTernary would map them. */
+template <std::size_t N>
+Polynomial<N>
+ternaryPolynomial(const RingContext<N> &ring,
+                  const std::vector<std::int8_t> &u)
+{
+    Polynomial<N> p(u.size());
+    for (std::size_t i = 0; i < u.size(); ++i)
+        p[i] = ring.centeredToModQ(u[i]);
+    return p;
+}
+
+TYPED_TEST(RnsConvWidths, ResidentProductsExactAtTheBasisBound)
+{
+    // The operands that size the basis: a fixed polynomial of all
+    // floor(q/2) (the largest centred magnitude) or all floor(q/2) + 1
+    // (the most negative) against u all +1, all -1 and alternating;
+    // and c2 * s^2 formed as (c2 * s) * s, with s all +1 or all -1.
+    constexpr std::size_t N = TypeParam::numLimbs;
+    const auto params = standardParams<N>().withDegree(64);
+    const std::size_t n = params.n;
+    const RingContext<N> ring(n, params.q);
+    const WideInt<N> half = ring.modulus().shr(1);
+    const std::vector<Polynomial<N>> extremes = {
+        Polynomial<N>(std::vector<WideInt<N>>(n, half)),
+        Polynomial<N>(std::vector<WideInt<N>>(n, half + WideInt<N>(1ULL)))};
+    std::vector<std::int8_t> alternating(n);
+    for (std::size_t i = 0; i < n; ++i)
+        alternating[i] = i % 2 == 0 ? 1 : -1;
+    const std::vector<std::vector<std::int8_t>> us = {
+        std::vector<std::int8_t>(n, 1), std::vector<std::int8_t>(n, -1),
+        alternating};
+
+    for (std::size_t e = 0; e < extremes.size(); ++e) {
+        NttResidentProducts<N> key(ring);
+        const std::size_t j = key.prepare(extremes[e], "p0");
+        for (std::size_t k = 0; k < us.size(); ++k)
+            EXPECT_EQ(key.multiply(key.transformTernary(us[k]), j),
+                      ring.mulSchoolbook(extremes[e],
+                                         ternaryPolynomial(ring, us[k])))
+                << "fixed " << e << ", u " << k;
+    }
+    for (const int sign : {1, -1}) {
+        const auto s = ternaryPolynomial(
+            ring,
+            std::vector<std::int8_t>(n, static_cast<std::int8_t>(sign)));
+        NttResidentProducts<N> secret(ring);
+        const std::size_t j = secret.prepare(s, "s");
+        for (std::size_t e = 0; e < extremes.size(); ++e) {
+            const auto c = secret.transform(extremes[e], "c2");
+            const auto cs = ring.mulSchoolbook(extremes[e], s);
+            EXPECT_EQ(secret.multiply(c, j), cs)
+                << "s " << sign << ", c " << e;
+            EXPECT_EQ(secret.multiply(c, j, 2), ring.mulSchoolbook(cs, s))
+                << "s " << sign << ", c " << e;
+        }
+    }
+}
+
+TEST(RnsConv, ResidentProductsMatchTheConvolverAtFullDegree)
+{
+    // n = 4096 at 109-bit q: the three-prime basis against the
+    // four-prime convolver, on encryption's p * u and decryption's
+    // c * s and (c * s) * s.
+    BfvContext<4> ctx(standardParams<4>());
+    ctx.setConvolver(std::make_unique<RnsNttConvolver<4>>(ctx.ring()));
+    const auto &ring = ctx.ring();
+    const std::size_t n = ring.degree();
+    Rng rng(kSeed + 56);
+    const auto p = ring.sampleUniform(rng);
+    std::vector<std::int8_t> u(n);
+    for (auto &x : u)
+        x = static_cast<std::int8_t>(rng.ternary());
+    const auto s = ring.sampleTernary(rng);
+    const auto c = ring.sampleUniform(rng);
+
+    NttResidentProducts<4> key(ring);
+    EXPECT_EQ(key.basis().size(), 3u);
+    const std::size_t jp = key.prepare(p, "p0");
+    EXPECT_EQ(key.multiply(key.transformTernary(u), jp),
+              ctx.mulModQ(p, ternaryPolynomial(ring, u)));
+
+    NttResidentProducts<4> secret(ring);
+    const std::size_t js = secret.prepare(s, "s");
+    const auto c_ntt = secret.transform(c, "c1");
+    const auto cs = ctx.mulModQ(c, s);
+    EXPECT_EQ(secret.multiply(c_ntt, js), cs);
+    EXPECT_EQ(secret.multiply(c_ntt, js, 2), ctx.mulModQ(cs, s));
+}
+
+TEST(RnsConv, ResidentProductsRejectWhatTheBoundDoesNotCover)
+{
+    // Two reduced operands, or a reduced fixed polynomial applied
+    // twice, can exceed the basis; so can a coefficient at or above q.
+    const auto params = standardParams<2>().withDegree(64);
+    const RingContext<2> ring(params.n, params.q);
+    Rng rng(kSeed + 57);
+    const auto a = ring.sampleUniform(rng);
+    NttResidentProducts<2> key(ring);
+    const std::size_t j = key.prepare(a, "p0");
+    EXPECT_DEATH(key.multiply(key.transform(a, "c1"), j),
+                 "product of a reduced operand and 1 reduced factor\\(s\\) "
+                 "exceeds the basis bound");
+    const auto u = key.transformTernary(
+        std::vector<std::int8_t>(params.n, 1));
+    EXPECT_DEATH(key.multiply(u, j, 2),
+                 "product of a small operand and 2 reduced factor");
+    auto wide = a;
+    wide[7] = ring.modulus();
+    EXPECT_DEATH(key.prepare(wide, "p1"),
+                 "operand p1 coefficient 7 is not below q");
+    EXPECT_DEATH(key.transform(Polynomial<2>(32), "c2"),
+                 "convolution operand c2 has 32 coefficients, not the "
+                 "ring degree 64");
+}
+
 } // namespace
 } // namespace pimhe

@@ -206,6 +206,26 @@ TEST(Orchestrator, PimConvolverRejectsCiphertextOfTheWrongDegree)
                  "ring degree 64");
 }
 
+TEST(Orchestrator, ClientCryptoLaunchesNothingOnThePimConvolver)
+{
+    // Encryption and decryption multiply against the client's own
+    // NTT-resident keys, so an installed PimConvolver runs only the
+    // server's products.
+    BfvHarness<2> h(64);
+    auto conv = std::make_unique<PimConvolver<2>>(h.ctx.ring(),
+                                                  tinySystem(2), 12, 2);
+    const pim::DpuSet &dpus = conv->dpuSet();
+    h.ctx.setConvolver(std::move(conv));
+    const auto a = h.encryptScalar(7);
+    const auto b = h.encryptScalar(6);
+    EXPECT_EQ(h.decryptScalar(a), 7u);
+    EXPECT_TRUE(dpus.launches().empty());
+    // The server's products still run there: multiply's four, and the
+    // 3-component result decrypts without a fifth.
+    EXPECT_EQ(h.decryptScalar(h.eval.multiply(a, b)), 42u);
+    EXPECT_EQ(dpus.launches().size(), 4u);
+}
+
 TEST(Orchestrator, VerifiedLaunchesAtEveryTaskletCount)
 {
     // The WRAM chunks leave room for the tasklet stacks the launch

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <utility>
 
 #include "pimhe/orchestrator.h"
@@ -41,6 +42,96 @@ class ResidentWidths : public ::testing::Test
 
 using RWidths = ::testing::Types<WideInt<1>, WideInt<2>, WideInt<4>>;
 TYPED_TEST_SUITE(ResidentWidths, RWidths);
+
+/** The per-element flattenSlice body: the reference its runs match. */
+template <std::size_t N>
+std::vector<std::uint8_t>
+flattenPerElement(std::span<const Ciphertext<N>> cts, std::size_t n,
+                  std::size_t begin, std::size_t count, std::size_t bytes)
+{
+    std::vector<std::uint8_t> buf(bytes, 0);
+    const std::size_t comps = cts.front().size();
+    for (std::size_t e = 0; e < count; ++e) {
+        const std::size_t flat = begin + e;
+        if (flat >= cts.size() * comps * n)
+            break;
+        const auto &coeff =
+            cts[flat / (comps * n)][(flat / n) % comps][flat % n];
+        for (std::size_t l = 0; l < N; ++l) {
+            const std::uint32_t v = coeff.limb(l);
+            std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
+        }
+    }
+    return buf;
+}
+
+/** The per-element unflattenSlice body. */
+template <std::size_t N>
+void
+unflattenPerElement(std::span<const std::uint8_t> buf, std::size_t n,
+                    std::size_t begin, std::size_t count,
+                    std::span<Ciphertext<N>> out)
+{
+    const std::size_t comps = out.front().size();
+    for (std::size_t e = 0; e < count; ++e) {
+        const std::size_t flat = begin + e;
+        if (flat >= out.size() * comps * n)
+            break;
+        WideInt<N> coeff;
+        for (std::size_t l = 0; l < N; ++l) {
+            std::uint32_t v;
+            std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
+            coeff.setLimb(l, v);
+        }
+        out[flat / (comps * n)][(flat / n) % comps][flat % n] = coeff;
+    }
+}
+
+TYPED_TEST(ResidentWidths, StagingRunsMatchThePerElementBody)
+{
+    // Two 3-component ciphertexts of degree 16: 96 flat elements.
+    // Every DPU range over 1 to 9 DPUs, at a few padded strides,
+    // covers runs that cross component and ciphertext boundaries,
+    // tails past the last element, and (96 over 7 DPUs of 16, say)
+    // ranges that start past it.
+    constexpr std::size_t N = TypeParam::numLimbs;
+    const std::size_t n = 16;
+    Rng rng(testing::kSeed);
+    std::vector<Ciphertext<N>> cts(2);
+    for (auto &ct : cts)
+        for (std::size_t c = 0; c < 3; ++c) {
+            Polynomial<N> p(n);
+            for (std::size_t i = 0; i < n; ++i)
+                p[i] = testing::randomWide<N>(rng);
+            ct.comps.push_back(std::move(p));
+        }
+    const std::span<const Ciphertext<N>> in(cts);
+    for (std::size_t dpus = 1; dpus <= 9; ++dpus)
+        for (std::size_t extra : {0u, 1u, 2u, 5u}) {
+            const std::size_t per_dpu = (96 + dpus - 1) / dpus + extra;
+            const std::size_t bytes = per_dpu * N * 4 + 8;
+            for (std::size_t d = 0; d < dpus; ++d) {
+                const std::size_t begin = d * per_dpu;
+                std::vector<std::uint8_t> got(bytes, 0xAB);
+                flattenSlice<N>(in, n, begin, per_dpu, got);
+                EXPECT_EQ(got, flattenPerElement<N>(in, n, begin, per_dpu,
+                                                    bytes))
+                    << dpus << " DPUs of " << per_dpu << ", DPU " << d;
+
+                std::vector<std::uint8_t> buf(bytes);
+                for (auto &b : buf)
+                    b = static_cast<std::uint8_t>(rng.next32());
+                std::vector<Ciphertext<N>> want = cts, back = cts;
+                unflattenPerElement<N>(buf, n, begin, per_dpu, want);
+                unflattenSlice<N>(buf, n, begin, per_dpu, back);
+                for (std::size_t j = 0; j < cts.size(); ++j)
+                    for (std::size_t c = 0; c < 3; ++c)
+                        EXPECT_TRUE(want[j][c] == back[j][c])
+                            << dpus << " DPUs of " << per_dpu << ", DPU "
+                            << d << ", ct " << j << " comp " << c;
+            }
+        }
+}
 
 TYPED_TEST(ResidentWidths, AddAndMulBitExactWithHost)
 {

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/interval.h"
 #include "analysis/verifier.h"
 #include "bfv/params.h"
@@ -117,7 +119,12 @@ TEST(StaticVerify, IntervalAcceptsShippedParams)
     EXPECT_GT(r4.trace.steps().size(), 5u);
 }
 
-/** Host NTT and REDC obligations of every prime of an RNS basis. */
+/**
+ * Host NTT and REDC obligations of every prime of the RNS-NTT
+ * convolver's basis. The client's NTT-resident basis takes a prefix
+ * of the same primes, so pim_prove's sweep of the convolver's basis
+ * covers it too.
+ */
 template <std::size_t N>
 void
 expectHostRnsPrimesProved()
@@ -125,7 +132,13 @@ expectHostRnsPrimesProved()
     const auto params = standardParams<N>();
     const RingContext<N> ring(params.n, params.q);
     const RnsNttConvolver<N> conv(ring);
-    for (const std::uint64_t p : conv.basis().primes()) {
+    const NttResidentProducts<N> client(ring);
+    const auto &primes = conv.basis().primes();
+    ASSERT_LE(client.basis().size(), primes.size());
+    EXPECT_TRUE(std::equal(client.basis().primes().begin(),
+                           client.basis().primes().end(), primes.begin()))
+        << "N=" << N;
+    for (const std::uint64_t p : primes) {
         const auto host = analysis::analyzeHostNttPrime(p, params.n);
         EXPECT_TRUE(host.ok()) << host.summary();
         const auto mont = analysis::analyzeMontgomeryPrime(p);
