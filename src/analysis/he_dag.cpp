@@ -20,22 +20,12 @@ toString(HeOp op)
         return "input";
       case HeOp::Add:
         return "add";
-      case HeOp::Sub:
-        return "sub";
-      case HeOp::Negate:
-        return "negate";
-      case HeOp::AddPlain:
-        return "addPlain";
       case HeOp::MulPlain:
         return "mulPlain";
-      case HeOp::MulScalar:
-        return "mulScalar";
       case HeOp::Mul:
         return "mul";
       case HeOp::Square:
         return "square";
-      case HeOp::FusedAddMul:
-        return "fusedAddMul";
       case HeOp::Reduce:
         return "reduce";
       case HeOp::Output:
@@ -77,69 +67,39 @@ HeDag::input(std::string label)
 NodeId
 HeDag::add(NodeId a, NodeId b)
 {
-    return push({HeOp::Add, {a, b}, 0, 0, {}}, 2);
-}
-
-NodeId
-HeDag::sub(NodeId a, NodeId b)
-{
-    return push({HeOp::Sub, {a, b}, 0, 0, {}}, 2);
-}
-
-NodeId
-HeDag::negate(NodeId a)
-{
-    return push({HeOp::Negate, {a}, 0, 0, {}}, 1);
-}
-
-NodeId
-HeDag::addPlain(NodeId a, std::uint32_t plain_idx)
-{
-    return push({HeOp::AddPlain, {a}, 0, plain_idx, {}}, 1);
+    return push({HeOp::Add, {a, b}, 0, {}}, 2);
 }
 
 NodeId
 HeDag::mulPlain(NodeId a, std::uint32_t plain_idx)
 {
-    return push({HeOp::MulPlain, {a}, 0, plain_idx, {}}, 1);
-}
-
-NodeId
-HeDag::mulScalar(NodeId a, std::uint64_t scalar)
-{
-    return push({HeOp::MulScalar, {a}, scalar, 0, {}}, 1);
+    return push({HeOp::MulPlain, {a}, plain_idx, {}}, 1);
 }
 
 NodeId
 HeDag::mul(NodeId a, NodeId b)
 {
-    return push({HeOp::Mul, {a, b}, 0, 0, {}}, 2);
+    return push({HeOp::Mul, {a, b}, 0, {}}, 2);
 }
 
 NodeId
 HeDag::square(NodeId a)
 {
-    return push({HeOp::Square, {a}, 0, 0, {}}, 1);
-}
-
-NodeId
-HeDag::fusedAddMul(NodeId a, NodeId b, NodeId c)
-{
-    return push({HeOp::FusedAddMul, {a, b, c}, 0, 0, {}}, 3);
+    return push({HeOp::Square, {a}, 0, {}}, 1);
 }
 
 NodeId
 HeDag::reduce(std::vector<NodeId> terms)
 {
     PIMHE_ASSERT(!terms.empty(), "empty reduction");
-    return push({HeOp::Reduce, std::move(terms), 0, 0, {}},
+    return push({HeOp::Reduce, std::move(terms), 0, {}},
                 ~std::size_t{0});
 }
 
 NodeId
 HeDag::output(NodeId a)
 {
-    const NodeId id = push({HeOp::Output, {a}, 0, 0, {}}, 1);
+    const NodeId id = push({HeOp::Output, {a}, 0, {}}, 1);
     outputs_.push_back(id);
     return id;
 }
@@ -155,8 +115,7 @@ HeDag::mulDepth(NodeId id) const
         for (const NodeId a : nodes_[i].args)
             d = std::max(d, depth[a]);
         const HeOp op = nodes_[i].op;
-        if (op == HeOp::Mul || op == HeOp::Square ||
-            op == HeOp::FusedAddMul)
+        if (op == HeOp::Mul || op == HeOp::Square)
             ++d;
         depth[i] = d;
     }
@@ -198,8 +157,6 @@ HeDag::describe(NodeId id) const
     os << " (" << toString(n.op);
     if (n.op == HeOp::Reduce)
         os << " fan-in " << n.args.size();
-    if (n.op == HeOp::MulScalar)
-        os << " by " << n.scalar;
     os << ", depth " << mulDepth(id) << ")";
     return os.str();
 }

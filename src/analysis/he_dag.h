@@ -2,14 +2,13 @@
  * @file
  * HE op-DAG IR: the plan representation the static certifier runs on.
  *
- * A HeDag is a small acyclic graph of homomorphic operations — every
- * op PimHeSystem and the BFV Evaluator expose (add, sub, negate,
- * plain-operand ops, scalar mul, full BFV multiply/square with
- * relinearisation, the fused (a+b)*c chain, and fan-in tree
- * reduction). Negacyclic convolution does not appear as its own node:
- * in the HE semantics it is the substrate of Mul/Square/MulPlain, and
- * the cost layer (plan_cost.h) counts the convolutions each such node
- * expands into.
+ * A HeDag is a small acyclic graph of the homomorphic operations the
+ * workloads offload: ciphertext addition, ciphertext x plaintext
+ * product, full BFV multiply/square with relinearisation, and fan-in
+ * tree reduction — seven ops with Input and Output. Negacyclic
+ * convolution does not appear as its own node: in the HE semantics it
+ * is the substrate of Mul/Square/MulPlain, and the cost layer
+ * (plan_cost.h) counts the convolutions each such node expands into.
  *
  * Nodes reference earlier node ids only, so a builder-constructed
  * graph is acyclic by construction; arity and operand existence are
@@ -18,8 +17,7 @@
  * budget for.
  *
  * The IR is deliberately value-free: no ciphertexts, plaintexts or
- * keys live here (plain operands are referenced by slot index, scalar
- * multipliers by value because the noise bound depends on them), so
+ * keys live here (plain operands are referenced by slot index), so
  * the same plan can be certified per parameter set and then bound to
  * concrete ciphertexts by PimHeSystem's plan runner.
  */
@@ -39,14 +37,9 @@ enum class HeOp : std::uint8_t
 {
     Input,      //!< fresh 2-component ciphertext (encryption noise)
     Add,        //!< ct + ct, componentwise in R_q
-    Sub,        //!< ct - ct
-    Negate,     //!< -ct
-    AddPlain,   //!< ct + Delta*m' (touches c0 only)
     MulPlain,   //!< ct * m' (componentwise negacyclic products)
-    MulScalar,  //!< ct * alpha, alpha a plaintext scalar
     Mul,        //!< BFV tensor product + relinearisation
     Square,     //!< BFV square + relinearisation
-    FusedAddMul,//!< (a + b) * c: an add launch, then a BFV product
     Reduce,     //!< fan-in homomorphic sum (tree reduction)
     Output,     //!< decryption point: budget obligation attaches here
 };
@@ -61,8 +54,7 @@ struct HeNode
 {
     HeOp op = HeOp::Input;
     std::vector<NodeId> args; //!< operands (Reduce: whole fan-in list)
-    std::uint64_t scalar = 0; //!< MulScalar multiplier
-    std::uint32_t plainIdx = 0; //!< AddPlain/MulPlain plaintext slot
+    std::uint32_t plainIdx = 0; //!< MulPlain plaintext slot
     std::string label;        //!< optional tag surfaced in witnesses
 };
 
@@ -77,15 +69,9 @@ class HeDag
   public:
     NodeId input(std::string label = "");
     NodeId add(NodeId a, NodeId b);
-    NodeId sub(NodeId a, NodeId b);
-    NodeId negate(NodeId a);
-    NodeId addPlain(NodeId a, std::uint32_t plain_idx);
     NodeId mulPlain(NodeId a, std::uint32_t plain_idx);
-    NodeId mulScalar(NodeId a, std::uint64_t scalar);
     NodeId mul(NodeId a, NodeId b);
     NodeId square(NodeId a);
-    /** (a + b) * c in one logical step (PimHeSystem fuses the add). */
-    NodeId fusedAddMul(NodeId a, NodeId b, NodeId c);
     NodeId reduce(std::vector<NodeId> terms);
     /** Mark a node as a decryption point; returns the Output node. */
     NodeId output(NodeId a);
@@ -99,8 +85,8 @@ class HeDag
     /** Ids of Output nodes, in creation order. */
     const std::vector<NodeId> &outputs() const { return outputs_; }
 
-    /** Multiplicative depth of a node (Mul/Square/FusedAddMul levels
-     *  on the deepest path from any input). */
+    /** Multiplicative depth of a node (Mul/Square levels on the
+     *  deepest path from any input). */
     std::size_t mulDepth(NodeId id) const;
     /** Maximum multiplicative depth over the whole plan. */
     std::size_t mulDepth() const;

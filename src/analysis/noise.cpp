@@ -233,20 +233,6 @@ analyzeNoise(const HeDag &dag, const NoiseSpec &spec)
           case HeOp::Add:
             b = satAdd(satAdd(arg(0), arg(1)), c.rt);
             break;
-          case HeOp::Sub:
-            b = satAdd(satAdd(arg(0), arg(1)),
-                       satMul(AbsVal(2ULL), c.rt));
-            break;
-          case HeOp::Negate:
-          case HeOp::AddPlain:
-            b = satAdd(arg(0), c.rt);
-            break;
-          case HeOp::MulScalar: {
-            // The evaluator reduces the scalar mod t first.
-            const AbsVal alpha(node.scalar % spec.t);
-            b = satMul(alpha, satAdd(arg(0), c.rt));
-            break;
-          }
           case HeOp::MulPlain:
             // n*(t-1)*B + r_t * ceil(n*(t-1)^2 / t): the plaintext
             // operand multiplies the noise and the Delta-carry count.
@@ -261,10 +247,6 @@ analyzeNoise(const HeDag &dag, const NoiseSpec &spec)
             break;
           case HeOp::Square:
             b = mulBound(c, arg(0), arg(0));
-            break;
-          case HeOp::FusedAddMul:
-            b = mulBound(c, satAdd(satAdd(arg(0), arg(1)), c.rt),
-                         arg(2));
             break;
           case HeOp::Reduce: {
             for (const NodeId a : node.args)

@@ -22,15 +22,10 @@
  *
  *   fresh:      B = eta * (2n + 1)            (-u*e_pk + e1 + e2*s)
  *   add:        B = B1 + B2 + r_t             (Delta-carry residue)
- *   sub:        B = B1 + B2 + 2*r_t
- *   negate:     B = B1 + r_t
- *   addPlain:   B = B1 + r_t
- *   mulScalar:  B = alpha * (B1 + r_t)
  *   mulPlain:   B = n*(t-1)*B1 + r_t*ceil(n*(t-1)^2 / t)
  *   reduce(f):  B = sum B_i + (f-1)*r_t
  *   mul/square: the tensor-product bound below, plus relinearisation
  *               noise l*n*eta*(2^w - 1) with l = ceil(bits(q)/w)
- *   fusedAddMul((a+b)*c): add then mul
  *
  * The tensor-product bound uses ct_i(s) = Delta*m_i + e_i - q*k_i
  * with ||k_i|| <= ceil((n+1)/2) + 1 + ceil(B_i/q) (centred

@@ -46,6 +46,7 @@ struct CostCtx
     std::uint64_t ctBytes;
     std::uint64_t sliceBytes; //!< per-DPU resident slice stride
     std::uint64_t sliceElems;
+    std::uint64_t regionBytes; //!< one resident ciphertext, all DPUs
     std::uint64_t convUpBytes;   //!< two operand polynomials
     std::uint64_t convDownBytes; //!< n wide accumulators
 
@@ -53,11 +54,12 @@ struct CostCtx
     CostCtx(const CostSpec &s)
         : spec(s), elemBytes(s.limbs * 4),
           ctElems(2ULL * s.n), ctBytes(ctElems * elemBytes),
-          sliceBytes(0), sliceElems(0), convUpBytes(0),
+          sliceBytes(0), sliceElems(0), regionBytes(0), convUpBytes(0),
           convDownBytes(0)
     {
         sliceBytes = pim::sliceLayout(ctElems, s.numDpus, elemBytes).stride;
         sliceElems = sliceBytes / elemBytes;
+        regionBytes = s.numDpus * sliceBytes;
         convUpBytes = 2ULL * s.n * elemBytes;
         convDownBytes = s.n * pim::convAccLimbs(s.limbs) * 4;
     }
@@ -226,23 +228,26 @@ convCount(const HeNode &node, const CostSpec &spec)
 {
     switch (node.op) {
       case HeOp::Mul:
-      case HeOp::FusedAddMul:
         return 4 + 2 * spec.relinDigits;
       case HeOp::Square:
         return 3 + 2 * spec.relinDigits;
       case HeOp::MulPlain:
         return 2;
-      default:
+      case HeOp::Input:
+      case HeOp::Add:
+      case HeOp::Reduce:
+      case HeOp::Output:
         return 0;
     }
+    return 0;
 }
 
 } // namespace
 
 std::uint64_t
-ciphertextBytes(const CostSpec &spec)
+residentCiphertextBytes(const CostSpec &spec)
 {
-    return CostCtx(spec).ctBytes;
+    return CostCtx(spec).regionBytes;
 }
 
 double
@@ -316,13 +321,14 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
     std::vector<Loc> loc(dag.size(), Loc::Host);
 
     // Ensure an operand is device-resident: a host-only value pays
-    // one upload, anything already in MRAM counts as a re-upload
-    // avoided (the TransferTotals residency metric).
+    // one upload (an input's first device use), anything already in
+    // MRAM counts as a re-upload avoided (the TransferTotals residency
+    // metric). Both move the cache's padded regions.
     const auto ensureDevice = [&](NodeId id) {
         if (loc[id] != Loc::Host) {
-            re.residentBytesReused += c.ctBytes;
+            re.residentBytesReused += c.regionBytes;
         } else {
-            chargeUpload(re, c.ctBytes, c);
+            chargeUpload(re, c.regionBytes, c);
             loc[id] = Loc::Both;
         }
     };
@@ -330,7 +336,7 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
     // outputs pay a download; values with a live host copy are free.
     const auto ensureHost = [&](NodeId id) {
         if (loc[id] == Loc::DeviceOnly) {
-            chargeDownload(re, c.ctBytes, c);
+            chargeDownload(re, c.regionBytes, c);
             loc[id] = Loc::Both;
         }
     };
@@ -390,10 +396,8 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
 
         switch (node.op) {
           case HeOp::Input:
-            // Resident: registered with the cache, uploaded once;
-            // the caller's host copy stays valid.
-            chargeUpload(re, c.ctBytes, c);
-            loc[id] = Loc::Both;
+            // Resident: registered with the cache, which keeps the
+            // caller's host copy and uploads it at first device use.
             break;
 
           case HeOp::Add: {
@@ -415,90 +419,35 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
             break;
           }
 
-          case HeOp::Sub:
-          case HeOp::Negate:
-            // Host evaluator ops in every backend (no PIM kernel).
-            ensureHost(node.args[0]);
-            if (node.op == HeOp::Sub)
-                ensureHost(node.args[1]);
-            for (BackendCost *b : {&st, &re, &ho})
-                b->kernelMs +=
-                    c.hostElemMs(c.ctElems, spec.hostAddNs);
-            break;
-
-          case HeOp::AddPlain:
-            // Delta*m' scaling (n modular products) plus n additions,
-            // client-side in every backend.
-            ensureHost(node.args[0]);
-            for (BackendCost *b : {&st, &re, &ho})
-                b->kernelMs +=
-                    c.hostElemMs(spec.n, spec.hostMulNs) +
-                    c.hostElemMs(spec.n, spec.hostAddNs);
-            break;
-
-          case HeOp::MulScalar:
-            ensureHost(node.args[0]);
-            for (BackendCost *b : {&st, &re, &ho})
-                b->kernelMs +=
-                    c.hostElemMs(c.ctElems, spec.hostMulNs);
-            break;
-
           case HeOp::MulPlain:
-            ensureHost(node.args[0]);
-            chargeConvs(convCount(node, spec));
-            break;
-
           case HeOp::Mul:
-            ensureHost(node.args[0]);
-            ensureHost(node.args[1]);
-            chargeConvs(convCount(node, spec));
-            break;
-
           case HeOp::Square:
-            ensureHost(node.args[0]);
+            // The convolver multiplies host copies.
+            for (const NodeId a : node.args)
+                ensureHost(a);
             chargeConvs(convCount(node, spec));
             break;
-
-          case HeOp::FusedAddMul: {
-            // One add launch for (a + b), then the tensor product
-            // against c. Staged pays the add round trip the
-            // resident path avoids.
-            chargeUpload(st, 2 * c.ctBytes, c, &pipe);
-            chargeLaunch(st, c.launchMs(spec.addCycles,
-                                        c.perDpu(c.ctElems)), c,
-                         &pipe);
-            chargeDownload(st, c.ctBytes, c, &pipe);
-            checkArena(id, 3, "a, b and sum of the fused chain");
-            ensureDevice(node.args[0]);
-            ensureDevice(node.args[1]);
-            chargeLaunch(re, c.launchMs(spec.addCycles,
-                                        c.perDpu(c.ctElems)), c);
-            chargeDownload(re, c.ctBytes, c); // materialise the sum
-            ensureHost(node.args[2]);
-            ho.kernelMs += c.hostElemMs(c.ctElems, spec.hostAddNs);
-            chargeConvs(convCount(node, spec));
-            break;
-          }
 
           case HeOp::Reduce: {
             const std::uint64_t f = node.args.size();
-            // Resident: one packed upload, log2(f) in-place folds.
-            checkArena(id, f, "packed slices of a tree reduction");
             for (const NodeId a : node.args)
                 ensureHost(a); // packed insert flattens host copies
-            chargeUpload(re, f * c.ctBytes, c);
-            std::uint64_t m = f;
-            while (m > 1) {
-                const std::uint64_t hh = (m + 1) / 2;
-                const std::uint64_t pairs = m - hh;
-                chargeLaunch(re,
-                             c.launchMs(spec.addCycles,
-                                        pairs * c.sliceElems), c);
-                m = hh;
+            // Resident: one term is its own sum and stays on the
+            // host; more are one packed upload and log2(f) in-place
+            // folds.
+            if (f > 1) {
+                checkArena(id, f, "packed slices of a tree reduction");
+                chargeUpload(re, f * c.regionBytes, c);
+                for (std::uint64_t m = f; m > 1; m = (m + 1) / 2) {
+                    const std::uint64_t pairs = m / 2;
+                    chargeLaunch(re,
+                                 c.launchMs(spec.addCycles,
+                                            pairs * c.sliceElems), c);
+                }
+                loc[id] = Loc::DeviceOnly; // folded in MRAM, host stale
             }
-            loc[id] = Loc::DeviceOnly; // folded in MRAM, host stale
             // Staged: tree of staged adds, re-uploading every round.
-            m = f;
+            std::uint64_t m = f;
             while (m > 1) {
                 const std::uint64_t half = m / 2;
                 chargeUpload(st, 2 * half * c.ctBytes, c, &pipe);

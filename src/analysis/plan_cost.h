@@ -11,9 +11,10 @@
  *
  *  - "pim-staged":   every PIM op uploads its operands and downloads
  *                    its result (the paper's measurement setup);
- *  - "pim-resident": operands are uploaded once and chained ops reuse
- *                    them in MRAM (the resident cache path); the
- *                    bytes a plan avoids re-uploading are reported as
+ *  - "pim-resident": operands are uploaded once, at first device use,
+ *                    and chained ops reuse them in MRAM (the resident
+ *                    cache path); the bytes a plan avoids
+ *                    re-uploading are reported as
  *                    residentBytesReused, mirroring
  *                    pim::TransferTotals;
  *  - "host":         the analytic CPU baseline (perf/models.h
@@ -31,11 +32,15 @@
  *  - Mul/Square expand into 4 (resp. 3) tensor convolutions plus
  *    2*relinDigits key-switch convolutions, each broadcast-staged the
  *    way PimConvolver runs them; MulPlain is 2 convolutions.
- *  - AddPlain/MulScalar are host-side client ops in every backend
- *    (they never launch kernels in PimHeSystem).
  *  - In the PIM backends a Mul result lives on the host (the tensor
  *    product runs through the convolver), so a resident consumer pays
  *    one re-upload — exactly what the plan runner does.
+ *  - The resident backend moves what the resident cache moves: an
+ *    Input stays on the host until its first device use, a fan-in-1
+ *    Reduce is its own host-side sum, and every resident transfer is
+ *    the cache's padded region (numDpus slices of sliceLayout's
+ *    stride). The staged backend charges the unpadded 2 * n
+ *    coefficients per ciphertext.
  */
 
 #ifndef PIMHE_ANALYSIS_PLAN_COST_H
@@ -176,8 +181,6 @@ struct OpCostRow
  * through pim::TwoTrackClock — the identical arithmetic DpuSet uses
  * for its measured pipelineStats(), so predicted and measured
  * makespans are directly comparable in the calibration observatory.
- * Host-side evaluator ops (Sub, AddPlain, ...) occupy neither track
- * and are excluded from both serialMs and makespanMs.
  */
 struct PipelineForecast
 {
@@ -221,8 +224,10 @@ struct CostReport
  */
 CostReport estimateCost(const HeDag &dag, const CostSpec &spec);
 
-/** Bytes of one ciphertext under this spec (2 components * n). */
-std::uint64_t ciphertextBytes(const CostSpec &spec);
+/** Bus bytes of one ciphertext in the resident cache's layout: one
+ *  padded slice (2 components * n coefficients over numDpus) per DPU,
+ *  the charge of every pim-resident transfer. */
+std::uint64_t residentCiphertextBytes(const CostSpec &spec);
 
 /**
  * Modelled bus time for one download of `bytes`: pim::busMs over the

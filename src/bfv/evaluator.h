@@ -46,42 +46,6 @@ class Evaluator
         return out;
     }
 
-    /** ct_a - ct_b, componentwise in R_q. */
-    Ciphertext<N>
-    sub(const Ciphertext<N> &a, const Ciphertext<N> &b) const
-    {
-        const auto &ring = ctx_.ring();
-        const std::size_t sz = std::max(a.size(), b.size());
-        Ciphertext<N> out;
-        for (std::size_t i = 0; i < sz; ++i) {
-            if (i >= a.size())
-                out.comps.push_back(ring.negate(b[i]));
-            else if (i >= b.size())
-                out.comps.push_back(a[i]);
-            else
-                out.comps.push_back(ring.sub(a[i], b[i]));
-        }
-        return out;
-    }
-
-    /** Add a plaintext into a ciphertext (free: touches c0 only). */
-    Ciphertext<N>
-    addPlain(const Ciphertext<N> &a, const Plaintext &pt) const
-    {
-        const auto &ring = ctx_.ring();
-        PIMHE_ASSERT(pt.size() == ring.degree(),
-                     "plaintext degree mismatch");
-        Ciphertext<N> out = a;
-        Polynomial<N> dm(ring.degree());
-        for (std::size_t i = 0; i < ring.degree(); ++i) {
-            dm[i] = ring.reducer().mulMod(
-                ctx_.delta(),
-                WideInt<N>(pt.coeffs[i] % ctx_.plainModulus()));
-        }
-        out[0] = ring.add(out[0], dm);
-        return out;
-    }
-
     /**
      * Full BFV multiplication of two 2-component ciphertexts; result
      * has 3 components (call relinearize() to shrink it).
@@ -168,35 +132,6 @@ class Evaluator
         return relinearize(multiply(a, b), rlk);
     }
 
-    /** Homomorphic negation (componentwise in R_q, noise-free). */
-    Ciphertext<N>
-    negate(const Ciphertext<N> &a) const
-    {
-        const auto &ring = ctx_.ring();
-        Ciphertext<N> out;
-        for (const auto &comp : a.comps)
-            out.comps.push_back(ring.negate(comp));
-        return out;
-    }
-
-    /** Subtract a plaintext from a ciphertext (touches c0 only). */
-    Ciphertext<N>
-    subPlain(const Ciphertext<N> &a, const Plaintext &pt) const
-    {
-        const auto &ring = ctx_.ring();
-        PIMHE_ASSERT(pt.size() == ring.degree(),
-                     "plaintext degree mismatch");
-        Ciphertext<N> out = a;
-        Polynomial<N> dm(ring.degree());
-        for (std::size_t i = 0; i < ring.degree(); ++i) {
-            dm[i] = ring.reducer().mulMod(
-                ctx_.delta(),
-                WideInt<N>(pt.coeffs[i] % ctx_.plainModulus()));
-        }
-        out[0] = ring.sub(out[0], dm);
-        return out;
-    }
-
     /**
      * Multiply a ciphertext by a plaintext polynomial: every
      * component is convolved with the (unscaled) plaintext in R_q.
@@ -216,18 +151,6 @@ class Evaluator
         Ciphertext<N> out;
         for (const auto &comp : a.comps)
             out.comps.push_back(ctx_.mulModQ(comp, m));
-        return out;
-    }
-
-    /** Scale a ciphertext by a plaintext scalar (mod-q constant mul). */
-    Ciphertext<N>
-    mulScalar(const Ciphertext<N> &a, std::uint64_t scalar) const
-    {
-        const auto &ring = ctx_.ring();
-        Ciphertext<N> out;
-        for (const auto &comp : a.comps)
-            out.comps.push_back(ring.scalarMul(
-                comp, WideInt<N>(scalar % ctx_.plainModulus())));
         return out;
     }
 

@@ -402,12 +402,10 @@ class PimHeSystem
     /**
      * Execute a certified plan with real HE semantics: Input binds
      * the next caller ciphertext, Add runs on the PIM system, Reduce
-     * runs the resident tree reduction, Mul/Square run the BFV tensor
-     * product through the context's convolver (PIM-backed when a
-     * PimConvolver is installed) with relinearisation, FusedAddMul
-     * is an Add launch followed by that product, and the client-side
-     * ops use the host Evaluator. Returns the
-     * Output values in creation order.
+     * runs the resident tree reduction, and MulPlain, Mul and Square
+     * run through the context's convolver (PIM-backed when a
+     * PimConvolver is installed), Mul and Square with
+     * relinearisation. Returns the Output values in creation order.
      *
      * Under cfg.verifyBeforeLaunch the plan is certified first and a
      * rejection panics with the exact witness — before any launch,
@@ -473,20 +471,8 @@ class PimHeSystem
                 val[id] = addCiphertextVectors({arg(0)}, {arg(1)})
                               .front();
                 break;
-              case analysis::HeOp::Sub:
-                val[id] = ev.sub(arg(0), arg(1));
-                break;
-              case analysis::HeOp::Negate:
-                val[id] = ev.negate(arg(0));
-                break;
-              case analysis::HeOp::AddPlain:
-                val[id] = ev.addPlain(arg(0), plain(node.plainIdx));
-                break;
               case analysis::HeOp::MulPlain:
                 val[id] = ev.mulPlain(arg(0), plain(node.plainIdx));
-                break;
-              case analysis::HeOp::MulScalar:
-                val[id] = ev.mulScalar(arg(0), node.scalar);
                 break;
               case analysis::HeOp::Mul:
                 val[id] = ev.multiplyRelin(arg(0), arg(1), needRlk());
@@ -494,12 +480,6 @@ class PimHeSystem
               case analysis::HeOp::Square:
                 val[id] = ev.relinearize(ev.square(arg(0)), needRlk());
                 break;
-              case analysis::HeOp::FusedAddMul: {
-                const Ciphertext<N> sum =
-                    addCiphertextVectors({arg(0)}, {arg(1)}).front();
-                val[id] = ev.multiplyRelin(sum, arg(2), needRlk());
-                break;
-              }
               case analysis::HeOp::Reduce: {
                 std::vector<Ciphertext<N>> terms;
                 terms.reserve(node.args.size());
@@ -581,9 +561,10 @@ class PimHeSystem
      * Emit one calibration record for a PIM-backed plan node: the
      * cost model's per-node delta (the backend runPlan actually uses
      * for that op) against the simulator deltas measured around its
-     * execution. Host-evaluator ops and ops the installed convolver
-     * ran host-side (zero measured launches) are skipped — their
-     * "measurement" would be wall-clock noise, not modelled time.
+     * execution. Input and Output nodes and ops the installed
+     * convolver ran host-side (zero measured launches) are skipped —
+     * their "measurement" would be wall-clock noise, not modelled
+     * time.
      */
     void
     recordAttribution(const analysis::HeNode &node,
@@ -596,7 +577,6 @@ class PimHeSystem
         const char *backend = nullptr;
         switch (node.op) {
           case analysis::HeOp::Add:
-          case analysis::HeOp::FusedAddMul:
           case analysis::HeOp::Mul:
           case analysis::HeOp::Square:
           case analysis::HeOp::MulPlain:
@@ -609,21 +589,21 @@ class PimHeSystem
             // the resident walk defers the download to the consumer;
             // charge that one download to the prediction with the
             // model's own rate arithmetic.
-            if (node.args.size() < 2)
-                return; // single-term reduce never touches the device
             pred = row.pimResident;
             const std::uint64_t ct =
-                analysis::ciphertextBytes(costSpec_);
+                analysis::residentCiphertextBytes(costSpec_);
             pred.ms += analysis::modeledDownloadMs(costSpec_, ct);
             pred.busBytes += ct;
             backend = "pim-resident";
             break;
           }
-          default:
-            return; // host/client-side op: nothing to calibrate
+          case analysis::HeOp::Input:
+          case analysis::HeOp::Output:
+            return; // binds or hands back a value: nothing to calibrate
         }
         if (after.launches == before.launches)
-            return; // executed host-side (e.g. schoolbook convolver)
+            return; // executed host-side (a one-term reduce, or the
+                    // schoolbook convolver)
 
         obs::AttributionRecord rec;
         rec.kernel = analysis::toString(node.op);

@@ -54,24 +54,6 @@ TYPED_TEST(BfvWidths, HomomorphicAddition)
     }
 }
 
-TYPED_TEST(BfvWidths, HomomorphicSubtraction)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h;
-    const auto ct = h.eval.sub(h.encryptScalar(3), h.encryptScalar(9));
-    EXPECT_EQ(h.decryptScalar(ct),
-              (3 + h.params.t - 9) % h.params.t);
-}
-
-TYPED_TEST(BfvWidths, AddPlain)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h;
-    const auto ct = h.eval.addPlain(h.encryptScalar(4),
-                                    h.encoder.encodeScalar(9));
-    EXPECT_EQ(h.decryptScalar(ct), (4 + 9) % h.params.t);
-}
-
 TYPED_TEST(BfvWidths, HomomorphicMultiplication)
 {
     constexpr std::size_t N = TypeParam::numLimbs;
@@ -110,14 +92,6 @@ TYPED_TEST(BfvWidths, Relinearization)
     const auto rel = h.eval.relinearize(prod, rlk);
     EXPECT_EQ(rel.size(), 2u);
     EXPECT_EQ(h.decryptScalar(rel), (6 * 7) % h.params.t);
-}
-
-TYPED_TEST(BfvWidths, MulScalar)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h;
-    const auto ct = h.eval.mulScalar(h.encryptScalar(5), 3);
-    EXPECT_EQ(h.decryptScalar(ct), (5 * 3) % h.params.t);
 }
 
 TYPED_TEST(BfvWidths, AdditionChainPreservesCorrectness)
@@ -166,33 +140,6 @@ TYPED_TEST(BfvWidths, NoiseBudgetShrinksWithWork)
     const double mul_budget = h.dec.noiseBudgetBits(prod, pt4);
     EXPECT_LT(mul_budget, fresh_budget)
         << "multiplication must consume noise budget";
-}
-
-
-TYPED_TEST(BfvWidths, HomomorphicNegation)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h;
-    const auto ct = h.eval.negate(h.encryptScalar(5));
-    EXPECT_EQ(h.decryptScalar(ct), h.params.t - 5);
-    // Double negation restores the value bit-exactly.
-    const auto orig = h.encryptScalar(5);
-    const auto back = h.eval.negate(h.eval.negate(orig));
-    for (std::size_t c = 0; c < 2; ++c)
-        EXPECT_TRUE(back[c] == orig[c]);
-}
-
-TYPED_TEST(BfvWidths, SubPlain)
-{
-    constexpr std::size_t N = TypeParam::numLimbs;
-    BfvHarness<N> h;
-    const auto ct = h.eval.subPlain(h.encryptScalar(11),
-                                    h.encoder.encodeScalar(4));
-    EXPECT_EQ(h.decryptScalar(ct), 7u);
-    // Going below zero wraps modulo t.
-    const auto neg = h.eval.subPlain(h.encryptScalar(2),
-                                     h.encoder.encodeScalar(5));
-    EXPECT_EQ(h.decryptScalar(neg), h.params.t - 3);
 }
 
 TYPED_TEST(BfvWidths, MulPlainScalar)

@@ -119,7 +119,7 @@ TEST(HeDag, ReachabilityMarksDeadNodes)
     const auto a = dag.input("a");
     const auto b = dag.input("b");
     const auto live = dag.add(a, b);
-    const auto dead = dag.negate(b); // never reaches an output
+    const auto dead = dag.square(b); // never reaches an output
     dag.output(live);
 
     const auto reach = dag.reachesOutput();
@@ -145,7 +145,7 @@ TEST(HeDagDeath, MalformedPlansPanic)
     const auto a = dag.input("a");
     EXPECT_DEATH(dag.add(a, 7), "operand");
     const auto o = dag.output(a);
-    EXPECT_DEATH(dag.negate(o), "[Oo]utput");
+    EXPECT_DEATH(dag.square(o), "[Oo]utput");
 }
 
 // ----- clean plans certify across the full parameter grid -----

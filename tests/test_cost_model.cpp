@@ -293,7 +293,8 @@ TEST(BusTime, OneFormulaForEveryCaller)
  * One (n, DPUs) shape through every caller of pim::sliceLayout: the
  * staged slot, the resident region and the plan cost model must each
  * lay one ciphertext (2 components x n coefficients) out with
- * `stride` bytes per DPU.
+ * `stride` bytes per DPU, and the model's pim-resident walk must move
+ * the bytes runPlan moves.
  */
 template <std::size_t N>
 void
@@ -334,6 +335,31 @@ expectOneLayout(std::size_t n, std::size_t dpus, std::uint64_t stride)
     const analysis::CostReport rep = analysis::estimateCost(dag, spec);
     ASSERT_EQ(rep.violations.size(), 1u);
     EXPECT_EQ(rep.violations[0].usage, 2 * stride);
+
+    // With a full arena the pim-resident walk charges what runPlan
+    // moves: two terms go up packed and their sum comes back; one
+    // term is its own sum and never leaves the host.
+    spec.residentArenaBytes = cfg.residentArenaBytes();
+    for (const std::size_t fan_in : {1u, 2u}) {
+        SCOPED_TRACE("fan-in " + std::to_string(fan_in));
+        analysis::HeDag plan;
+        std::vector<analysis::NodeId> terms;
+        for (std::size_t i = 0; i < fan_in; ++i)
+            terms.push_back(plan.input());
+        plan.output(plan.reduce(terms));
+        const analysis::BackendCost predicted =
+            analysis::estimateCost(plan, spec).pimResident;
+
+        PimHeSystem<N> run(h.ctx, cfg, dpus, 12);
+        run.runPlan(plan, std::vector<Ciphertext<N>>(fan_in, ct));
+        EXPECT_EQ(predicted.uploadedBytes,
+                  run.transferTotals().uploadedBytes);
+        EXPECT_EQ(predicted.downloadedBytes,
+                  run.transferTotals().downloadedBytes);
+        EXPECT_EQ(predicted.uploadedBytes,
+                  (fan_in - 1) * 2 * dpus * stride);
+        EXPECT_EQ(predicted.launches, run.dpuSet().launches().size());
+    }
 }
 
 TEST(Layout, OneFormulaForEveryCaller)

@@ -11,6 +11,13 @@
  * statically certified node decrypts to exactly the tracked plaintext
  * (mod-t negacyclic ring semantics re-implemented independently here).
  *
+ * Every DAG also runs through PimHeSystem::runPlan on a context whose
+ * products go through a PimConvolver, with the plan certified and
+ * every launch gated before it runs; each Output must equal the host
+ * evaluator's ciphertext bit for bit. The system is left in
+ * ExecMode::Auto, so PIMHE_EXEC_MODE reruns the leg in fast or shadow
+ * mode.
+ *
  * Generation is certification-gated: each candidate op is appended
  * only if the grown plan still certifies, falling back to a fresh
  * input otherwise. That keeps every generated DAG decryptable by
@@ -20,8 +27,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "analysis/he_dag.h"
 #include "analysis/noise.h"
+#include "pimhe/orchestrator.h"
 #include "test_util.h"
 
 namespace pimhe {
@@ -41,33 +52,6 @@ plainAdd(const Coeffs &a, const Coeffs &b, std::uint64_t t)
     Coeffs out(a.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         out[i] = (a[i] + b[i]) % t;
-    return out;
-}
-
-Coeffs
-plainSub(const Coeffs &a, const Coeffs &b, std::uint64_t t)
-{
-    Coeffs out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = (a[i] + t - b[i]) % t;
-    return out;
-}
-
-Coeffs
-plainNeg(const Coeffs &a, std::uint64_t t)
-{
-    Coeffs out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = (t - a[i]) % t;
-    return out;
-}
-
-Coeffs
-plainScale(const Coeffs &a, std::uint64_t s, std::uint64_t t)
-{
-    Coeffs out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] * (s % t) % t;
     return out;
 }
 
@@ -99,12 +83,14 @@ struct GenOp
 };
 
 constexpr GenOp kMenu[] = {
-    {an::HeOp::Add, 6},       {an::HeOp::Sub, 2},
-    {an::HeOp::Negate, 1},    {an::HeOp::AddPlain, 2},
-    {an::HeOp::MulPlain, 2},  {an::HeOp::MulScalar, 2},
-    {an::HeOp::Mul, 3},       {an::HeOp::Square, 1},
-    {an::HeOp::FusedAddMul, 1}, {an::HeOp::Reduce, 1},
+    {an::HeOp::Add, 6}, {an::HeOp::MulPlain, 2}, {an::HeOp::Mul, 3},
+    {an::HeOp::Square, 1}, {an::HeOp::Reduce, 1},
 };
+
+// Every DAG grows over kSteps gated appends and draws its plaintext
+// operands from kPlainSlots slots.
+constexpr std::size_t kSteps = 8;
+constexpr std::size_t kPlainSlots = 2;
 
 an::HeOp
 pickOp(Rng &rng)
@@ -138,8 +124,7 @@ certifies(const an::HeDag &dag, an::NodeId cand,
  * live node carries the budget obligation the fuzz then measures).
  */
 an::HeDag
-growDag(Rng &rng, const an::NoiseSpec &spec, std::size_t steps,
-        std::size_t plain_slots)
+growDag(Rng &rng, const an::NoiseSpec &spec)
 {
     an::HeDag dag;
     std::vector<an::NodeId> pool = {dag.input(), dag.input()};
@@ -147,33 +132,19 @@ growDag(Rng &rng, const an::NoiseSpec &spec, std::size_t steps,
         return pool[rng.uniform(pool.size())];
     };
 
-    for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t s = 0; s < kSteps; ++s) {
         an::HeDag trial = dag;
         an::NodeId cand = 0;
-        switch (pickOp(rng)) {
+        const an::HeOp op = pickOp(rng);
+        switch (op) {
           case an::HeOp::Add:
             cand = trial.add(pick(), pick());
-            break;
-          case an::HeOp::Sub:
-            cand = trial.sub(pick(), pick());
-            break;
-          case an::HeOp::Negate:
-            cand = trial.negate(pick());
-            break;
-          case an::HeOp::AddPlain:
-            cand = trial.addPlain(
-                pick(),
-                static_cast<std::uint32_t>(
-                    rng.uniform(plain_slots)));
             break;
           case an::HeOp::MulPlain:
             cand = trial.mulPlain(
                 pick(),
                 static_cast<std::uint32_t>(
-                    rng.uniform(plain_slots)));
-            break;
-          case an::HeOp::MulScalar:
-            cand = trial.mulScalar(pick(), rng.uniform(1u << 16));
+                    rng.uniform(kPlainSlots)));
             break;
           case an::HeOp::Mul:
             cand = trial.mul(pick(), pick());
@@ -181,10 +152,7 @@ growDag(Rng &rng, const an::NoiseSpec &spec, std::size_t steps,
           case an::HeOp::Square:
             cand = trial.square(pick());
             break;
-          case an::HeOp::FusedAddMul:
-            cand = trial.fusedAddMul(pick(), pick(), pick());
-            break;
-          default: { // Reduce
+          case an::HeOp::Reduce: {
             std::vector<an::NodeId> terms;
             const std::size_t fan = 2 + rng.uniform(3);
             for (std::size_t i = 0; i < fan; ++i)
@@ -192,6 +160,10 @@ growDag(Rng &rng, const an::NoiseSpec &spec, std::size_t steps,
             cand = trial.reduce(std::move(terms));
             break;
           }
+          case an::HeOp::Input:
+          case an::HeOp::Output:
+            ADD_FAILURE() << "kMenu offers no " << an::toString(op);
+            return dag;
         }
         if (certifies(trial, cand, spec)) {
             dag = std::move(trial);
@@ -209,21 +181,54 @@ growDag(Rng &rng, const an::NoiseSpec &spec, std::size_t steps,
 
 // ----- end-to-end execution against the tracked plaintext model -----
 
+/** One fuzzed parameter set (its limb count is the template
+ *  argument it runs under): ring degree and seed. */
+struct FuzzSet
+{
+    std::size_t degree;
+    std::uint64_t seed;
+};
+
+// 1, 1, 2 and 4 limbs.
+constexpr FuzzSet kSets[] = {
+    {64, kSeed},
+    {128, kSeed + 7},
+    {64, kSeed + 13},
+    {32, kSeed + 29},
+};
+constexpr std::size_t kDagsPerSet = 60;
+
+template <std::size_t N>
+an::NoiseSpec
+fuzzSpec(const BfvParams<N> &params)
+{
+    return an::specOfBfv<N>(params,
+                            "fuzz/n=" + std::to_string(params.n));
+}
+
 template <std::size_t N>
 void
-fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
-           std::size_t *executed)
+fuzzOneSet(const FuzzSet &set, std::size_t *executed)
 {
-    BfvHarness<N> h(degree, seed);
+    BfvHarness<N> h(set.degree, set.seed);
     const auto rlk = h.keygen.makeRelinKey();
-    const an::NoiseSpec spec = an::specOfBfv<N>(
-        h.params, "fuzz/n=" + std::to_string(degree));
+    const an::NoiseSpec spec = fuzzSpec<N>(h.params);
     const std::uint64_t t = h.params.t;
-    const std::size_t kPlainSlots = 2;
 
-    for (std::size_t it = 0; it < dags; ++it) {
-        Rng rng(seed + 1000 + it);
-        const an::HeDag dag = growDag(rng, spec, 8, kPlainSlots);
+    // The runPlan leg: the same parameters in a context whose products
+    // run on a PIM convolver, every plan certified and every launch
+    // gated. execMode stays Auto, so PIMHE_EXEC_MODE picks the body.
+    pim::SystemConfig cfg;
+    cfg.numDpus = 2;
+    cfg.verifyBeforeLaunch = true;
+    BfvContext<N> pim_ctx(h.params);
+    pim_ctx.setConvolver(std::make_unique<PimConvolver<N>>(
+        pim_ctx.ring(), cfg, 11, cfg.numDpus));
+    PimHeSystem<N> pimsys(pim_ctx, cfg, cfg.numDpus, 11);
+
+    for (std::size_t it = 0; it < kDagsPerSet; ++it) {
+        Rng rng(set.seed + 1000 + it);
+        const an::HeDag dag = growDag(rng, spec);
         const auto rep = an::analyzeNoise(dag, spec);
         ASSERT_TRUE(rep.ok())
             << "gated generation produced an uncertified plan: "
@@ -243,6 +248,7 @@ fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
 
         std::vector<Ciphertext<N>> val(dag.size());
         std::vector<Coeffs> ref(dag.size());
+        std::vector<Ciphertext<N>> inputs;
         for (an::NodeId id = 0; id < dag.size(); ++id) {
             const an::HeNode &node = dag[id];
             const auto a = [&]() { return node.args[0]; };
@@ -254,35 +260,18 @@ fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
                     c = rng.uniform(t);
                 ref[id] = pt.coeffs;
                 val[id] = h.enc.encrypt(pt);
+                inputs.push_back(val[id]);
                 break;
               }
               case an::HeOp::Add:
                 val[id] = h.eval.add(val[a()], val[b()]);
                 ref[id] = plainAdd(ref[a()], ref[b()], t);
                 break;
-              case an::HeOp::Sub:
-                val[id] = h.eval.sub(val[a()], val[b()]);
-                ref[id] = plainSub(ref[a()], ref[b()], t);
-                break;
-              case an::HeOp::Negate:
-                val[id] = h.eval.negate(val[a()]);
-                ref[id] = plainNeg(ref[a()], t);
-                break;
-              case an::HeOp::AddPlain:
-                val[id] = h.eval.addPlain(val[a()],
-                                          plains[node.plainIdx]);
-                ref[id] = plainAdd(ref[a()],
-                                   plain_ref[node.plainIdx], t);
-                break;
               case an::HeOp::MulPlain:
                 val[id] = h.eval.mulPlain(val[a()],
                                           plains[node.plainIdx]);
                 ref[id] = plainConv(ref[a()],
                                     plain_ref[node.plainIdx], t);
-                break;
-              case an::HeOp::MulScalar:
-                val[id] = h.eval.mulScalar(val[a()], node.scalar);
-                ref[id] = plainScale(ref[a()], node.scalar, t);
                 break;
               case an::HeOp::Mul:
                 val[id] =
@@ -294,15 +283,6 @@ fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
                                              rlk);
                 ref[id] = plainConv(ref[a()], ref[a()], t);
                 break;
-              case an::HeOp::FusedAddMul: {
-                const auto sum = h.eval.add(val[a()], val[b()]);
-                val[id] = h.eval.multiplyRelin(sum,
-                                               val[node.args[2]],
-                                               rlk);
-                ref[id] = plainConv(plainAdd(ref[a()], ref[b()], t),
-                                    ref[node.args[2]], t);
-                break;
-              }
               case an::HeOp::Reduce: {
                 val[id] = val[node.args[0]];
                 ref[id] = ref[node.args[0]];
@@ -337,6 +317,20 @@ fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
                 << spec.name << " dag " << it << " "
                 << dag.describe(id);
         }
+
+        // The same plan, bound to the same inputs, plaintexts and
+        // key, through runPlan on the PIM system.
+        const std::vector<Ciphertext<N>> outs =
+            pimsys.runPlan(dag, inputs, plains, &rlk);
+        ASSERT_EQ(outs.size(), dag.outputs().size());
+        for (std::size_t o = 0; o < outs.size(); ++o) {
+            const an::NodeId id = dag.outputs()[o];
+            ASSERT_EQ(outs[o].size(), val[id].size());
+            for (std::size_t c = 0; c < outs[o].size(); ++c)
+                EXPECT_TRUE(outs[o][c] == val[id][c])
+                    << spec.name << " dag " << it << " runPlan "
+                    << dag.describe(id) << " component " << c;
+        }
         ++*executed;
     }
 }
@@ -348,29 +342,59 @@ fuzzOneSet(std::size_t degree, std::size_t dags, std::uint64_t seed,
 TEST(NoiseFuzz, Bits27Degree64)
 {
     std::size_t done = 0;
-    fuzzOneSet<1>(64, 60, kSeed, &done);
-    EXPECT_EQ(done, 60u);
+    fuzzOneSet<1>(kSets[0], &done);
+    EXPECT_EQ(done, kDagsPerSet);
 }
 
 TEST(NoiseFuzz, Bits27Degree128)
 {
     std::size_t done = 0;
-    fuzzOneSet<1>(128, 60, kSeed + 7, &done);
-    EXPECT_EQ(done, 60u);
+    fuzzOneSet<1>(kSets[1], &done);
+    EXPECT_EQ(done, kDagsPerSet);
 }
 
 TEST(NoiseFuzz, Bits54Degree64)
 {
     std::size_t done = 0;
-    fuzzOneSet<2>(64, 60, kSeed + 13, &done);
-    EXPECT_EQ(done, 60u);
+    fuzzOneSet<2>(kSets[2], &done);
+    EXPECT_EQ(done, kDagsPerSet);
 }
 
 TEST(NoiseFuzz, Bits109Degree32)
 {
     std::size_t done = 0;
-    fuzzOneSet<4>(32, 60, kSeed + 29, &done);
-    EXPECT_EQ(done, 60u);
+    fuzzOneSet<4>(kSets[3], &done);
+    EXPECT_EQ(done, kDagsPerSet);
+}
+
+/** Count the op kinds of the certified DAGs one set's test runs
+ *  (the same seeds grow the same DAGs). */
+template <std::size_t N>
+void
+countOps(const FuzzSet &set, std::map<an::HeOp, std::size_t> &counts)
+{
+    const an::NoiseSpec spec = fuzzSpec<N>(
+        standardParams<N>().withDegree(set.degree));
+    for (std::size_t it = 0; it < kDagsPerSet; ++it) {
+        Rng rng(set.seed + 1000 + it);
+        const an::HeDag dag = growDag(rng, spec);
+        for (const an::HeNode &node : dag.nodes())
+            ++counts[node.op];
+    }
+}
+
+TEST(NoiseFuzz, EveryMenuOpOccurs)
+{
+    // The 27-bit sets certify no multiplication, so the claim is over
+    // all four sets together.
+    std::map<an::HeOp, std::size_t> counts;
+    countOps<1>(kSets[0], counts);
+    countOps<1>(kSets[1], counts);
+    countOps<2>(kSets[2], counts);
+    countOps<4>(kSets[3], counts);
+    for (const GenOp &e : kMenu)
+        EXPECT_GT(counts[e.op], 0u)
+            << an::toString(e.op) << " never certified in the fuzz";
 }
 
 } // namespace

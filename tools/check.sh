@@ -36,9 +36,12 @@
 # plain build + ctest step is always mandatory.
 #
 # Usage: tools/check.sh [--quick]
-#   --quick  plain build + `ctest -L unit` only: skips the sanitizer
-#            matrix and the slower differential/stress suites (see
-#            the ctest labels set in tests/CMakeLists.txt)
+#   --quick  the plain build, its full ctest (every label: unit,
+#            differential and stress, so the noise-soundness fuzz and
+#            its runPlan leg, the fast-path and width differentials and
+#            the parallel-engine suite all run) and the fast-mode
+#            differential rerun; skips only the sanitizer legs (ASan
+#            with its shadow-mode rerun, UBSan and TSan)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,25 +66,20 @@ run_config() {
     }
     echo "=== [${name}] build ==="
     cmake --build "${dir}" -j "${JOBS}"
-    local filter=()
-    if [[ "${QUICK}" == "1" ]]; then
-        filter=(-L unit) # the quick tier: unit-labelled tests only
-    fi
-    echo "=== [${name}] ctest ${filter[*]:-(all)} ==="
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" "${filter[@]}"
+    echo "=== [${name}] ctest (all) ==="
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
 run_config plain
+# Fast-path leg, part 1: rerun the differential suites in pure fast
+# mode on the plain build. Launch sites that construct their DpuSets
+# with ExecMode::Auto resolve to the env override, so the whole BFV
+# differential fuzz re-executes through the compiled fast kernels
+# (shadow-grid tests pin their own modes and are unaffected).
+echo "=== [plain] ctest -L differential (PIMHE_EXEC_MODE=fast) ==="
+PIMHE_EXEC_MODE=fast ctest --test-dir build-check-plain \
+    --output-on-failure -j "${JOBS}" -L differential
 if [[ "${QUICK}" == "0" ]]; then
-    # Fast-path leg, part 1: rerun the differential suites in pure
-    # fast mode on the plain build. Launch sites that construct their
-    # DpuSets with ExecMode::Auto resolve to the env override, so the
-    # whole BFV differential fuzz re-executes through the compiled
-    # fast kernels (shadow-grid tests pin their own modes and are
-    # unaffected).
-    echo "=== [plain] ctest -L differential (PIMHE_EXEC_MODE=fast) ==="
-    PIMHE_EXEC_MODE=fast ctest --test-dir build-check-plain \
-        --output-on-failure -j "${JOBS}" -L differential
     run_config asan -DPIMHE_SANITIZE=address
     # Fast-path leg, part 2: the same suites in shadow mode under
     # ASan — every launch runs interpreter AND fast body and panics on

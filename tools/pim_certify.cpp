@@ -5,11 +5,11 @@
  * and exit nonzero on any rejected plan.
  *
  * For every security level the tool certifies one representative plan
- * per offloadable kernel family — add chains, tree reductions, fused
- * add->mul chains, plaintext products and relinearised mul chains —
- * prints the exact-witness rejection for anything that does not fit
- * the noise budget, reports per-backend modelled cost (PIM staged /
- * PIM resident / host) for everything that does, and emits the
+ * per offloadable kernel family — add chains, tree reductions,
+ * add-then-multiply chains, plaintext products and relinearised mul
+ * chains — prints the exact-witness rejection for anything that does
+ * not fit the noise budget, reports per-backend modelled cost (PIM
+ * staged / PIM resident / host) for everything that does, and emits the
  * max-certified multiplicative depth per parameter set (the grid's
  * noise-budget crossover map).
  *
@@ -23,7 +23,7 @@
  * --out writes a schema-versioned JSON artifact ("pimhe-certify/v1").
  *
  * --calibrate additionally EXECUTES a certified BFV add / reduce /
- * mul / fused sweep on the simulated system with the calibration
+ * mul / add-mul sweep on the simulated system with the calibration
  * aggregator armed, so every PIM-backed op pairs its cost-model
  * prediction with the simulator's measured charge; the aggregated
  * per-kernel relative-error distributions are judged against --band
@@ -108,13 +108,13 @@ mulChain(std::size_t depth)
 
 /** The add-then-multiply chain (a + b) * c. */
 analysis::HeDag
-fusedChain()
+addMulChain()
 {
     analysis::HeDag dag;
     const analysis::NodeId a = dag.input("a");
     const analysis::NodeId b = dag.input("b");
     const analysis::NodeId c = dag.input("c");
-    dag.output(dag.fusedAddMul(a, b, c));
+    dag.output(dag.mul(dag.add(a, b), c));
     return dag;
 }
 
@@ -201,8 +201,8 @@ sweepLevel(const PimCostModel &model, GateCli &run,
     if (max_depth >= 1) {
         grid.emplace_back("mul-chain-" + std::to_string(max_depth),
                           mulChain(max_depth));
-        if (analysis::analyzeNoise(fusedChain(), nspec).ok())
-            grid.emplace_back("fused-add-mul", fusedChain());
+        if (analysis::analyzeNoise(addMulChain(), nspec).ok())
+            grid.emplace_back("add-mul", addMulChain());
     }
 
     const analysis::CostSpec cspec = costSpecFor(
@@ -238,7 +238,7 @@ sweepLevel(const PimCostModel &model, GateCli &run,
 // ----- calibration sweep (predicted vs measured attribution) -----
 
 /**
- * Execute a certified BFV add / reduce / mul / fused / mul-plain
+ * Execute a certified BFV add / reduce / mul / add-mul / mul-plain
  * sweep on the simulated system with the calibration aggregator
  * armed, then judge the per-kernel relative-error distributions
  * against `band`.
@@ -294,7 +294,7 @@ calibrateSweep(double band, double staleScale,
     sweep.emplace_back("add-chain-4", addChain(4));
     sweep.emplace_back("tree-reduce-8", treeReduce(8));
     sweep.emplace_back("mul-chain-1", mulChain(1));
-    sweep.emplace_back("fused-add-mul", fusedChain());
+    sweep.emplace_back("add-mul", addMulChain());
     sweep.emplace_back("mul-plain", mulPlainPlan());
 
     const std::vector<Plaintext> plains = {encoder.encodeScalar(3)};
