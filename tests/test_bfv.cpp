@@ -277,6 +277,69 @@ TEST(Bfv, EncryptionMatchesPinnedDigests)
     EXPECT_EQ(pinnedEncryptionDigest<4>(64, false), 0xd68ffc206c51c6e6ULL);
 }
 
+/**
+ * Keygen, two encryptions and their unrelinearised product at a fixed
+ * seed: one digest over the decryptions of a 2- and a 3-component
+ * ciphertext and their exact noise budgets against the true messages.
+ */
+template <std::size_t N>
+std::uint64_t
+pinnedDecryptionDigest(std::size_t n, bool rns_ntt)
+{
+    BfvContext<N> ctx(standardParams<N>().withDegree(n));
+    if (rns_ntt)
+        ctx.setConvolver(std::make_unique<RnsNttConvolver<N>>(ctx.ring()));
+    Rng rng(kSeed + 300 + N);
+    KeyGenerator<N> keygen(ctx, rng);
+    const Encryptor<N> enc(ctx, keygen.makePublicKey(), rng);
+    const Decryptor<N> dec(ctx, keygen.secretKey());
+    const Evaluator<N> eval(ctx);
+    const std::uint64_t t = ctx.plainModulus();
+    Plaintext a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        a.coeffs[i] = (i * 7919 + 13) % t;
+        b.coeffs[i] = i % 5 == 0 ? (i * 31 + 1) % t : 0;
+    }
+    // The negacyclic product a * b mod t.
+    Plaintext ab(n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t p = a.coeffs[i] * b.coeffs[j] % t;
+            std::uint64_t &c = ab.coeffs[(i + j) % n];
+            c = i + j < n ? (c + p) % t : (c + t - p) % t;
+        }
+    const auto ca = enc.encrypt(a);
+    const auto prod = eval.multiply(ca, enc.encrypt(b));
+    EXPECT_EQ(dec.decrypt(ca), a) << "N=" << N << " n=" << n;
+    EXPECT_EQ(dec.decrypt(prod), ab) << "N=" << N << " n=" << n;
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xFFu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto &ct : {ca, prod})
+        for (const std::uint64_t m : dec.decrypt(ct).coeffs)
+            mix(m);
+    mix(static_cast<std::uint64_t>(dec.noiseBudgetBitsExact(ca, a)));
+    mix(static_cast<std::uint64_t>(dec.noiseBudgetBitsExact(prod, ab)));
+    return h;
+}
+
+TEST(Bfv, DecryptionMatchesPinnedDigests)
+{
+    // Client decryption (the scale-and-round and the exact noise
+    // budget, of fresh and of 3-component ciphertexts) must not change
+    // a bit when its arithmetic does, at the benchmark's shape and at
+    // n = 64 at every width.
+    EXPECT_EQ(pinnedDecryptionDigest<4>(4096, true), 0x309478ee321c8ccfULL);
+    EXPECT_EQ(pinnedDecryptionDigest<1>(64, false), 0x30154f475c471202ULL);
+    EXPECT_EQ(pinnedDecryptionDigest<2>(64, false), 0xade28c52a13871a9ULL);
+    EXPECT_EQ(pinnedDecryptionDigest<4>(64, false), 0x6b440026d9747d43ULL);
+}
+
 TEST(Bfv, ClientCryptoRejectsOperandsOfTheWrongDegree)
 {
     // A degree-32 key or ciphertext in a degree-64 context, as
