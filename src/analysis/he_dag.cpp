@@ -5,6 +5,7 @@
 
 #include "analysis/he_dag.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -104,13 +105,12 @@ HeDag::output(NodeId a)
     return id;
 }
 
-std::size_t
-HeDag::mulDepth(NodeId id) const
+std::vector<std::size_t>
+HeDag::depths(std::size_t count) const
 {
-    PIMHE_ASSERT(id < nodes_.size(), "no such node ", id);
     // Nodes reference earlier ids only, so one forward pass suffices.
-    std::vector<std::size_t> depth(id + 1, 0);
-    for (NodeId i = 0; i <= id; ++i) {
+    std::vector<std::size_t> depth(count, 0);
+    for (NodeId i = 0; i < count; ++i) {
         std::size_t d = 0;
         for (const NodeId a : nodes_[i].args)
             d = std::max(d, depth[a]);
@@ -119,15 +119,21 @@ HeDag::mulDepth(NodeId id) const
             ++d;
         depth[i] = d;
     }
-    return depth[id];
+    return depth;
+}
+
+std::size_t
+HeDag::mulDepth(NodeId id) const
+{
+    PIMHE_ASSERT(id < nodes_.size(), "no such node ", id);
+    return depths(id + 1)[id];
 }
 
 std::size_t
 HeDag::mulDepth() const
 {
-    return nodes_.empty()
-               ? 0
-               : mulDepth(static_cast<NodeId>(nodes_.size() - 1));
+    const std::vector<std::size_t> depth = depths(nodes_.size());
+    return depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
 }
 
 std::vector<bool>

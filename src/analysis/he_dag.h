@@ -101,6 +101,8 @@ class HeDag
 
   private:
     NodeId push(HeNode node, std::size_t arity);
+    /** mulDepth of nodes 0 .. count - 1, in one forward pass. */
+    std::vector<std::size_t> depths(std::size_t count) const;
 
     std::vector<HeNode> nodes_;
     std::vector<NodeId> inputs_;

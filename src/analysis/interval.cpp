@@ -7,6 +7,7 @@
 
 #include "analysis/interval.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "pim/config.h"
@@ -477,6 +478,75 @@ analyzeHostNttPrime(std::uint64_t p, std::size_t n)
                     "k * P < 128 * 2^256 in the five-word accumulator",
                     crt_sum, 320);
 
+    return report;
+}
+
+IntervalReport
+analyzeClientBasis(const ParamsSpec &spec,
+                   std::span<const std::uint64_t> primes)
+{
+    IntervalReport report;
+    {
+        std::ostringstream s;
+        s << "client basis " << spec.name << ", " << primes.size()
+          << " prime(s)";
+        report.subject = s.str();
+    }
+    IntervalTrace &tr = report.trace;
+    const AbsVal one(1ULL);
+    const AbsVal &q = spec.q;
+    const std::size_t k = q.bitLength();
+    if (!tr.require("basis", "at least one prime, q >= 3", q,
+                    !primes.empty() && AbsVal(2ULL) < q))
+        return report;
+
+    // Exactness: u * p or c * s is at most n * floor(q/2) in
+    // magnitude, and recombines into (-P/2, P/2) when P > 2 * that.
+    AbsVal product = one;
+    std::uint64_t lo = ~0ULL;
+    std::uint64_t hi = 0;
+    for (const std::uint64_t p : primes) {
+        product = mulChecked(tr, "basis product", product, AbsVal(p));
+        lo = std::min(lo, p);
+        hi = std::max(hi, p);
+    }
+    const AbsVal bound =
+        mulChecked(tr, "product bound", AbsVal(2ULL * spec.n), q.shr(1));
+    {
+        std::ostringstream d;
+        d << "P ~2^" << product.bitLength()
+          << " > 2 * n * floor(q/2) for n = " << spec.n;
+        tr.require("basis bound", d.str(), bound, bound < product);
+    }
+
+    // Garner digit m: r + 2 * p_m - a_l with r < p_m and a_l < p_l
+    // lies in (0, 3 * p_m), so every digit prime must exceed half of
+    // every other one and 3 * p_m must fit a word.
+    tr.require("garner digit", "a_l < 2 * p_m for every pair of primes",
+               AbsVal(hi), AbsVal(hi) < AbsVal(lo) + AbsVal(lo));
+    tr.requireWidth("garner digit", "r + 2 * p_m - a_l < 3 * p_m",
+                    AbsVal(hi) + AbsVal(hi) + AbsVal(hi), 64);
+
+    // Garner's sum of digits a_m < p_m times (p_0 ... p_{m-1} mod q),
+    // reduced in one Barrett step: below 2^(k + 62).
+    AbsVal sum;
+    AbsVal radix = one;
+    for (const std::uint64_t p : primes) {
+        sum += mulChecked(tr, "garner sum", AbsVal(p - 1),
+                          divmod(radix, q).second);
+        radix = mulChecked(tr, "garner sum", radix, AbsVal(p));
+    }
+    tr.requireWidth("garner sum",
+                    "sum (p_m - 1) * (radix_m mod q) below 2^(k+62)", sum,
+                    k + 62);
+
+    // Decryption's rounding: t * v + floor(q/2) with v < q.
+    const AbsVal rounding =
+        mulChecked(tr, "decryption rounding", AbsVal(spec.t), q - one) +
+        q.shr(1);
+    tr.requireWidth("decryption rounding",
+                    "t * (q - 1) + floor(q/2) below 2^(k+62)", rounding,
+                    k + 62);
     return report;
 }
 

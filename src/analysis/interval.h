@@ -36,6 +36,7 @@
 #define PIMHE_ANALYSIS_INTERVAL_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,7 @@ struct ParamsSpec
     std::size_t limbs = 1; //!< 32-bit limbs per coefficient
     AbsVal q;              //!< ciphertext modulus
     std::size_t n = 0;     //!< ring degree (convolution length)
+    std::uint64_t t = 0;   //!< plaintext modulus
 };
 
 /** Outcome of analyzing one subject (a params set or a prime). */
@@ -209,6 +211,20 @@ IntervalReport analyzeMontgomeryPrime(std::uint64_t p);
  */
 IntervalReport analyzeHostNttPrime(std::uint64_t p, std::size_t n);
 
+/**
+ * Prove the client's NTT-resident products exact and in range for a
+ * parameter set over the basis `primes` (ntt/rns.h, NttResidentCore):
+ * the basis product P exceeds 2 * n * floor(q/2), the bound of a
+ * small operand against a reduced one; Garner's digit steps stay in a
+ * word; the sum of digits times radixes mod q stays in the one-word
+ * Barrett window (below 2^(k + 62), k the bit length of q); and so
+ * does decryption's t * (q - 1) + floor(q/2). Each prime's
+ * NTT and REDC bounds are analyzeHostNttPrime's and
+ * analyzeMontgomeryPrime's.
+ */
+IntervalReport analyzeClientBasis(const ParamsSpec &spec,
+                                  std::span<const std::uint64_t> primes);
+
 /** Build a ParamsSpec from a concrete BfvParams instantiation. */
 template <std::size_t N, typename ParamsT>
 ParamsSpec
@@ -220,6 +236,7 @@ specOfParams(const ParamsT &params, const std::string &name)
     for (std::size_t l = 0; l < N; ++l)
         spec.q.setLimb(l, params.q.limb(l));
     spec.n = params.n;
+    spec.t = params.t;
     return spec;
 }
 

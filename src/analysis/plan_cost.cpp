@@ -43,7 +43,6 @@ struct CostCtx
     const CostSpec &spec;
     std::uint64_t elemBytes;
     std::uint64_t ctElems;   //!< 2 components * n coefficients
-    std::uint64_t ctBytes;
     std::uint64_t sliceBytes; //!< per-DPU resident slice stride
     std::uint64_t sliceElems;
     std::uint64_t regionBytes; //!< one resident ciphertext, all DPUs
@@ -53,7 +52,7 @@ struct CostCtx
     explicit
     CostCtx(const CostSpec &s)
         : spec(s), elemBytes(s.limbs * 4),
-          ctElems(2ULL * s.n), ctBytes(ctElems * elemBytes),
+          ctElems(2ULL * s.n),
           sliceBytes(0), sliceElems(0), regionBytes(0), convUpBytes(0),
           convDownBytes(0)
     {
@@ -70,6 +69,18 @@ struct CostCtx
         const
     {
         return fit.at(per_dpu_elems) / (spec.clockMhz * 1e3);
+    }
+
+    /**
+     * Bytes of one staged batch of `cts` ciphertexts: stagedOp puts a
+     * whole operand vector in one padded slice per DPU.
+     */
+    std::uint64_t
+    stagedBytes(std::uint64_t cts) const
+    {
+        return spec.numDpus *
+               pim::sliceLayout(cts * ctElems, spec.numDpus, elemBytes)
+                   .stride;
     }
 
     /** Per-DPU elements of a whole-ciphertext elementwise op. */
@@ -403,11 +414,11 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
           case HeOp::Add: {
             // Staged: upload both operands, one elementwise launch,
             // download the sum.
-            chargeUpload(st, 2 * c.ctBytes, c, &pipe);
+            chargeUpload(st, 2 * c.stagedBytes(1), c, &pipe);
             chargeLaunch(st, c.launchMs(spec.addCycles,
                                         c.perDpu(c.ctElems)), c,
                          &pipe);
-            chargeDownload(st, c.ctBytes, c, &pipe);
+            chargeDownload(st, c.stagedBytes(1), c, &pipe);
             // Resident: operands stay in MRAM, output device-only.
             checkArena(id, 3, "a, b and out of a binary resident op");
             ensureDevice(node.args[0]);
@@ -450,12 +461,12 @@ estimateCost(const HeDag &dag, const CostSpec &spec)
             std::uint64_t m = f;
             while (m > 1) {
                 const std::uint64_t half = m / 2;
-                chargeUpload(st, 2 * half * c.ctBytes, c, &pipe);
+                chargeUpload(st, 2 * c.stagedBytes(half), c, &pipe);
                 chargeLaunch(st,
                              c.launchMs(spec.addCycles,
                                         c.perDpu(half * c.ctElems)),
                              c, &pipe);
-                chargeDownload(st, half * c.ctBytes, c, &pipe);
+                chargeDownload(st, c.stagedBytes(half), c, &pipe);
                 m = half + (m % 2);
             }
             ho.kernelMs += static_cast<double>(f - 1) *

@@ -39,8 +39,9 @@
  *    Input stays on the host until its first device use, a fan-in-1
  *    Reduce is its own host-side sum, and every resident transfer is
  *    the cache's padded region (numDpus slices of sliceLayout's
- *    stride). The staged backend charges the unpadded 2 * n
- *    coefficients per ciphertext.
+ *    stride). The staged backend moves what stagedOp moves: each
+ *    operand vector of k ciphertexts, and the result, as one padded
+ *    slice per DPU (numDpus * sliceLayout(k * 2n) stride).
  */
 
 #ifndef PIMHE_ANALYSIS_PLAN_COST_H

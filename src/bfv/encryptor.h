@@ -9,6 +9,8 @@
 #ifndef PIMHE_BFV_ENCRYPTOR_H
 #define PIMHE_BFV_ENCRYPTOR_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -21,14 +23,17 @@ namespace pimhe {
 /**
  * Public-key BFV encryptor. The public key is held in RNS-NTT form
  * (transformed once, as SEAL keeps it), so an encryption transforms
- * only u, once for both products.
+ * only u, once for both products, and then makes one pass per
+ * coefficient of each component: the product's residues recombined
+ * straight into [0, q), plus Delta * m or the noise, in 128-bit words.
  */
 template <std::size_t N>
 class Encryptor
 {
   public:
     Encryptor(const BfvContext<N> &ctx, const PublicKey<N> &pk, Rng &rng)
-        : ctx_(ctx), key_(ctx.ring()), rng_(rng)
+        : ctx_(ctx), key_(ctx.ring()), rng_(rng),
+          delta_(NttResidentProducts<N>::toU128(ctx.delta()))
     {
         key_.prepare(pk.p0, "p0");
         key_.prepare(pk.p1, "p1");
@@ -40,30 +45,37 @@ class Encryptor
     Ciphertext<N>
     encrypt(const Plaintext &pt) const
     {
-        const auto &ring = ctx_.ring();
-        PIMHE_ASSERT(pt.size() == ring.degree(),
-                     "plaintext degree mismatch");
+        const std::size_t n = ctx_.ring().degree();
+        PIMHE_ASSERT(pt.size() == n, "plaintext degree mismatch");
 
-        // u straight from its draws, in sampleTernary's order.
-        std::vector<std::int8_t> u(ring.degree());
+        // u, e1 and e2 straight from their draws, in sampleTernary's
+        // and sampleNoise's order.
+        std::vector<std::int8_t> u(n);
         for (auto &x : u)
             x = static_cast<std::int8_t>(rng_.ternary());
-        const auto e1 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
-        const auto e2 = ring.sampleNoise(rng_, ctx_.params().noiseEta);
+        const int eta = ctx_.params().noiseEta;
+        std::vector<int> e1(n), e2(n);
+        for (auto &x : e1)
+            x = rng_.centeredBinomial(eta);
+        for (auto &x : e2)
+            x = rng_.centeredBinomial(eta);
         const auto u_ntt = key_.transformTernary(u);
 
-        // Delta * m, coefficientwise: m < t gives Delta * m < q, so the
-        // wrapping N-limb product is exact and already reduced.
-        Polynomial<N> dm(ring.degree());
-        for (std::size_t i = 0; i < ring.degree(); ++i) {
-            dm[i] = ctx_.delta() *
-                    WideInt<N>(pt.coeffs[i] % ctx_.plainModulus());
+        // Delta * (m mod t) < q: one 128-bit product.
+        using u128 = unsigned __int128;
+        const std::uint64_t t = ctx_.plainModulus();
+        std::vector<u128> c0(n), c1(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            c0[i] = key_.addModQ(delta_ * (pt.coeffs[i] % t),
+                                 key_.liftModQ(e1[i]));
+            c1[i] = key_.liftModQ(e2[i]);
         }
+        key_.multiplyAddModQ(u_ntt, 0, c0);
+        key_.multiplyAddModQ(u_ntt, 1, c1);
 
         Ciphertext<N> ct;
-        ct.comps.push_back(
-            ring.add(ring.add(key_.multiply(u_ntt, 0), e1), dm));
-        ct.comps.push_back(ring.add(key_.multiply(u_ntt, 1), e2));
+        ct.comps.push_back(NttResidentProducts<N>::toPolynomial(c0));
+        ct.comps.push_back(NttResidentProducts<N>::toPolynomial(c1));
         return ct;
     }
 
@@ -71,18 +83,21 @@ class Encryptor
     const BfvContext<N> &ctx_;
     NttResidentProducts<N> key_; //!< p0 (index 0) and p1 (index 1)
     Rng &rng_;
+    unsigned __int128 delta_; //!< Delta = floor(q / t)
 };
 
 /**
  * Secret-key BFV decryptor with noise introspection. The secret is
- * held in RNS-NTT form, transformed once.
+ * held in RNS-NTT form, transformed once; c0 + c1 s (+ c2 s^2) is
+ * formed in 128-bit words, one pass per coefficient per product.
  */
 template <std::size_t N>
 class Decryptor
 {
   public:
     Decryptor(const BfvContext<N> &ctx, const SecretKey<N> &sk)
-        : ctx_(ctx), secret_(ctx.ring())
+        : ctx_(ctx), secret_(ctx.ring()),
+          delta_(NttResidentProducts<N>::toU128(ctx.delta()))
     {
         secret_.prepare(sk.s, "s");
     }
@@ -95,29 +110,16 @@ class Decryptor
     decrypt(const Ciphertext<N> &ct) const
     {
         const auto v = noisyMessage(ct);
-        const auto &ring = ctx_.ring();
-        const auto q = ring.modulus();
-        const std::uint64_t t = ctx_.plainModulus();
-
-        Plaintext pt(ring.degree());
-        // For each coefficient: m = round(t * v / q) mod t, computed
-        // over the integers with 2N-limb intermediates.
-        using Wide = WideInt<2 * N>;
-        const Wide q_wide = q.template convert<2 * N>();
-        const Wide half_q = q_wide.shr(1);
-        for (std::size_t i = 0; i < ring.degree(); ++i) {
-            const Wide tv = v[i].mulFull(WideInt<N>(t));
-            const Wide quot = divmod(tv + half_q, q_wide).first;
-            // quot <= t here, so the low 64 bits hold the full value.
-            pt.coeffs[i] = quot.toUint64() % t;
-        }
+        Plaintext pt(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i)
+            pt.coeffs[i] = secret_.scaleRound(v[i], ctx_.plainModulus());
         return pt;
     }
 
     /**
      * Exact invariant noise budget in bits: bits(q) - 1 - bits(e)
      * with e the centred noise magnitude, computed entirely over
-     * WideInt bit lengths (no floating point anywhere). Negative
+     * integer bit lengths (no floating point anywhere). Negative
      * means the ciphertext is already undecryptable. This is the
      * value the static certifier's bounds are validated against.
      */
@@ -126,10 +128,14 @@ class Decryptor
                          const Plaintext &expected) const
     {
         const std::size_t q_bits = ctx_.ring().modulus().bitLength();
-        const std::size_t noise_bits =
-            maxNoiseMagnitude(ct, expected).bitLength();
+        const auto bits = [](unsigned __int128 x) {
+            const auto hi = static_cast<std::uint64_t>(x >> 64);
+            return hi != 0 ? 64 + std::bit_width(hi)
+                           : std::bit_width(static_cast<std::uint64_t>(x));
+        };
         return static_cast<std::int64_t>(q_bits) - 1 -
-               static_cast<std::int64_t>(noise_bits);
+               static_cast<std::int64_t>(
+                   bits(maxNoiseMagnitude(ct, expected)));
     }
 
     /**
@@ -148,43 +154,43 @@ class Decryptor
   private:
     /** max_i |centred(v_i - Delta*m_i)| — the noise magnitude the
      *  budget is measured from. */
-    WideInt<N>
+    unsigned __int128
     maxNoiseMagnitude(const Ciphertext<N> &ct,
                       const Plaintext &expected) const
     {
-        const auto &ring = ctx_.ring();
         const auto v = noisyMessage(ct);
-        WideInt<N> max_mag;
-        for (std::size_t i = 0; i < ring.degree(); ++i) {
-            const auto dm = ring.reducer().mulMod(
-                ctx_.delta(),
-                WideInt<N>(expected.coeffs[i] % ctx_.plainModulus()));
-            const auto diff = ring.reducer().subMod(v[i], dm);
-            const auto [mag, neg] = ring.toCentered(diff);
-            (void)neg;
-            if (mag > max_mag)
-                max_mag = mag;
+        const auto q = secret_.modulus();
+        const std::uint64_t t = ctx_.plainModulus();
+        unsigned __int128 max_mag = 0;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            const auto dm = delta_ * (expected.coeffs[i] % t);
+            const auto diff = v[i] >= dm ? v[i] - dm : v[i] + (q - dm);
+            const auto mag = diff > q / 2 ? q - diff : diff;
+            max_mag = std::max(max_mag, mag);
         }
         return max_mag;
     }
 
-    /** c0 + c1 s (+ c2 s^2, formed as (c2 s) s) mod q. */
-    Polynomial<N>
+    /** c0 + c1 s (+ c2 s^2, formed as ((c2 s) mod q) s) mod q. */
+    std::vector<unsigned __int128>
     noisyMessage(const Ciphertext<N> &ct) const
     {
-        const auto &ring = ctx_.ring();
         PIMHE_ASSERT(ct.size() == 2 || ct.size() == 3,
                      "unsupported ciphertext size ", ct.size());
-        auto v = ring.add(
-            ct[0], secret_.multiply(secret_.transform(ct[1], "c1"), 0));
-        if (ct.size() == 3)
-            v = ring.add(v, secret_.multiply(
-                                secret_.transform(ct[2], "c2"), 0, 2));
+        const auto c1 = secret_.transform(ct[1], "c1");
+        auto v = secret_.values(ct[0], "c0");
+        secret_.multiplyAddModQ(c1, 0, v);
+        if (ct.size() == 3) {
+            const auto c2s =
+                secret_.multiply(secret_.transform(ct[2], "c2"), 0);
+            secret_.multiplyAddModQ(secret_.transform(c2s, "c2 s"), 0, v);
+        }
         return v;
     }
 
     const BfvContext<N> &ctx_;
     NttResidentProducts<N> secret_; //!< s (index 0)
+    unsigned __int128 delta_; //!< Delta = floor(q / t)
 };
 
 } // namespace pimhe

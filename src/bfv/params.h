@@ -88,6 +88,10 @@ struct BfvParams
         PIMHE_ASSERT(t >= 2, "plaintext modulus too small");
         PIMHE_ASSERT(WideInt<N>(t) < q,
                      "plaintext modulus must be below q");
+        // Decryption rounds t * v + floor(q/2) < (t + 1) * q through a
+        // Barrett step whose window is 2^62 * q (NttResidentCore).
+        PIMHE_ASSERT(t < (1ULL << 62),
+                     "plaintext modulus must be below 2^62");
         PIMHE_ASSERT(relinBaseBits >= 1 && relinBaseBits <= 32,
                      "relin digit width out of range");
     }

@@ -201,18 +201,30 @@ RnsBasis::recombineCentered(const RnsResidues &r) const
 
 namespace {
 
-/** The fewest 59-bit NTT primes (step 2n) whose product exceeds
- *  2 * n * floor(q/2) * n. */
+U256
+toU256(u128 v)
+{
+    return fromWords({static_cast<std::uint64_t>(v),
+                      static_cast<std::uint64_t>(v >> 64)});
+}
+
+u128
+toU128(const U256 &v)
+{
+    const Words w = toWords(v);
+    return static_cast<u128>(w[1]) << 64 | w[0];
+}
+
+/** The fewest 62-bit NTT primes (step 2n) whose product exceeds
+ *  2 * n * floor(q/2). */
 RnsBasis
 residentBasis(std::size_t n, u128 q)
 {
     PIMHE_ASSERT(n <= (std::size_t(1) << 30), "degree ", n,
                  " is above 2^30");
-    const U256 half_q = fromWords({static_cast<std::uint64_t>(q >> 1),
-                                   static_cast<std::uint64_t>(q >> 65)});
-    const U256 bound = U256(2ULL * n * n) * half_q;
+    const U256 bound = U256(2ULL * n) * toU256(q >> 1);
     for (std::size_t count = 1;; ++count) {
-        RnsBasis basis(findNttPrimes(59, 2 * n, count));
+        RnsBasis basis(findNttPrimes(62, 2 * n, count));
         if (basis.product() > bound)
             return basis;
     }
@@ -223,12 +235,43 @@ residentBasis(std::size_t n, u128 q)
 NttResidentCore::NttResidentCore(std::size_t n, u128 q)
     : basis_(residentBasis(n, q)), q_(q)
 {
-    const U256 q_wide = fromWords({static_cast<std::uint64_t>(q),
-                                   static_cast<std::uint64_t>(q >> 64)});
+    const U256 q_wide = toU256(q);
     qBits_ = static_cast<unsigned>(q_wide.bitLength());
     qMu_ = divmod(U256::oneShl(qBits_ + 62), q_wide).first.toUint64();
-    for (const std::uint64_t p : basis_.primes())
+    const std::vector<std::uint64_t> &primes = basis_.primes();
+    for (const std::uint64_t p : primes)
         tables_.emplace_back(p, n);
+
+    // Garner's constants: the inverses, the digits of floor(P/2) and
+    // the radixes mod q.
+    U256 half = basis_.product().shr(1);
+    U256 radix(1ULL);
+    for (std::size_t m = 0; m < primes.size(); ++m) {
+        std::vector<ShoupOperand> &inv = garnerInv_.emplace_back();
+        for (std::size_t l = 0; l < m; ++l)
+            inv.emplace_back(invMod64(primes[l] % primes[m], primes[m]),
+                             primes[m]);
+        const auto [rest, digit] = divmod(half, U256(primes[m]));
+        halfDigits_.push_back(digit.toUint64());
+        half = rest;
+        radixModQ_.push_back(toU128(mod(radix, q_wide)));
+        radix = radix * U256(primes[m]);
+    }
+    productModQ_ = toU128(mod(basis_.product(), q_wide));
+
+    // recombineModQ reduces sum a_m * (radix_m mod q), a_m < p_m, in
+    // one Barrett step, so the sum must stay below 2^(k + 62). Two
+    // primes always do. A third is added only when p_0 * p_1 <=
+    // 2n * floor(q/2) < n * 2^k, and p_2 = 1 mod 2n leaves
+    // 2^62 - p_2 >= 2n - 1, so (p_2 - 1) * (q - 1) + p_0 * p_1 stays
+    // below 2^(k + 62) too.
+    U256 garner_max;
+    for (std::size_t m = 0; m < primes.size(); ++m)
+        garner_max += U256(primes[m] - 1) * toU256(radixModQ_[m]);
+    PIMHE_ASSERT(garner_max.bitLength() <= qBits_ + 62,
+                 "Garner sum of ", primes.size(),
+                 " primes leaves the Barrett window of a ", qBits_,
+                 "-bit q");
 }
 
 NttResidentCore::Operand
@@ -271,51 +314,117 @@ NttResidentCore::keep(RnsResidues r, bool small)
     return fixed_.size() - 1;
 }
 
-std::vector<u128>
-NttResidentCore::multiplyModQ(const Operand &x, std::size_t j,
-                              unsigned times) const
+void
+NttResidentCore::multiplyAddModQ(const Operand &x, std::size_t j,
+                                 std::span<u128> acc) const
 {
     PIMHE_ASSERT(j < fixed_.size(), "no fixed polynomial ", j);
     const Fixed &f = fixed_[j];
-    // A small factor against a reduced one gives at most n * floor(q/2)
-    // per coefficient, and each further small factor n times that: a
-    // small fixed polynomial may meet any operand twice, a reduced one
-    // only a small operand, once.
-    PIMHE_ASSERT(times >= 1 && times <= 2 &&
-                     (f.small || (x.small && times == 1)),
-                 "product of a ", x.small ? "small" : "reduced",
-                 " operand and ", times, " ",
-                 f.small ? "small" : "reduced",
-                 " factor(s) exceeds the basis bound");
+    // A small factor against a reduced one gives at most
+    // n * floor(q/2) per coefficient: the basis bound.
+    PIMHE_ASSERT(x.small || f.small,
+                 "product of a reduced operand and a reduced factor "
+                 "exceeds the basis bound");
+    PIMHE_ASSERT(acc.size() == x.values.front().size(),
+                 "accumulator has ", acc.size(), " coefficients, not ",
+                 x.values.front().size());
     RnsResidues y = x.values;
     for (std::size_t pi = 0; pi < y.size(); ++pi) {
         const std::uint64_t p = basis_.primes()[pi];
         const std::vector<ShoupOperand> &w = f.values[pi];
         std::vector<std::uint64_t> &v = y[pi];
-        for (unsigned t = 0; t < times; ++t)
-            for (std::size_t i = 0; i < v.size(); ++i)
-                v[i] = mulShoup(v[i], w[i], p);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = mulShoup(v[i], w[i], p);
         tables_[pi].inverse(v);
     }
-    std::vector<u128> out(y.front().size());
-    std::vector<std::uint64_t> residues(y.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        for (std::size_t pi = 0; pi < residues.size(); ++pi)
+    std::array<std::uint64_t, 4> residues{};
+    const std::span<const std::uint64_t> r(residues.data(), y.size());
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+        for (std::size_t pi = 0; pi < y.size(); ++pi)
             residues[pi] = y[pi][i];
-        bool neg = false;
-        const u128 r = reduce(basis_.recombineSigned(residues, neg));
-        out[i] = neg && r != 0 ? q_ - r : r;
+        acc[i] = addModQ(acc[i], recombineModQ(r));
     }
-    return out;
 }
 
 u128
-NttResidentCore::reduce(const Words &x) const
+NttResidentCore::recombineModQ(std::span<const std::uint64_t> residues)
+    const
+{
+    const std::vector<std::uint64_t> &primes = basis_.primes();
+    const std::size_t k = primes.size();
+    PIMHE_ASSERT(residues.size() == k, "residue count mismatch");
+    // Digit m is ((r_m - a_0) / p_0 - a_1) / p_1 ... mod p_m. Every
+    // prime lies in (2^61, 2^62), so a_l < 2 * p_m and each
+    // r + 2 * p_m - a_l stays in (0, 3 * p_m), inside a word.
+    std::array<std::uint64_t, 4> a{};
+    for (std::size_t m = 0; m < k; ++m) {
+        const std::uint64_t p = primes[m];
+        std::uint64_t d = residues[m];
+        for (std::size_t l = 0; l < m; ++l)
+            d = mulShoup(d + 2 * p - a[l], garnerInv_[m][l], p);
+        a[m] = d;
+    }
+    // The digits order values as they order words, most significant
+    // first; above floor(P/2) the value stands for itself minus P.
+    std::size_t top = k - 1;
+    while (top > 0 && a[top] == halfDigits_[top])
+        --top;
+    const bool negative = a[top] > halfDigits_[top];
+
+    // sum a_m * (radix_m mod q), inside the one-word Barrett window
+    // (checked at construction).
+    Words s{a[0], 0, 0, 0};
+    for (std::size_t m = 1; m < k; ++m) {
+        const u128 c = radixModQ_[m];
+        const u128 lo = static_cast<u128>(a[m]) *
+                            static_cast<std::uint64_t>(c) + s[0];
+        const u128 mid = static_cast<u128>(a[m]) *
+                             static_cast<std::uint64_t>(c >> 64) +
+                         s[1] + (lo >> 64);
+        s[0] = static_cast<std::uint64_t>(lo);
+        s[1] = static_cast<std::uint64_t>(mid);
+        s[2] += static_cast<std::uint64_t>(mid >> 64);
+    }
+    const u128 r = reduce(s);
+    if (!negative)
+        return r;
+    return r >= productModQ_ ? r - productModQ_ : r + (q_ - productModQ_);
+}
+
+u128
+NttResidentCore::liftModQ(std::int64_t v) const
+{
+    // |v| in unsigned arithmetic, defined for INT64_MIN too.
+    u128 mag = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                     : static_cast<std::uint64_t>(v);
+    if (mag >= q_)
+        mag %= q_;
+    return v < 0 && mag != 0 ? q_ - mag : mag;
+}
+
+std::uint64_t
+NttResidentCore::scaleRound(u128 v, std::uint64_t t) const
+{
+    // t * v + floor(q/2) over three words.
+    const u128 lo = static_cast<u128>(t) * static_cast<std::uint64_t>(v) +
+                    static_cast<std::uint64_t>(q_ >> 1);
+    const u128 mid = static_cast<u128>(t) *
+                         static_cast<std::uint64_t>(v >> 64) +
+                     static_cast<std::uint64_t>(q_ >> 65) + (lo >> 64);
+    const Words x{static_cast<std::uint64_t>(lo),
+                  static_cast<std::uint64_t>(mid),
+                  static_cast<std::uint64_t>(mid >> 64), 0};
+    std::uint64_t quotient = 0;
+    reduce(x, &quotient);
+    return quotient % t;
+}
+
+u128
+NttResidentCore::reduce(const Words &x, std::uint64_t *quotient) const
 {
     // Barrett with a one-word quotient: t = floor(x / 2^(k-1)) < 2^63
     // and qhat = floor(t * mu / 2^63) undershoots floor(x / q) by at
-    // most 2 (x < 2^(k + 62)). x below 2^(k + 62) holds: every product
-    // is at most n * floor(q/2) * n < 2^(k - 1 + 60).
+    // most 2 (x < 2^(k + 62)).
     const unsigned shift = qBits_ - 1;
     const u128 window =
         shift < 64 ? (static_cast<u128>(x[1]) << 64 | x[0]) >> shift
@@ -335,10 +444,13 @@ NttResidentCore::reduce(const Words &x) const
     const u128 x_low = static_cast<u128>(x[1]) << 64 | x[0];
     u128 r = x_low - prod_low;
     std::uint64_t top = x[2] - prod_top - (x_low < prod_low);
-    while (top != 0 || r >= q_) {
+    std::uint64_t more = 0;
+    for (; top != 0 || r >= q_; ++more) {
         top -= r < q_;
         r -= q_;
     }
+    if (quotient != nullptr)
+        *quotient = qhat + more;
     return r;
 }
 

@@ -13,8 +13,8 @@
  *
  * The client's products (encryption against the public key, decryption
  * against the secret) have one ternary operand, so they run on a
- * smaller basis against fixed polynomials kept in NTT form
- * (NttResidentProducts).
+ * smaller basis of wider primes against fixed polynomials kept in NTT
+ * form, and recombine straight into [0, q) (NttResidentProducts).
  */
 
 #ifndef PIMHE_NTT_RNS_H
@@ -216,11 +216,13 @@ class RnsNttConvolver : public ExactConvolver<N>
  * The 64-bit word half of NttResidentProducts, compiled once in
  * rns.cpp: the basis, one NTT table per prime, every fixed
  * polynomial's transform with a Shoup quotient per value, and the
- * reduction of exact products mod q.
+ * per-coefficient arithmetic mod q that the client's products end in.
  */
 class NttResidentCore
 {
   public:
+    using u128 = unsigned __int128;
+
     /** An operand in RNS-NTT form. */
     struct Operand
     {
@@ -230,18 +232,57 @@ class NttResidentCore
 
     const RnsBasis &basis() const { return basis_; }
 
+    /** q. */
+    u128 modulus() const { return q_; }
+
     /**
      * Values in {-1, 0, 1} (encryption's u, straight from its draws)
      * in RNS-NTT form.
      */
     Operand transformTernary(std::span<const std::int8_t> x) const;
 
+    /**
+     * acc[i] = (acc[i] + (lift(x) * f_j)[i]) mod q for every
+     * coefficient, each acc[i] below q: per prime one pointwise Shoup
+     * product and one inverse NTT, then per coefficient one
+     * recombineModQ. Panics unless one factor is small.
+     */
+    void multiplyAddModQ(const Operand &x, std::size_t j,
+                         std::span<u128> acc) const;
+
+    /**
+     * The value mod q of the signed integer in (-P/2, P/2) whose
+     * residues are `residues` (each below its prime): Garner's mixed
+     * radix digits a_m, a sign from comparing them with floor(P/2)'s,
+     * and sum a_m * (p_0 ... p_{m-1} mod q) through the one-word
+     * Barrett reduction.
+     */
+    u128 recombineModQ(std::span<const std::uint64_t> residues) const;
+
+    /** (a + b) mod q, for a and b below q. */
+    u128
+    addModQ(u128 a, u128 b) const
+    {
+        const u128 s = a + b; // wraps only when q > 2^127
+        return s < a || s >= q_ ? s - q_ : s;
+    }
+
+    /** v mod q in [0, q), as RingContext::centeredToModQ. */
+    u128 liftModQ(std::int64_t v) const;
+
+    /**
+     * floor((t * v + floor(q/2)) / q) mod t, decryption's scaled
+     * rounding of v < q, for t < 2^62 (BfvParams::validate): then
+     * t * v + floor(q/2) < (t + 1) * q stays in the Barrett window.
+     */
+    std::uint64_t scaleRound(u128 v, std::uint64_t t) const;
+
   protected:
     /**
-     * The fewest 59-bit NTT primes (step 2n, as RnsNttConvolver's)
-     * whose product exceeds 2 * n * floor(q/2) * n, for n <= 2^30.
+     * The fewest 62-bit NTT primes (step 2n) whose product P exceeds
+     * 2 * n * floor(q/2), for n <= 2^30.
      */
-    NttResidentCore(std::size_t n, unsigned __int128 q);
+    NttResidentCore(std::size_t n, u128 q);
 
     /** Forward-transform centred residues `r` per prime. */
     Operand forward(RnsResidues r, bool small) const;
@@ -252,15 +293,6 @@ class NttResidentCore
      */
     std::size_t keep(RnsResidues r, bool small);
 
-    /**
-     * lift(x) * f_j^times mod q, one value in [0, q) per coefficient:
-     * per prime, `times` pointwise Shoup products and one inverse NTT,
-     * then per coefficient one signed recombination and one reduction.
-     * Panics on a product the basis bound does not cover.
-     */
-    std::vector<unsigned __int128>
-    multiplyModQ(const Operand &x, std::size_t j, unsigned times) const;
-
   private:
     struct Fixed
     {
@@ -268,13 +300,22 @@ class NttResidentCore
         bool small = false;
     };
 
-    /** x mod q for x < 2^(k + 62), k the bit length of q. */
-    unsigned __int128 reduce(const RnsBasis::Words &x) const;
+    /**
+     * x mod q for x < 2^(k + 62), k the bit length of q; floor(x / q)
+     * in `quotient` when it is given.
+     */
+    u128 reduce(const RnsBasis::Words &x,
+                std::uint64_t *quotient = nullptr) const;
 
     RnsBasis basis_;
     std::vector<NttTable> tables_;
     std::vector<Fixed> fixed_;
-    unsigned __int128 q_;
+    /** garnerInv_[m][l] = p_l^-1 mod p_m, for l < m. */
+    std::vector<std::vector<ShoupOperand>> garnerInv_;
+    std::vector<std::uint64_t> halfDigits_; //!< floor(P/2)'s digits
+    std::vector<u128> radixModQ_; //!< p_0 ... p_{m-1} mod q, per m
+    u128 productModQ_ = 0;        //!< P mod q
+    u128 q_;
     unsigned qBits_ = 0;    //!< k
     std::uint64_t qMu_ = 0; //!< floor(2^(k + 62) / q)
 };
@@ -286,15 +327,17 @@ class NttResidentCore
  * forward-transformed once. A product then costs one forward NTT per
  * prime of the other operand (shared by every fixed polynomial it
  * meets), a pointwise Shoup product and an inverse NTT per prime, and
- * one recombination per coefficient.
+ * one recombination straight into [0, q) per coefficient.
  *
- * The basis is sized for products of a small operand (centred |x| <=
- * 1: encryption's u, the secret s) with a reduced one (|y| <=
- * floor(q/2)): its product exceeds 2 * n * floor(q/2) * n, so x * y
- * (at most n * floor(q/2) per coefficient) and (c * s) * s (at most
- * n * floor(q/2) * n) recombine exactly. At the paper's n = 4096 and
- * 109-bit q that is three 59-bit primes, where RnsNttConvolver's
- * bound for two reduced operands takes four.
+ * The basis is sized for the one product the client makes: a small
+ * operand (centred |x| <= 1: encryption's u, the secret s) against a
+ * reduced one (|y| <= floor(q/2)), at most n * floor(q/2) per
+ * coefficient. Its product P exceeds 2 * n * floor(q/2), so every
+ * such product recombines exactly in (-P/2, P/2); decryption's
+ * c2 * s^2 is two of them, ((c2 * s) mod q) * s. At the paper's
+ * n = 4096 and 109-bit q that is two 62-bit primes, where
+ * RnsNttConvolver's bound for two reduced operands takes four 59-bit
+ * ones.
  */
 template <std::size_t N>
 class NttResidentProducts : public NttResidentCore
@@ -327,30 +370,49 @@ class NttResidentProducts : public NttResidentCore
         return forward(centeredResidues(ring_, basis(), x), isSmall(x));
     }
 
-    /** x * f_j^times in R_q, for `times` 1 or 2. */
+    /** x * f_j in R_q. */
     Polynomial<N>
-    multiply(const Operand &x, std::size_t j, unsigned times = 1) const
+    multiply(const Operand &x, std::size_t j) const
     {
-        const auto values = multiplyModQ(x, j, times);
+        std::vector<u128> values(ring_.degree());
+        multiplyAddModQ(x, j, values);
+        return toPolynomial(values);
+    }
+
+    /** The coefficients of `p` (`name` in panics) as 128-bit words. */
+    std::vector<u128>
+    values(const Polynomial<N> &p, const char *name) const
+    {
+        requireReduced(p, name);
+        std::vector<u128> out(p.size());
+        for (std::size_t i = 0; i < p.size(); ++i)
+            out[i] = toU128(p[i]);
+        return out;
+    }
+
+    /** Values below q as the coefficients of a polynomial. */
+    static Polynomial<N>
+    toPolynomial(std::span<const u128> values)
+    {
         Polynomial<N> out(values.size());
         for (std::size_t i = 0; i < values.size(); ++i) {
-            unsigned __int128 v = values[i];
+            u128 v = values[i];
             for (std::size_t l = 0; l < N; ++l, v >>= 32)
                 out[i].setLimb(l, static_cast<std::uint32_t>(v));
         }
         return out;
     }
 
-  private:
-    static unsigned __int128
+    static u128
     toU128(const WideInt<N> &v)
     {
-        unsigned __int128 w = 0;
+        u128 w = 0;
         for (std::size_t l = N; l-- > 0;)
             w = (w << 32) | v.limb(l);
         return w;
     }
 
+  private:
     /** The basis bound assumes n coefficients, each below q. */
     void
     requireReduced(const Polynomial<N> &p, const char *name) const

@@ -406,6 +406,9 @@ TEST(Bfv, ParamsValidation)
     bad = standardParams<4>();
     bad.t = 1;
     EXPECT_DEATH(bad.validate(), "too small");
+    // Below q, but outside decryption's rounding window.
+    bad.t = 1ULL << 62;
+    EXPECT_DEATH(bad.validate(), "plaintext modulus must be below 2\\^62");
 }
 
 TEST(Bfv, DeltaIsFloorQOverT)

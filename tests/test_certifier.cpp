@@ -113,6 +113,20 @@ TEST(HeDag, TracksInputsOutputsAndDepth)
     EXPECT_EQ(dag.mulDepth(), 2u);
 }
 
+TEST(HeDag, PlanDepthIsTheDeepestNodeNotTheLast)
+{
+    // output(mul(x, y)); output(z): the last node sits at depth 0.
+    an::HeDag dag;
+    const auto x = dag.input("x");
+    const auto y = dag.input("y");
+    const auto z = dag.input("z");
+    dag.output(dag.mul(x, y));
+    const auto last = dag.output(z);
+    EXPECT_EQ(dag.mulDepth(last), 0u);
+    EXPECT_EQ(dag.mulDepth(), 1u);
+    EXPECT_EQ(an::HeDag().mulDepth(), 0u);
+}
+
 TEST(HeDag, ReachabilityMarksDeadNodes)
 {
     an::HeDag dag;

@@ -360,6 +360,21 @@ expectOneLayout(std::size_t n, std::size_t dpus, std::uint64_t stride)
                   (fan_in - 1) * 2 * dpus * stride);
         EXPECT_EQ(predicted.launches, run.dpuSet().launches().size());
     }
+
+    // The pim-staged walk charges what runPlan's staged add moves:
+    // both operands up and the sum down, one padded slice per DPU.
+    analysis::HeDag sum;
+    sum.output(sum.add(sum.input(), sum.input()));
+    const analysis::BackendCost staged_cost =
+        analysis::estimateCost(sum, spec).pimStaged;
+    PimHeSystem<N> run(h.ctx, cfg, dpus, 12);
+    run.runPlan(sum, {ct, ct});
+    EXPECT_EQ(staged_cost.uploadedBytes,
+              run.transferTotals().uploadedBytes);
+    EXPECT_EQ(staged_cost.downloadedBytes,
+              run.transferTotals().downloadedBytes);
+    EXPECT_EQ(staged_cost.uploadedBytes, 2 * dpus * stride);
+    EXPECT_EQ(staged_cost.downloadedBytes, dpus * stride);
 }
 
 TEST(Layout, OneFormulaForEveryCaller)

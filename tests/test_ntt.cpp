@@ -384,16 +384,19 @@ ternaryPolynomial(const RingContext<N> &ring,
     return p;
 }
 
-TYPED_TEST(RnsConvWidths, ResidentProductsExactAtTheBasisBound)
+/**
+ * The extreme products at degree n: a fixed polynomial of all
+ * floor(q/2) (the largest centred magnitude) or all floor(q/2) + 1
+ * (the most negative) against u all +1, all -1 and alternating; and
+ * c2 * s^2 formed as two products, ((c2 * s) mod q) * s, with s all
+ * +1 or all -1.
+ */
+template <std::size_t N>
+void
+expectResidentProductsExact(std::size_t n)
 {
-    // The operands that size the basis: a fixed polynomial of all
-    // floor(q/2) (the largest centred magnitude) or all floor(q/2) + 1
-    // (the most negative) against u all +1, all -1 and alternating;
-    // and c2 * s^2 formed as (c2 * s) * s, with s all +1 or all -1.
-    constexpr std::size_t N = TypeParam::numLimbs;
-    const auto params = standardParams<N>().withDegree(64);
-    const std::size_t n = params.n;
-    const RingContext<N> ring(n, params.q);
+    SCOPED_TRACE("n " + std::to_string(n));
+    const RingContext<N> ring(n, standardParams<N>().q);
     const WideInt<N> half = ring.modulus().shr(1);
     const std::vector<Polynomial<N>> extremes = {
         Polynomial<N>(std::vector<WideInt<N>>(n, half)),
@@ -421,21 +424,102 @@ TYPED_TEST(RnsConvWidths, ResidentProductsExactAtTheBasisBound)
         NttResidentProducts<N> secret(ring);
         const std::size_t j = secret.prepare(s, "s");
         for (std::size_t e = 0; e < extremes.size(); ++e) {
-            const auto c = secret.transform(extremes[e], "c2");
-            const auto cs = ring.mulSchoolbook(extremes[e], s);
-            EXPECT_EQ(secret.multiply(c, j), cs)
+            const auto cs = secret.multiply(
+                secret.transform(extremes[e], "c2"), j);
+            EXPECT_EQ(cs, ring.mulSchoolbook(extremes[e], s))
                 << "s " << sign << ", c " << e;
-            EXPECT_EQ(secret.multiply(c, j, 2), ring.mulSchoolbook(cs, s))
+            EXPECT_EQ(secret.multiply(secret.transform(cs, "c2 s"), j),
+                      ring.mulSchoolbook(cs, s))
                 << "s " << sign << ", c " << e;
         }
     }
 }
 
+TYPED_TEST(RnsConvWidths, ResidentProductsExactAtTheBasisBound)
+{
+    // Every width at n = 64, and the 54-bit modulus where the bound
+    // is tightest: at n = 256 one prime's P is barely above
+    // 2 * n * floor(q/2), and at n = 512 a basis sized for half that
+    // bound would be a prime short.
+    constexpr std::size_t N = TypeParam::numLimbs;
+    expectResidentProductsExact<N>(64);
+    if (N == 2) {
+        expectResidentProductsExact<N>(256);
+        expectResidentProductsExact<N>(512);
+    }
+}
+
+TYPED_TEST(RnsConvWidths, ResidentRecombinationCentresAtHalfTheBasis)
+{
+    // recombineModQ reads a value above floor(P/2) as itself minus P:
+    // 0, floor(P/2), floor(P/2) + 1 and P - 1 on either side of the
+    // sign boundary, against 256-bit arithmetic.
+    constexpr std::size_t N = TypeParam::numLimbs;
+    const RingContext<N> ring(64, standardParams<N>().q);
+    const NttResidentProducts<N> core(ring);
+    const RnsBasis &basis = core.basis();
+    const U256 &P = basis.product();
+    const U256 q = ring.modulus().template convert<8>();
+    const U256 half = P.shr(1);
+    const U256 one(1ULL);
+    const std::pair<U256, U256> cases[] = {
+        {U256(), U256()},
+        {half, mod(half, q)},
+        {half + one, q - mod(P - half - one, q)},
+        {P - one, q - one}};
+    for (const auto &[x, want] : cases) {
+        const auto got = core.recombineModQ(basis.decompose(x));
+        EXPECT_EQ(U256(static_cast<std::uint64_t>(got)) +
+                      U256(static_cast<std::uint64_t>(got >> 64))
+                          .shl(64),
+                  want)
+            << x.toHexString();
+    }
+}
+
+/**
+ * The client's basis at degree n of the standard N-limb modulus is
+ * the fewest 62-bit NTT primes whose product P exceeds
+ * 2 * n * floor(q/2): without its last prime it would not. Returns
+ * its size.
+ */
+template <std::size_t N>
+std::size_t
+expectFewestResidentPrimes(std::size_t n)
+{
+    const RingContext<N> ring(n, standardParams<N>().q);
+    const NttResidentProducts<N> core(ring);
+    const RnsBasis &basis = core.basis();
+    const U256 bound =
+        U256(2ULL * n) * ring.modulus().shr(1).template convert<8>();
+    U256 without_last(1ULL);
+    for (std::size_t i = 0; i + 1 < basis.size(); ++i)
+        without_last = without_last * U256(basis.primes()[i]);
+    EXPECT_GT(basis.product(), bound) << "N " << N << ", n " << n;
+    EXPECT_LE(without_last, bound) << "N " << N << ", n " << n;
+    for (const std::uint64_t p : basis.primes())
+        EXPECT_TRUE(p > (1ULL << 61) && p < (1ULL << 62)) << p;
+    return basis.size();
+}
+
+TEST(RnsConv, ResidentBasisIsTheFewestPrimes)
+{
+    for (std::size_t n = 16; n <= 32768; n *= 2) {
+        expectFewestResidentPrimes<1>(n);
+        expectFewestResidentPrimes<2>(n);
+        expectFewestResidentPrimes<4>(n);
+    }
+    // The standard degrees.
+    EXPECT_EQ(expectFewestResidentPrimes<1>(1024), 1u);
+    EXPECT_EQ(expectFewestResidentPrimes<2>(2048), 2u);
+    EXPECT_EQ(expectFewestResidentPrimes<4>(4096), 2u);
+}
+
 TEST(RnsConv, ResidentProductsMatchTheConvolverAtFullDegree)
 {
-    // n = 4096 at 109-bit q: the three-prime basis against the
+    // n = 4096 at 109-bit q: the two-prime basis against the
     // four-prime convolver, on encryption's p * u and decryption's
-    // c * s and (c * s) * s.
+    // c * s and ((c * s) mod q) * s.
     BfvContext<4> ctx(standardParams<4>());
     ctx.setConvolver(std::make_unique<RnsNttConvolver<4>>(ctx.ring()));
     const auto &ring = ctx.ring();
@@ -449,23 +533,51 @@ TEST(RnsConv, ResidentProductsMatchTheConvolverAtFullDegree)
     const auto c = ring.sampleUniform(rng);
 
     NttResidentProducts<4> key(ring);
-    EXPECT_EQ(key.basis().size(), 3u);
+    EXPECT_EQ(key.basis().size(), 2u);
     const std::size_t jp = key.prepare(p, "p0");
     EXPECT_EQ(key.multiply(key.transformTernary(u), jp),
               ctx.mulModQ(p, ternaryPolynomial(ring, u)));
 
     NttResidentProducts<4> secret(ring);
     const std::size_t js = secret.prepare(s, "s");
-    const auto c_ntt = secret.transform(c, "c1");
     const auto cs = ctx.mulModQ(c, s);
-    EXPECT_EQ(secret.multiply(c_ntt, js), cs);
-    EXPECT_EQ(secret.multiply(c_ntt, js, 2), ctx.mulModQ(cs, s));
+    EXPECT_EQ(secret.multiply(secret.transform(c, "c1"), js), cs);
+    EXPECT_EQ(secret.multiply(secret.transform(cs, "c2 s"), js),
+              ctx.mulModQ(cs, s));
+}
+
+TEST(RnsConv, ResidentProductsOnThreePrimesMatchTheConvolver)
+{
+    // n = 32768 at 109-bit q takes a third prime, so Garner's digits
+    // run two steps and the sum is reduced before its third term: the
+    // extreme fixed polynomial and a uniform one against u all +1 and
+    // alternating, against the convolver.
+    BfvContext<4> ctx(standardParams<4>().withDegree(32768));
+    ctx.setConvolver(std::make_unique<RnsNttConvolver<4>>(ctx.ring()));
+    const auto &ring = ctx.ring();
+    const std::size_t n = ring.degree();
+    Rng rng(kSeed + 58);
+    const std::vector<Polynomial<4>> fixed = {
+        Polynomial<4>(std::vector<U128>(n, ring.modulus().shr(1))),
+        ring.sampleUniform(rng)};
+    std::vector<std::int8_t> alternating(n);
+    for (std::size_t i = 0; i < n; ++i)
+        alternating[i] = i % 2 == 0 ? 1 : -1;
+    NttResidentProducts<4> key(ring);
+    ASSERT_EQ(key.basis().size(), 3u);
+    for (std::size_t f = 0; f < fixed.size(); ++f) {
+        const std::size_t j = key.prepare(fixed[f], "p0");
+        for (const auto &u : {std::vector<std::int8_t>(n, 1), alternating})
+            EXPECT_EQ(key.multiply(key.transformTernary(u), j),
+                      ctx.mulModQ(fixed[f], ternaryPolynomial(ring, u)))
+                << "fixed " << f;
+    }
 }
 
 TEST(RnsConv, ResidentProductsRejectWhatTheBoundDoesNotCover)
 {
-    // Two reduced operands, or a reduced fixed polynomial applied
-    // twice, can exceed the basis; so can a coefficient at or above q.
+    // Two reduced operands can exceed the basis; so can a coefficient
+    // at or above q.
     const auto params = standardParams<2>().withDegree(64);
     const RingContext<2> ring(params.n, params.q);
     Rng rng(kSeed + 57);
@@ -473,12 +585,8 @@ TEST(RnsConv, ResidentProductsRejectWhatTheBoundDoesNotCover)
     NttResidentProducts<2> key(ring);
     const std::size_t j = key.prepare(a, "p0");
     EXPECT_DEATH(key.multiply(key.transform(a, "c1"), j),
-                 "product of a reduced operand and 1 reduced factor\\(s\\) "
+                 "product of a reduced operand and a reduced factor "
                  "exceeds the basis bound");
-    const auto u = key.transformTernary(
-        std::vector<std::int8_t>(params.n, 1));
-    EXPECT_DEATH(key.multiply(u, j, 2),
-                 "product of a small operand and 2 reduced factor");
     auto wide = a;
     wide[7] = ring.modulus();
     EXPECT_DEATH(key.prepare(wide, "p1"),

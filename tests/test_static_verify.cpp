@@ -121,9 +121,8 @@ TEST(StaticVerify, IntervalAcceptsShippedParams)
 
 /**
  * Host NTT and REDC obligations of every prime of the RNS-NTT
- * convolver's basis. The client's NTT-resident basis takes a prefix
- * of the same primes, so pim_prove's sweep of the convolver's basis
- * covers it too.
+ * convolver's basis, the NTT obligations of every prime of the
+ * client's NTT-resident basis, and that basis's own obligation.
  */
 template <std::size_t N>
 void
@@ -132,17 +131,27 @@ expectHostRnsPrimesProved()
     const auto params = standardParams<N>();
     const RingContext<N> ring(params.n, params.q);
     const RnsNttConvolver<N> conv(ring);
-    const NttResidentProducts<N> client(ring);
-    const auto &primes = conv.basis().primes();
-    ASSERT_LE(client.basis().size(), primes.size());
-    EXPECT_TRUE(std::equal(client.basis().primes().begin(),
-                           client.basis().primes().end(), primes.begin()))
-        << "N=" << N;
-    for (const std::uint64_t p : primes) {
+    for (const std::uint64_t p : conv.basis().primes()) {
         const auto host = analysis::analyzeHostNttPrime(p, params.n);
         EXPECT_TRUE(host.ok()) << host.summary();
         const auto mont = analysis::analyzeMontgomeryPrime(p);
         EXPECT_TRUE(mont.ok()) << mont.summary();
+    }
+    const NttResidentProducts<N> client(ring);
+    const auto &primes = client.basis().primes();
+    for (const std::uint64_t p : primes) {
+        const auto host = analysis::analyzeHostNttPrime(p, params.n);
+        EXPECT_TRUE(host.ok()) << host.summary();
+    }
+    const auto spec = analysis::specOfParams<N>(params, "client");
+    const auto basis = analysis::analyzeClientBasis(spec, primes);
+    EXPECT_TRUE(basis.ok()) << basis.summary();
+    // Without its last prime the basis fails its bound.
+    if (primes.size() > 1) {
+        const auto shorter = analysis::analyzeClientBasis(
+            spec, {primes.data(), primes.size() - 1});
+        ASSERT_FALSE(shorter.ok());
+        EXPECT_EQ(shorter.trace.firstViolation().op, "basis bound");
     }
 }
 

@@ -10,8 +10,9 @@
  *    the LaunchVerifier budgets (WRAM, MRAM, DMA, tasklets) and the
  *    symbolic race prover at that count (analysis/symbolic.h);
  *  - the interval obligations of the three parameter sets, of the
- *    host RNS-NTT primes at their degrees, and of the NTT and
- *    Montgomery primes the NTT plans use (analysis/interval.h);
+ *    host RNS-NTT primes at their degrees (the convolver's and the
+ *    client's), of the client's basis, and of the NTT and Montgomery
+ *    primes the NTT plans use (analysis/interval.h);
  *  - scripted arena-lifetime scenarios of the orchestrated launch
  *    sequences (analysis/plan_verify.h);
  *  - the checkerAllowRange audit: every registered kernel family is
@@ -130,9 +131,11 @@ analyzeStandardParams()
 }
 
 /**
- * The host RNS-NTT product at a parameter set's degree: the lazy
+ * The host RNS-NTT products at a parameter set's degree: the lazy
  * Shoup and the REDC bounds of every prime of the basis an
- * RnsNttConvolver multiplies in.
+ * RnsNttConvolver multiplies in, the same Shoup bounds of every prime
+ * of the client's NTT-resident basis, and that basis's own
+ * obligation (its bound, Garner's sum and decryption's rounding).
  */
 template <std::size_t N>
 void
@@ -145,11 +148,17 @@ checkHostRnsPrimes(GateCli &run)
         run.check(analysis::analyzeHostNttPrime(p, params.n));
         run.check(analysis::analyzeMontgomeryPrime(p));
     }
+    const NttResidentProducts<N> client(ring);
+    for (const std::uint64_t p : client.basis().primes())
+        run.check(analysis::analyzeHostNttPrime(p, params.n));
+    run.check(analysis::analyzeClientBasis(
+        analysis::specOfParams<N>(params, "N=" + std::to_string(N)),
+        client.basis().primes()));
 }
 
 /**
  * Interval obligations: the modulus arithmetic of the three parameter
- * sets, the host RNS-NTT primes at their degrees, and the NTT and
+ * sets, the host RNS-NTT products at their degrees, and the NTT and
  * Montgomery bounds of the prime each NTT plan runs on.
  */
 void
@@ -363,6 +372,17 @@ injections(const pim::DpuConfig &cfg, GateCli &run)
                       analysis::AbsVal(3ULL << 31);
              spec.n = 2048;
              run.check(analysis::analyzeParamsSet(spec));
+         }},
+        {"client-basis", [&run] {
+             // The client's basis at the benchmark's shape (n = 4096,
+             // 109-bit q) without its last prime.
+             const auto params = standardParams<4>();
+             const RingContext<4> ring(params.n, params.q);
+             const NttResidentProducts<4> client(ring);
+             const auto &primes = client.basis().primes();
+             run.check(analysis::analyzeClientBasis(
+                 analysis::specOfParams<4>(params, "injected-client-basis"),
+                 {primes.data(), primes.size() - 1}));
          }},
         // Adjacent tasklets' DMA tails overlap: t writes 16 bytes at
         // stride 8, so [t*8, t*8+16) collides with t+1's.
